@@ -38,26 +38,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One unit: covariates ``x``, binary treatment ``t``, outcome ``y``."""
-
-    x: np.ndarray
-    t: int
-    y: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _readonly(np.asarray(self.x, dtype=float)))
-        if self.x.ndim != 1:
-            raise ValueError("observation covariates must be a 1-d vector")
-        if self.t not in (0, 1):
-            raise ValueError(f"treatment must be 0 or 1, got {self.t!r}")
-        if not np.isfinite(self.y):
-            raise ValueError("outcome must be finite")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("covariates must be finite")
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Column-major container for ``n`` observations with shared dimension ``d``.
 
@@ -98,21 +78,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def observation(self, i: int) -> Observation:
-        return Observation(x=self.x[i], t=int(self.t[i]), y=float(self.y[i]))
-
-    def replace(self, i: int, obs: Observation) -> "Dataset":
-        """Return a copy with unit ``i`` swapped for ``obs``."""
-        if obs.x.shape != (self.d,):
-            raise ValueError("replacement covariate dimension mismatch")
-        x = self.x.copy()
-        t = self.t.copy()
-        y = self.y.copy()
-        x[i] = obs.x
-        t[i] = obs.t
-        y[i] = obs.y
-        return Dataset(x, t, y)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,8 @@ from .datagen import (
     generate_toy,
     make_candidates,
 )
-from .nuisance import NuisanceConfig, OracleNuisance
-from .scores import build_score_tensor
+from .nuisance import OracleNuisance
 from .selectors import (
-    Cell,
     SelectorConfig,
     SelectionResult,
     bonferroni_select,
@@ -40,8 +38,7 @@ from .selectors import (
     proposed_select,
     single_layer_ablation_select,
     two_layer_cells,
-    two_way_split,
-    _cross_fitted_nuisances,
+    _cross_fitted_tensor,
 )
 
 _STREAM_REP = 1
@@ -279,7 +276,9 @@ def _rep_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, list[RepRecord
         return k, _single_rep(config, k), None
     except ConfigError:
         raise
-    except Exception as exc:  # noqa: BLE001 - repetition failures are recorded, not fatal
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # numerical failures are recorded, not fatal; programming errors such
+        # as TypeError propagate instead of shrinking the metric denominators
         return k, [], f"{type(exc).__name__}: {exc}"
 
 
@@ -487,12 +486,10 @@ def clt_diagnostic(
         data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_CLT, d)
         dataset, truth = generate_toy(config.n, config.dims, data_seed)
         candidates = make_candidates(truth, config.noise_specs, cand_seed)
-        plan = two_way_split(dataset.n, config.inner_folds, sel_seed)
-        if config.oracle_nuisances:
-            nuisances = OracleNuisance.from_truth(truth)
-        else:
-            nuisances = _cross_fitted_nuisances(dataset, plan, NuisanceConfig())
-        tensor = build_score_tensor(dataset, candidates, plan, nuisances)
+        override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
+        _, tensor = _cross_fitted_tensor(
+            dataset, candidates, config.inner_folds, sel_seed, override
+        )
         boot_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_CLT_BOOT, d])
         )
@@ -550,27 +547,6 @@ class StabilityReport:
         }
 
 
-def _pipeline_q_matrix(
-    x: np.ndarray,
-    t: np.ndarray,
-    y: np.ndarray,
-    preds: np.ndarray,
-    plan,
-    cells: list[Cell],
-    lam: float,
-    nconfig: NuisanceConfig,
-    oracle: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    dataset = Dataset(x=x, t=t, y=y)
-    candidates = CandidateSet(preds)
-    if oracle is not None:
-        nuisances = OracleNuisance(mu0=oracle[0], mu1=oracle[1], e=oracle[2])
-    else:
-        nuisances = _cross_fitted_nuisances(dataset, plan, nconfig)
-    tensor = build_score_tensor(dataset, candidates, plan, nuisances)
-    return exp_weighted_statistics(tensor, cells, lam).q_matrix
-
-
 def stability_diagnostic(
     n_grid: list[int],
     config: ExperimentConfig,
@@ -588,43 +564,33 @@ def stability_diagnostic(
         raise ConfigError("stability grid needs at least three sizes")
     if list(n_grid) != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
         raise ConfigError("stability grid must be strictly increasing")
-    nconfig = NuisanceConfig()
     first_sq = []
     second_sq = []
     for n in n_grid:
         data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_STABILITY, n)
         pool = 3 * probes
         dataset_full, truth_full = generate_toy(n + pool, config.dims, data_seed)
-        candidates_full = make_candidates(truth_full, config.noise_specs, cand_seed)
-        preds_full = candidates_full.predictions
-        plan = two_way_split(n, config.inner_folds, sel_seed)
-        cells = two_layer_cells(plan)
-        lam = config.lam if config.lam is not None else float(n) ** 0.4
+        preds_full = make_candidates(truth_full, config.noise_specs, cand_seed).predictions
+        lam = config.selector_config(sel_seed).resolve_lam(n)
 
-        def q_with(replacements: dict[int, int], n=n, plan=plan, cells=cells, lam=lam):
-            x = dataset_full.x[:n].copy()
-            t = dataset_full.t[:n].copy()
-            y = dataset_full.y[:n].copy()
-            preds = preds_full[:, :n].copy()
-            oracle = None
-            if config.oracle_nuisances:
-                mu0 = truth_full.mu0[:n].copy()
-                mu1 = truth_full.mu1[:n].copy()
-                e = truth_full.e[:n].copy()
+        def q_with(replacements: dict[int, int], n=n, sel_seed=sel_seed, lam=lam):
+            rows = np.arange(n)
             for j, src in replacements.items():
-                x[j] = dataset_full.x[src]
-                t[j] = dataset_full.t[src]
-                y[j] = dataset_full.y[src]
-                preds[:, j] = preds_full[:, src]
-                if config.oracle_nuisances:
-                    mu0[j] = truth_full.mu0[src]
-                    mu1[j] = truth_full.mu1[src]
-                    e[j] = truth_full.e[src]
+                rows[j] = src
+            dataset = Dataset(
+                x=dataset_full.x[rows], t=dataset_full.t[rows], y=dataset_full.y[rows]
+            )
+            override = None
             if config.oracle_nuisances:
-                oracle = (mu0, mu1, e)
-            return _pipeline_q_matrix(x, t, y, preds, plan, cells, lam, nconfig, oracle)
+                override = OracleNuisance(
+                    mu0=truth_full.mu0[rows], mu1=truth_full.mu1[rows], e=truth_full.e[rows]
+                )
+            plan, tensor = _cross_fitted_tensor(
+                dataset, CandidateSet(preds_full[:, rows]), config.inner_folds, sel_seed, override
+            )
+            return plan, exp_weighted_statistics(tensor, two_layer_cells(plan), lam).q_matrix
 
-        q_base = q_with({})
+        plan, q_base = q_with({})
         probe_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_STABILITY, n, 1])
         )
@@ -632,7 +598,7 @@ def stability_diagnostic(
         estimates1 = []
         for k in range(probes):
             j = int(probe_rng.integers(n))
-            diff = q_with({j: n + k}) - q_base
+            diff = q_with({j: n + k})[1] - q_base
             same_major = (plan.major == plan.major[j]) & (plan.inner != plan.inner[j])
             cross = plan.major != plan.major[j]
             cases = [diff[same_major], diff[cross]]
@@ -646,9 +612,9 @@ def stability_diagnostic(
             src_l = src_j + 1
             mixed = (
                 q_base
-                - q_with({j: src_j})
-                - q_with({l: src_l})
-                + q_with({j: src_j, l: src_l})
+                - q_with({j: src_j})[1]
+                - q_with({l: src_l})[1]
+                + q_with({j: src_j, l: src_l})[1]
             )
             keep = np.ones(n, dtype=bool)
             keep[[j, l]] = False

@@ -2,8 +2,7 @@
 
 Both solvers are deterministic (closed-form ridge, damped Newton for the
 logistic) so that refitting after a one-unit replacement measures genuine
-model movement rather than solver jitter. Replace-one stability probes for
-the outcome regressions live here too.
+model movement rather than solver jitter.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset, Observation, ToyGroundTruth, _readonly, _sigmoid
+from .datagen import Dataset, ToyGroundTruth, _readonly, _sigmoid
 
 _DEFAULT_PENALTY_RATE = 1e-3
-_GRID_SEED = 74025
-_GRID_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -223,75 +220,3 @@ def predict(model: NuisanceModel, x: np.ndarray) -> tuple[float, float, float]:
         raise ValueError(f"expected covariate vector of dimension {model.d}")
     mu0, mu1, e = model.predict_rows(x[None, :])
     return float(mu0[0]), float(mu1[0]), float(e[0])
-
-
-def evaluation_grid(d: int, size: int = _GRID_SIZE) -> np.ndarray:
-    """Fixed standard normal grid used by the stability probes."""
-    rng = np.random.default_rng(np.random.SeedSequence(_GRID_SEED))
-    return rng.standard_normal((size, d))
-
-
-def _outcome_predictions(model: NuisanceModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu0, mu1, _ = model.predict_rows(grid)
-    return mu0, mu1
-
-
-def stability_probe(
-    dataset: Dataset,
-    indices: np.ndarray,
-    config: NuisanceConfig,
-    r: int,
-    replacement: Observation,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Outcome-regression movement caused by replacing one training unit.
-
-    Refits on ``indices`` with unit ``r`` swapped for ``replacement`` and
-    returns the root mean squared change of the two outcome heads over a
-    fixed evaluation grid.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if r not in idx:
-        raise ValueError("replaced unit must belong to the training index set")
-    if grid is None:
-        grid = evaluation_grid(dataset.d)
-    base = fit(dataset, idx, config)
-    swapped = fit(dataset.replace(r, replacement), idx, config)
-    b0, b1 = _outcome_predictions(base, grid)
-    s0, s1 = _outcome_predictions(swapped, grid)
-    return float(np.sqrt(np.mean((b0 - s0) ** 2 + (b1 - s1) ** 2)))
-
-
-def stability_probe_mixed(
-    dataset: Dataset,
-    indices: np.ndarray,
-    config: NuisanceConfig,
-    r: int,
-    s: int,
-    replacement_r: Observation,
-    replacement_s: Observation,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Second-order probe: mixed difference of separate vs joint replacement.
-
-    Returns the RMS over the grid of
-    ``mu(S) - mu(S^r) - mu(S^s) + mu(S^{r,s})`` pooled across both arms.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if r == s:
-        raise ValueError("second-order probe needs two distinct units")
-    for unit in (r, s):
-        if unit not in idx:
-            raise ValueError("replaced units must belong to the training index set")
-    if grid is None:
-        grid = evaluation_grid(dataset.d)
-    ds_r = dataset.replace(r, replacement_r)
-    ds_s = dataset.replace(s, replacement_s)
-    ds_rs = ds_r.replace(s, replacement_s)
-    preds = [
-        _outcome_predictions(fit(ds, idx, config), grid)
-        for ds in (dataset, ds_r, ds_s, ds_rs)
-    ]
-    mixed0 = preds[0][0] - preds[1][0] - preds[2][0] + preds[3][0]
-    mixed1 = preds[0][1] - preds[1][1] - preds[2][1] + preds[3][1]
-    return float(np.sqrt(np.mean(mixed0**2 + mixed1**2)))

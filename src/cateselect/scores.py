@@ -2,20 +2,20 @@
 
 The doubly robust pseudo-outcome transforms one observation into an
 unbiased proxy for the true effect at its covariates; the pairwise score
-turns two candidate predictions plus that proxy into a one-step estimate of
-their MSE gap. Stacking scores over all ordered candidate pairs and units
-gives the tensor every selector consumes.
+``tau_r^2 - tau_s^2 - 2 (tau_r - tau_s) * gamma`` turns two candidate
+predictions plus that proxy into a one-step estimate of their MSE gap.
+Stacking scores over all ordered candidate pairs and units gives the tensor
+every selector consumes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
-from .datagen import CandidateSet, Dataset, Observation, _readonly
+from .datagen import CandidateSet, Dataset, _readonly
 from .nuisance import NuisanceModel, OracleNuisance
 
 if TYPE_CHECKING:
@@ -104,29 +104,6 @@ def _gamma_from_values(
     return t * (y - mu1) / e + mu1 - (1 - t) * (y - mu0) / (1 - e) - mu0
 
 
-def pseudo_outcome(z: Observation, model: NuisanceModel) -> float:
-    """Doubly robust effect proxy for one unit.
-
-    Under correct nuisances its conditional mean given the covariates is the
-    true effect; clipping inside the model keeps the inverse weights finite.
-    """
-    mu0, mu1, e = model.predict_rows(z.x[None, :])
-    value = _gamma_from_values(
-        np.array([float(z.t)]), np.array([z.y]), mu0, mu1, e
-    )
-    return float(value[0])
-
-
-def pair_score(z: Observation, tau_r: float, tau_s: float, model: NuisanceModel) -> float:
-    """One-step estimate of the MSE gap between two candidate predictions.
-
-    Equals ``tau_r^2 - tau_s^2 - 2 (tau_r - tau_s) * pseudo_outcome``;
-    antisymmetric under swapping the two predictions.
-    """
-    gamma = pseudo_outcome(z, model)
-    return tau_r**2 - tau_s**2 - 2.0 * (tau_r - tau_s) * gamma
-
-
 def pseudo_outcomes(dataset: Dataset, nuisances: NuisanceSource, fold_of: np.ndarray) -> np.ndarray:
     """Per-unit pseudo-outcomes, scoring each unit with its fold's model.
 
@@ -208,15 +185,3 @@ def cov_hat(tensor: ScoreTensor, m: int) -> CovarianceEstimate:
     rows = tensor.values[m, list(others), :]
     sigma = np.atleast_2d(np.cov(rows, ddof=1)) / tensor.n
     return CovarianceEstimate(sigma=sigma)
-
-
-def dump_scores_csv(tensor: ScoreTensor, path: str) -> None:
-    """Flat per-entry dump (r, s, i, score) for debugging."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "s", "i", "score"])
-        p, n = tensor.p, tensor.n
-        for r in range(p):
-            for s in range(p):
-                for i in range(n):
-                    writer.writerow([r, s, i, repr(float(tensor.values[r, s, i]))])

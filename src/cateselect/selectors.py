@@ -1,6 +1,8 @@
 """Selection procedures that map a dataset plus candidates to an accepted set.
 
-Four selectors share the same per-unit score tensor machinery:
+Every selector scores all candidate pairs through one path,
+``_cross_fitted_tensor``: two-layer split, nuisances cross-fitted on the
+opposite major fold (or supplied), then the per-unit pairwise score tensor.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -15,19 +17,19 @@ Four selectors share the same per-unit score tensor machinery:
 * ``single_layer_ablation_select``: deliberately casual variant that fits
   nuisances on the full sample and draws its weight-learning folds over all
   units; kept to demonstrate how error control degrades without the
-  two-layer split.
+  two-layer split. It shares the weighted test with ``proposed_select``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.stats import norm
 
 from .datagen import CandidateSet, Dataset, _readonly
-from .nuisance import NuisanceConfig, NuisanceModel, OracleNuisance, fit
+from .nuisance import NuisanceConfig, OracleNuisance, fit
 from .scores import (
     FOLD_A,
     FOLD_B,
@@ -42,7 +44,6 @@ _NAIVE_STREAM = 0x5EED01
 _ABLATION_STREAM = 0x5EED02
 
 _MIN_INNER_FOLD = 2
-_VARIANCE_FLOOR = 0.0
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def exp_weighted_statistics(tensor: ScoreTensor, cells: list[Cell], lam: float) 
         raise ValueError("cells do not cover every unit")
     score_sums = q.sum(axis=0)
     sigmas = q.std(axis=0, ddof=1)
-    if np.any(sigmas <= _VARIANCE_FLOOR):
+    if np.any(sigmas <= 0.0):
         raise RuntimeError("degenerate weighted scores: zero variance for some candidate")
     z_scores = score_sums / (np.sqrt(n) * sigmas)
     return ProposedStatistics(
@@ -286,26 +287,28 @@ class SelectionResult:
         }
 
 
-def _cross_fitted_nuisances(
-    dataset: Dataset, plan: SplitPlan, nconfig: NuisanceConfig
-) -> dict[int, NuisanceModel]:
-    """Fit per major fold; each fold's units are scored with the model
-    trained on the opposite fold."""
-    indices = np.arange(dataset.n)
-    model_on_a = fit(dataset, indices[plan.major == FOLD_A], nconfig)
-    model_on_b = fit(dataset, indices[plan.major == FOLD_B], nconfig)
-    return {FOLD_A: model_on_b, FOLD_B: model_on_a}
-
-
-def _resolve_nuisances(
+def _cross_fitted_tensor(
     dataset: Dataset,
-    plan: SplitPlan,
-    nconfig: NuisanceConfig,
-    nuisance_override: OracleNuisance | None,
-) -> NuisanceSource:
-    if nuisance_override is not None:
-        return nuisance_override
-    return _cross_fitted_nuisances(dataset, plan, nconfig)
+    candidates: CandidateSet,
+    inner_folds: int,
+    seed: int,
+    nuisance_override: NuisanceSource | None = None,
+    nuisance_config: NuisanceConfig | None = None,
+) -> tuple[SplitPlan, ScoreTensor]:
+    """Split, cross-fit the nuisances and score every candidate pair.
+
+    Each major fold's units are scored with the model trained on the
+    opposite fold, unless ``nuisance_override`` supplies the nuisances.
+    """
+    plan = two_way_split(dataset.n, inner_folds, seed)
+    nuisances = nuisance_override
+    if nuisances is None:
+        nconfig = nuisance_config or NuisanceConfig()
+        indices = np.arange(dataset.n)
+        model_on_a = fit(dataset, indices[plan.major == FOLD_A], nconfig)
+        model_on_b = fit(dataset, indices[plan.major == FOLD_B], nconfig)
+        nuisances = {FOLD_A: model_on_b, FOLD_B: model_on_a}
+    return plan, build_score_tensor(dataset, candidates, plan, nuisances)
 
 
 def _build_result(
@@ -328,6 +331,26 @@ def _build_result(
     )
 
 
+def _weighted_test(
+    selector: str, config: SelectorConfig, plan: SplitPlan, tensor: ScoreTensor, cells: list[Cell]
+) -> SelectionResult:
+    """Accept candidate r when its studentized weighted score falls below the
+    one-sided normal critical value at level alpha."""
+    lam = config.resolve_lam(tensor.n)
+    stats = exp_weighted_statistics(tensor, cells, lam)
+    critical = float(norm.ppf(1.0 - config.alpha))
+    decisions = [
+        CandidateDecision(
+            candidate=r,
+            statistic=float(stats.z_scores[r]),
+            critical=critical,
+            accepted=bool(stats.z_scores[r] < critical),
+        )
+        for r in range(tensor.p)
+    ]
+    return _build_result(selector, config, lam, decisions, {"statistics": stats, "plan": plan})
+
+
 def proposed_select(
     dataset: Dataset,
     candidates: CandidateSet,
@@ -340,24 +363,10 @@ def proposed_select(
     Accepts candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha.
     """
-    nconfig = nuisance_config or NuisanceConfig()
-    lam = config.resolve_lam(dataset.n)
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    nuisances = _resolve_nuisances(dataset, plan, nconfig, nuisance_override)
-    tensor = build_score_tensor(dataset, candidates, plan, nuisances)
-    cells = two_layer_cells(plan)
-    stats = exp_weighted_statistics(tensor, cells, lam)
-    critical = float(norm.ppf(1.0 - config.alpha))
-    decisions = [
-        CandidateDecision(
-            candidate=r,
-            statistic=float(stats.z_scores[r]),
-            critical=critical,
-            accepted=bool(stats.z_scores[r] < critical),
-        )
-        for r in range(candidates.p)
-    ]
-    return _build_result("proposed", config, lam, decisions, {"statistics": stats, "plan": plan})
+    plan, tensor = _cross_fitted_tensor(
+        dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
+    )
+    return _weighted_test("proposed", config, plan, tensor, two_layer_cells(plan))
 
 
 def single_layer_ablation_select(
@@ -376,29 +385,16 @@ def single_layer_ablation_select(
     aligns the fold geometry with another selector for controlled
     comparisons.
     """
-    nconfig = nuisance_config or NuisanceConfig()
-    lam = config.resolve_lam(dataset.n)
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    if nuisance_override is not None:
-        nuisances: NuisanceSource = nuisance_override
-    else:
-        full_model = fit(dataset, np.arange(dataset.n), nconfig)
+    nuisances: NuisanceSource | None = nuisance_override
+    if nuisances is None:
+        full_model = fit(dataset, np.arange(dataset.n), nuisance_config or NuisanceConfig())
         nuisances = {FOLD_A: full_model, FOLD_B: full_model}
-    tensor = build_score_tensor(dataset, candidates, plan, nuisances)
+    plan, tensor = _cross_fitted_tensor(
+        dataset, candidates, config.inner_folds, config.seed, nuisances
+    )
     if cells is None:
         cells = single_layer_cells(dataset.n, config.inner_folds, config.seed)
-    stats = exp_weighted_statistics(tensor, cells, lam)
-    critical = float(norm.ppf(1.0 - config.alpha))
-    decisions = [
-        CandidateDecision(
-            candidate=r,
-            statistic=float(stats.z_scores[r]),
-            critical=critical,
-            accepted=bool(stats.z_scores[r] < critical),
-        )
-        for r in range(candidates.p)
-    ]
-    return _build_result("ablation", config, lam, decisions, {"statistics": stats, "plan": plan})
+    return _weighted_test("ablation", config, plan, tensor, cells)
 
 
 def naive_critical_value(
@@ -424,7 +420,7 @@ def naive_critical_value(
     return float(np.quantile(maxima, 1.0 - alpha))
 
 
-def _max_statistics(tensor: ScoreTensor, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _max_statistics(tensor: ScoreTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Standardized pairwise statistics for candidate m plus its covariance."""
     dv = delta_hat(tensor, m)
     cov = cov_hat(tensor, m)
@@ -433,7 +429,32 @@ def _max_statistics(tensor: ScoreTensor, m: int) -> tuple[np.ndarray, np.ndarray
         raise RuntimeError(
             f"candidate {m}: degenerate pairwise score variance; statistics undefined"
         )
-    return dv.delta / sd, cov.sigma, sd
+    return dv.delta / sd, cov.sigma
+
+
+def _max_statistic_test(
+    selector: str,
+    config: SelectorConfig,
+    plan: SplitPlan,
+    tensor: ScoreTensor,
+    critical_value: Callable[[int, np.ndarray], float],
+) -> SelectionResult:
+    """Accept candidate m when the largest of its standardized pairwise
+    statistics does not exceed ``critical_value(m, sigma_m)``."""
+    decisions = []
+    for m in range(tensor.p):
+        stats_m, sigma_m = _max_statistics(tensor, m)
+        critical = critical_value(m, sigma_m)
+        s_max = float(stats_m.max())
+        decisions.append(
+            CandidateDecision(
+                candidate=m,
+                statistic=s_max,
+                critical=critical,
+                accepted=bool(s_max <= critical),
+            )
+        )
+    return _build_result(selector, config, config.resolve_lam(tensor.n), decisions, {"plan": plan})
 
 
 def naive_select(
@@ -451,26 +472,15 @@ def naive_select(
     """
     if config.bootstrap_draws < 1000:
         raise ValueError("the naive selector requires at least 1000 bootstrap draws")
-    nconfig = nuisance_config or NuisanceConfig()
-    lam = config.resolve_lam(dataset.n)
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    nuisances = _resolve_nuisances(dataset, plan, nconfig, nuisance_override)
-    tensor = build_score_tensor(dataset, candidates, plan, nuisances)
-    decisions = []
-    for m in range(candidates.p):
-        stats_m, sigma_m, _ = _max_statistics(tensor, m)
+    plan, tensor = _cross_fitted_tensor(
+        dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
+    )
+
+    def bootstrap_critical(m: int, sigma_m: np.ndarray) -> float:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NAIVE_STREAM, m]))
-        critical = naive_critical_value(sigma_m, config.alpha, config.bootstrap_draws, rng)
-        s_max = float(stats_m.max())
-        decisions.append(
-            CandidateDecision(
-                candidate=m,
-                statistic=s_max,
-                critical=critical,
-                accepted=bool(s_max <= critical),
-            )
-        )
-    return _build_result("naive", config, lam, decisions, {"plan": plan})
+        return naive_critical_value(sigma_m, config.alpha, config.bootstrap_draws, rng)
+
+    return _max_statistic_test("naive", config, plan, tensor, bootstrap_critical)
 
 
 def bonferroni_select(
@@ -481,22 +491,8 @@ def bonferroni_select(
     nuisance_config: NuisanceConfig | None = None,
 ) -> SelectionResult:
     """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1)."""
-    nconfig = nuisance_config or NuisanceConfig()
-    lam = config.resolve_lam(dataset.n)
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    nuisances = _resolve_nuisances(dataset, plan, nconfig, nuisance_override)
-    tensor = build_score_tensor(dataset, candidates, plan, nuisances)
+    plan, tensor = _cross_fitted_tensor(
+        dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
+    )
     critical = float(norm.ppf(1.0 - config.alpha / (candidates.p - 1)))
-    decisions = []
-    for m in range(candidates.p):
-        stats_m, _, _ = _max_statistics(tensor, m)
-        s_max = float(stats_m.max())
-        decisions.append(
-            CandidateDecision(
-                candidate=m,
-                statistic=s_max,
-                critical=critical,
-                accepted=bool(s_max <= critical),
-            )
-        )
-    return _build_result("bonferroni", config, lam, decisions, {"plan": plan})
+    return _max_statistic_test("bonferroni", config, plan, tensor, lambda m, sigma_m: critical)

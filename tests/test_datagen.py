@@ -10,7 +10,6 @@ from cateselect.datagen import (
     CandidateSet,
     Dataset,
     NoiseSpec,
-    Observation,
     generate_toy,
     ingest_dataset,
     ingest_predictions,
@@ -126,16 +125,6 @@ def test_dataset_validation():
         Dataset(x=x, t=np.array([0, 1, 2, 0, 1]), y=np.zeros(5))  # nonbinary
     with pytest.raises(ValueError):
         Dataset(x=x, t=np.array([0, 1, 0, 1, 0]), y=np.array([0, 1, np.inf, 0, 1.0]))
-
-
-def test_observation_roundtrip():
-    ds, _ = generate_toy(30, (1, 1, 1, 1), seed=2)
-    obs = ds.observation(3)
-    assert obs.t in (0, 1)
-    npt.assert_array_equal(obs.x, ds.x[3])
-    replaced = ds.replace(3, Observation(x=np.zeros(ds.d), t=1 - obs.t, y=0.5))
-    assert replaced.t[3] == 1 - obs.t
-    assert ds.t[3] == obs.t  # original untouched
 
 
 def test_dataset_csv_roundtrip(tmp_path):

@@ -56,6 +56,13 @@ def _raising_selector(dataset, candidates, config, nuisance_override=None):
 register_selector("always_fails", _raising_selector)
 
 
+def _broken_selector(dataset, candidates, config, nuisance_override=None):
+    raise TypeError("synthetic programming error")
+
+
+register_selector("broken", _broken_selector)
+
+
 SPECS = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.3, 0.1))
 
 
@@ -82,6 +89,11 @@ def test_failures_recorded_and_run_continues():
     assert len(report.failures) == 4
     assert report.records == []
     assert all("synthetic failure" in msg for _, msg in report.failures)
+
+
+def test_programming_errors_abort_the_run():
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        run_experiment(_config(selectors=("broken",), repetitions=2))
 
 
 def test_metrics_recomputable_from_per_rep_csv(tmp_path):

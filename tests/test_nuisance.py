@@ -2,16 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cateselect.datagen import Dataset, Observation, generate_toy
+from cateselect.datagen import Dataset, generate_toy
 from cateselect.nuisance import (
     NuisanceConfig,
     NuisanceModel,
     OracleNuisance,
-    evaluation_grid,
     fit,
     predict,
-    stability_probe,
-    stability_probe_mixed,
 )
 
 
@@ -134,65 +131,3 @@ def test_oracle_nuisance_from_truth():
     assert oracle.n == truth.n
     with pytest.raises(ValueError):
         OracleNuisance(mu0=np.zeros(3), mu1=np.zeros(3), e=np.array([0.0, 0.5, 0.5]))
-
-
-def test_probe_zero_for_identical_replacement():
-    ds, _ = generate_toy(200, (1, 1, 1, 1), seed=6)
-    idx = np.arange(ds.n)
-    value = stability_probe(ds, idx, NuisanceConfig(), 17, ds.observation(17))
-    assert value == 0.0
-
-
-def test_probe_requires_member_unit():
-    ds, _ = generate_toy(100, (1, 1, 1, 1), seed=6)
-    with pytest.raises(ValueError):
-        stability_probe(ds, np.arange(50), NuisanceConfig(), 60, ds.observation(0))
-
-
-def test_probe_halves_when_n_doubles():
-    # replace-one movement is O(1/n): doubling n should halve it, generous slack
-    means = {}
-    config = NuisanceConfig()
-    for n in (400, 800):
-        ds, _ = generate_toy(n + 50, (2, 2, 2, 2), seed=77)
-        grid = evaluation_grid(ds.d)
-        idx = np.arange(n)
-        values = []
-        for k in range(50):
-            r = int(np.random.default_rng(k).integers(n))
-            values.append(stability_probe(ds, idx, config, r, ds.observation(n + k), grid))
-        means[n] = np.mean(values)
-    ratio = means[400] / means[800]
-    assert 0.8 <= ratio <= 3.2
-
-
-def test_mixed_probe_decays_faster_than_first_order():
-    # mixed replace-two differences fall at least like n^-1.5 on a log-log grid
-    config = NuisanceConfig()
-    grid_ns = [400, 800, 1600]
-    mixed_means = []
-    for n in grid_ns:
-        ds, _ = generate_toy(n + 100, (2, 2, 2, 2), seed=99)
-        grid = evaluation_grid(ds.d)
-        idx = np.arange(n)
-        rng = np.random.default_rng(5)
-        values = []
-        for k in range(10):
-            r, s = (int(v) for v in rng.choice(n, 2, replace=False))
-            values.append(
-                stability_probe_mixed(
-                    ds, idx, config, r, s,
-                    ds.observation(n + 2 * k), ds.observation(n + 2 * k + 1), grid,
-                )
-            )
-        mixed_means.append(np.mean(values))
-    slope = np.polyfit(np.log(grid_ns), np.log(mixed_means), 1)[0]
-    assert slope <= -1.5
-
-
-def test_mixed_probe_validates_units():
-    ds, _ = generate_toy(100, (1, 1, 1, 1), seed=1)
-    with pytest.raises(ValueError):
-        stability_probe_mixed(
-            ds, np.arange(100), NuisanceConfig(), 5, 5, ds.observation(0), ds.observation(1)
-        )

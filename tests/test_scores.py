@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cateselect.datagen import NoiseSpec, Dataset, Observation, generate_toy, make_candidates
+from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, make_candidates
 from cateselect.datagen import population_relative_error
 from cateselect.nuisance import NuisanceModel, OracleNuisance
 from cateselect.scores import (
@@ -11,12 +11,9 @@ from cateselect.scores import (
     build_score_tensor,
     cov_hat,
     delta_hat,
-    dump_scores_csv,
-    pair_score,
-    pseudo_outcome,
     pseudo_outcomes,
 )
-from cateselect.selectors import two_way_split
+from cateselect.selectors import SplitPlan, _cross_fitted_tensor, two_way_split
 
 
 def _constant_model(mu0, mu1, e_logit, d=1, clip_eta=0.05):
@@ -31,20 +28,24 @@ def _constant_model(mu0, mu1, e_logit, d=1, clip_eta=0.05):
     )
 
 
+def _two_units(y_treated, y_control):
+    """One treated and one control unit at x = 0."""
+    return Dataset(x=np.zeros((2, 1)), t=np.array([1, 0]), y=np.array([y_treated, y_control]))
+
+
 def test_pseudo_outcome_hand_value():
     # t=1, y=2, mu1=1, mu0=0, e=0.5 -> 1/0.5 + 1 - 0 - 0 = 3
     model = _constant_model(mu0=0.0, mu1=1.0, e_logit=0.0)
-    z = Observation(x=np.zeros(1), t=1, y=2.0)
-    assert pseudo_outcome(z, model) == pytest.approx(3.0, abs=1e-12)
+    gamma = pseudo_outcomes(_two_units(2.0, 0.0), {0: model}, np.zeros(2, dtype=np.int8))
+    assert gamma[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_pseudo_outcome_vanishing_residuals():
     # y equals the predicted mean of its own arm: the proxy collapses to mu1 - mu0
     model = _constant_model(mu0=0.25, mu1=1.75, e_logit=0.3)
-    z1 = Observation(x=np.zeros(1), t=1, y=1.75)
-    z0 = Observation(x=np.zeros(1), t=0, y=0.25)
-    assert pseudo_outcome(z1, model) == pytest.approx(1.5, abs=1e-12)
-    assert pseudo_outcome(z0, model) == pytest.approx(1.5, abs=1e-12)
+    gamma = pseudo_outcomes(_two_units(1.75, 0.25), {0: model}, np.zeros(2, dtype=np.int8))
+    assert gamma[0] == pytest.approx(1.5, abs=1e-12)
+    assert gamma[1] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_pseudo_outcome_conditionally_unbiased_at_fixed_x():
@@ -66,26 +67,22 @@ def test_pseudo_outcome_conditionally_unbiased_at_fixed_x():
 
 def test_pair_score_hand_values():
     model = _constant_model(mu0=0.0, mu1=1.0, e_logit=0.0)
-    z = Observation(x=np.zeros(1), t=1, y=2.0)  # proxy = 3
-    assert pair_score(z, 1.0, 0.0, model) == pytest.approx(-5.0, abs=1e-12)
-    assert pair_score(z, 0.5, 0.5, model) == 0.0
+    ds = _two_units(2.0, 0.0)  # the treated unit's proxy is 3
+    cands = CandidateSet(np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
+    plan = SplitPlan(major=np.array([0, 1]), inner=np.zeros(2), inner_folds=1)
+    values = build_score_tensor(ds, cands, plan, {0: model, 1: model}).values
+    assert values[0, 1, 0] == pytest.approx(-5.0, abs=1e-12)
+    assert values[2, 3, 0] == 0.0
     # swapping the candidates flips the sign exactly
-    assert pair_score(z, 1.0, 0.0, model) == -pair_score(z, 0.0, 1.0, model)
+    assert values[0, 1, 0] == -values[1, 0, 0]
 
 
-def _toy_tensor(n=400, p=4, seed=3, oracle=False):
+def _toy_tensor(n=400, p=4, seed=3):
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=seed)
     specs = [NoiseSpec(0.0, 0.1)] + [NoiseSpec(0.03, 0.1)] * (p - 1)
     cands = make_candidates(truth, specs, seed=seed + 1)
-    plan = two_way_split(n, 5, seed + 2)
-    from cateselect.nuisance import NuisanceConfig
-    from cateselect.selectors import _cross_fitted_nuisances
-
-    if oracle:
-        nuis = OracleNuisance.from_truth(truth)
-    else:
-        nuis = _cross_fitted_nuisances(ds, plan, NuisanceConfig())
-    return build_score_tensor(ds, cands, plan, nuis), ds, cands, plan
+    plan, tensor = _cross_fitted_tensor(ds, cands, 5, seed + 2)
+    return tensor, ds, cands, plan
 
 
 def test_tensor_antisymmetry_and_zero_diagonal():
@@ -97,8 +94,6 @@ def test_tensor_antisymmetry_and_zero_diagonal():
 
 def test_identical_candidates_zero_tensor():
     ds, truth = generate_toy(100, (1, 1, 1, 1), seed=4)
-    from cateselect.datagen import CandidateSet
-
     row = truth.tau + 0.1
     cands = CandidateSet(np.vstack([row, row]))
     plan = two_way_split(100, 5, 1)
@@ -168,8 +163,6 @@ def test_cross_fitting_uses_opposite_fold_model():
     # constant models with different intercepts per fold leave a visible imprint
     n = 60
     ds, _ = generate_toy(n, (1, 1, 1, 1), seed=9)
-    from cateselect.datagen import CandidateSet
-
     cands = CandidateSet(np.vstack([np.zeros(n), np.ones(n)]))
     plan = two_way_split(n, 5, 10)
     model_a = _constant_model(mu0=0.0, mu1=0.0, e_logit=0.0, d=4)
@@ -182,12 +175,3 @@ def test_cross_fitting_uses_opposite_fold_model():
     assert tensor.values[0, 1, i_a] == pytest.approx(-1.0 + 2.0 * gamma[i_a])
     assert tensor.values[0, 1, i_b] == pytest.approx(-1.0 + 2.0 * gamma[i_b])
     assert gamma[i_a] != gamma[i_b]
-
-
-def test_dump_scores_csv(tmp_path):
-    tensor, *_ = _toy_tensor(n=40, p=2, oracle=True)
-    path = tmp_path / "scores.csv"
-    dump_scores_csv(tensor, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,s,i,score"
-    assert len(lines) == 1 + 2 * 2 * 40

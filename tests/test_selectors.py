@@ -12,12 +12,14 @@ from cateselect.harness import _derived_seeds
 from cateselect.nuisance import OracleNuisance
 from cateselect.selectors import (
     SelectorConfig,
+    _cross_fitted_tensor,
     bonferroni_select,
     exp_weights,
     naive_critical_value,
     naive_select,
     proposed_select,
     single_layer_ablation_select,
+    single_layer_cells,
     two_layer_cells,
     two_way_split,
 )
@@ -52,7 +54,16 @@ def test_split_partition_property(n, v, seed):
     seen = np.concatenate([c.eval_idx for c in cells])
     npt.assert_array_equal(np.sort(seen), np.arange(n))
     for cell in cells:
+        assert cell.eval_idx.size >= 2
         assert np.intersect1d(cell.eval_idx, cell.weight_idx).size == 0
+        # weights are learned on the rest of the cell's own major fold
+        major = np.flatnonzero(plan.major == plan.major[cell.eval_idx[0]])
+        npt.assert_array_equal(cell.weight_idx, np.setdiff1d(major, cell.eval_idx))
+    flat = single_layer_cells(n, v, seed)
+    npt.assert_array_equal(np.sort(np.concatenate([c.eval_idx for c in flat])), np.arange(n))
+    for cell in flat:
+        assert cell.eval_idx.size >= 2
+        npt.assert_array_equal(cell.weight_idx, np.setdiff1d(np.arange(n), cell.eval_idx))
 
 
 def test_split_too_small_rejected():
@@ -141,12 +152,7 @@ def test_proposed_lambda_zero_equals_unweighted_average():
     ds, truth, cands, sel_seed = _toy_problem()
     res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, lam=0.0, seed=sel_seed))
     stats = res.extras["statistics"]
-    from cateselect.scores import build_score_tensor
-    from cateselect.nuisance import NuisanceConfig
-    from cateselect.selectors import _cross_fitted_nuisances
-
-    plan = two_way_split(ds.n, 5, sel_seed)
-    tensor = build_score_tensor(ds, cands, plan, _cross_fitted_nuisances(ds, plan, NuisanceConfig()))
+    _, tensor = _cross_fitted_tensor(ds, cands, 5, sel_seed)
     for r in range(cands.p):
         others = [s for s in range(cands.p) if s != r]
         q_direct = tensor.values[r, others, :].mean(axis=0)
@@ -344,3 +350,33 @@ def test_selector_config_validation():
         SelectorConfig(inner_folds=1)
     assert SelectorConfig(lam=None).resolve_lam(10_000) == pytest.approx(10_000**0.4)
     assert SelectorConfig(lam=3.5).resolve_lam(10_000) == 3.5
+
+
+# --- candidate relabeling ---------------------------------------------------
+
+
+@given(
+    n=st.integers(200, 600),
+    perm=st.permutations(range(4)),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=15, deadline=None)
+def test_statistics_equivariant_under_candidate_relabeling(n, perm, seed):
+    specs = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.1, 0.1), NoiseSpec(0.3, 0.1))
+    ds, truth, cands, sel_seed = _toy_problem(n=n, specs=specs, seed=seed)
+    relabeled = CandidateSet(cands.predictions[list(perm)])
+    config = SelectorConfig(seed=sel_seed)
+
+    def statistics(select, candidates):
+        return np.array([s.statistic for s in select(ds, candidates, config).stats])
+
+    # the weighted sums run over rivals in index order, so only rounding differs
+    npt.assert_allclose(
+        statistics(proposed_select, relabeled),
+        statistics(proposed_select, cands)[list(perm)],
+        rtol=1e-9,
+    )
+    # max statistics are exact; naive critical values are not compared because
+    # each candidate's bootstrap stream is keyed to its index, not its predictions
+    for select in (bonferroni_select, naive_select):
+        npt.assert_array_equal(statistics(select, relabeled), statistics(select, cands)[list(perm)])
