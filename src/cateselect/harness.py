@@ -251,35 +251,42 @@ def _derived_seeds(*entropy: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _single_rep(config: ExperimentConfig, k: int) -> list[RepRecord]:
+def _single_rep(config: ExperimentConfig, k: int) -> tuple[list[RepRecord], list[str]]:
     data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_REP, k)
     dataset, truth = generate_toy(config.n, config.dims, data_seed)
     candidates = make_candidates(truth, config.noise_specs, cand_seed)
     override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
     records: list[RepRecord] = []
+    failures: list[str] = []
     for name in config.selectors:
         try:
             fn = SELECTOR_FUNCS[name]
         except KeyError:
             raise ConfigError(f"unknown selector: {name}") from None
-        result = fn(dataset, candidates, config.selector_config(sel_seed), nuisance_override=override)
+        try:
+            result = fn(dataset, candidates, config.selector_config(sel_seed), nuisance_override=override)
+        except ConfigError:
+            raise
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+            continue
         for stat in result.stats:
             records.append(
                 RepRecord(k, name, stat.candidate, stat.statistic, stat.critical, stat.accepted)
             )
-    return records
+    return records, failures
 
 
-def _rep_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, list[RepRecord], str | None]:
+def _rep_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, list[RepRecord], list[str]]:
     config, k = args
     try:
-        return k, _single_rep(config, k), None
+        return (k, *_single_rep(config, k))
     except ConfigError:
         raise
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # numerical failures are recorded, not fatal; programming errors such
         # as TypeError propagate instead of shrinking the metric denominators
-        return k, [], f"{type(exc).__name__}: {exc}"
+        return k, [], [f"{type(exc).__name__}: {exc}"]
 
 
 def percentile_ci(
@@ -335,7 +342,11 @@ def summarize_records(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run all repetitions; failed repetitions are recorded and skipped."""
+    """Run all repetitions; each failure is recorded as ``(rep, message)``.
+
+    A selector that fails numerically loses only its own records of that
+    repetition (the message starts with its name); a failed data draw loses
+    the repetition for every selector."""
     jobs = [(config, k) for k in range(config.repetitions)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -345,11 +356,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     outcomes.sort(key=lambda item: item[0])
     records: list[RepRecord] = []
     failures: list[tuple[int, str]] = []
-    for k, recs, err in outcomes:
-        if err is None:
-            records.extend(recs)
-        else:
-            failures.append((k, err))
+    for k, recs, errs in outcomes:
+        records.extend(recs)
+        failures.extend((k, err) for err in errs)
     report = ExperimentReport(
         config=config,
         summaries=summarize_records(config, records),
@@ -434,7 +443,7 @@ def ks_pair_pvalues(
     skipped: list[tuple[int, int]] = []
     for r in range(tensor.p):
         for s in range(r + 1, tensor.p):
-            scores = tensor.values[r, s]
+            scores = tensor.losses[r] - tensor.losses[s]
             if np.var(scores) < 1e-30:
                 skipped.append((r, s))
                 continue

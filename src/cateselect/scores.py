@@ -1,11 +1,12 @@
 """Per-unit relative-error scores and their cross-fitted summaries.
 
 The doubly robust pseudo-outcome transforms one observation into an
-unbiased proxy for the true effect at its covariates; the pairwise score
-``tau_r^2 - tau_s^2 - 2 (tau_r - tau_s) * gamma`` turns two candidate
-predictions plus that proxy into a one-step estimate of their MSE gap.
-Stacking scores over all ordered candidate pairs and units gives the tensor
-every selector consumes.
+unbiased proxy for the true effect at its covariates. Each candidate's
+per-unit loss ``tau_r^2 - 2 tau_r * gamma`` is its squared error against
+that proxy with the shared ``gamma^2`` dropped, so the pairwise score
+``tau_r^2 - tau_s^2 - 2 (tau_r - tau_s) * gamma`` of two candidates, a
+one-step estimate of their MSE gap, is the difference of their losses.
+Every selector consumes the p x n loss matrix and contrasts its rows.
 """
 
 from __future__ import annotations
@@ -31,33 +32,39 @@ PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ScoreTensor:
-    """All pairwise per-unit scores: ``values[r, s, i]`` compares r against s.
+    """Per-unit candidate losses: ``losses[r, i] = tau_r[i]^2 - 2 tau_r[i] gamma[i]``.
 
-    Antisymmetric in (r, s) with zero diagonal. ``fold_of`` records each
-    unit's major fold so downstream code can trace which nuisance model
-    produced its pseudo-outcome.
+    The score of r against s on unit i is ``losses[r, i] - losses[s, i]``.
+    ``fold_of`` records each unit's major fold so downstream code can trace
+    which nuisance model produced its pseudo-outcome.
     """
 
-    values: np.ndarray
+    losses: np.ndarray
     fold_of: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        losses = np.asarray(self.losses, dtype=float)
         fold_of = np.asarray(self.fold_of, dtype=np.int8)
-        if values.ndim != 3 or values.shape[0] != values.shape[1]:
-            raise ValueError("score tensor must have shape (p, p, n)")
-        if fold_of.shape != (values.shape[2],):
+        if losses.ndim != 2:
+            raise ValueError("candidate losses must have shape (p, n)")
+        if fold_of.shape != (losses.shape[1],):
             raise ValueError("fold labels must cover all units")
-        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "losses", _readonly(losses))
         object.__setattr__(self, "fold_of", _readonly(fold_of))
 
     @property
+    def values(self) -> np.ndarray:
+        """All pairwise scores, ``values[r, s, i]``: exactly antisymmetric in
+        (r, s) with a zero diagonal. Built on demand for inspection only."""
+        return _readonly(self.losses[:, None, :] - self.losses[None, :, :])
+
+    @property
     def p(self) -> int:
-        return self.values.shape[0]
+        return self.losses.shape[0]
 
     @property
     def n(self) -> int:
-        return self.values.shape[2]
+        return self.losses.shape[1]
 
 
 @dataclass(frozen=True)
@@ -137,11 +144,10 @@ def build_score_tensor(
     split: "SplitPlan",
     nuisances: NuisanceSource,
 ) -> ScoreTensor:
-    """Score every ordered candidate pair on every unit.
+    """Score every candidate on every unit by its doubly robust loss.
 
     Units in one major fold are scored with the nuisance model fitted on the
-    opposite fold (or with oracle values). The result is exactly
-    antisymmetric with a zero diagonal.
+    opposite fold (or with oracle values).
     """
     if candidates.n != dataset.n:
         raise ValueError("candidate predictions must cover every dataset unit")
@@ -150,14 +156,7 @@ def build_score_tensor(
         raise ValueError("split plan does not match the dataset size")
     gamma = pseudo_outcomes(dataset, nuisances, fold_of)
     preds = candidates.predictions
-    squares = preds**2
-    # values[r, s, i] = preds[r,i]^2 - preds[s,i]^2 - 2 (preds[r,i] - preds[s,i]) gamma[i]
-    values = (
-        squares[:, None, :]
-        - squares[None, :, :]
-        - 2.0 * (preds[:, None, :] - preds[None, :, :]) * gamma[None, None, :]
-    )
-    return ScoreTensor(values=values, fold_of=fold_of)
+    return ScoreTensor(losses=preds**2 - 2.0 * preds * gamma, fold_of=fold_of)
 
 
 def _others(p: int, m: int) -> tuple[int, ...]:
@@ -169,7 +168,7 @@ def delta_hat(tensor: ScoreTensor, m: int) -> DeltaVector:
     if tensor.n < 2:
         raise ValueError("need at least two units to average scores")
     others = _others(tensor.p, m)
-    delta = tensor.values[m, list(others), :].mean(axis=1)
+    delta = (tensor.losses[m] - tensor.losses[list(others)]).mean(axis=1)
     return DeltaVector(reference=m, others=others, delta=delta)
 
 
@@ -181,7 +180,6 @@ def cov_hat(tensor: ScoreTensor, m: int) -> CovarianceEstimate:
     """
     if tensor.n < 2:
         raise ValueError("need at least two units to estimate a covariance")
-    others = _others(tensor.p, m)
-    rows = tensor.values[m, list(others), :]
+    rows = tensor.losses[m] - tensor.losses[list(_others(tensor.p, m))]
     sigma = np.atleast_2d(np.cov(rows, ddof=1)) / tensor.n
     return CovarianceEstimate(sigma=sigma)

@@ -1,8 +1,8 @@
 """Selection procedures that map a dataset plus candidates to an accepted set.
 
-Every selector scores all candidate pairs through one path,
+Every selector scores its candidates through one path,
 ``_cross_fitted_tensor``: two-layer split, nuisances cross-fitted on the
-opposite major fold (or supplied), then the per-unit pairwise score tensor.
+opposite major fold (or supplied), then the p x n per-unit loss matrix.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -211,7 +211,6 @@ class ProposedStatistics:
     z_scores: np.ndarray
     q_matrix: np.ndarray
     weights: np.ndarray
-    cells: tuple[Cell, ...]
 
 
 def exp_weighted_statistics(tensor: ScoreTensor, cells: list[Cell], lam: float) -> ProposedStatistics:
@@ -222,13 +221,16 @@ def exp_weighted_statistics(tensor: ScoreTensor, cells: list[Cell], lam: float) 
     covered = np.zeros(n, dtype=bool)
     for ci, cell in enumerate(cells):
         covered[cell.eval_idx] = True
+        means = tensor.losses[:, cell.weight_idx].mean(axis=1)
+        mix = np.zeros((p, p))
         for r in range(p):
             others = [s for s in range(p) if s != r]
-            rows = tensor.values[r, others]
-            delta = rows[:, cell.weight_idx].mean(axis=1)
-            w = exp_weights(delta, lam)
+            w = exp_weights(means[r] - means[others], lam)
             weights[ci, r] = w
-            q[cell.eval_idx, r] = w @ rows[:, cell.eval_idx]
+            mix[r, others] = w
+        # the weights sum to one: sum_s w_s (L_r - L_s) is row r of block - mix @ block
+        block = tensor.losses[:, cell.eval_idx]
+        q[cell.eval_idx] = (block - mix @ block).T
     if not covered.all():
         raise ValueError("cells do not cover every unit")
     score_sums = q.sum(axis=0)
@@ -242,7 +244,6 @@ def exp_weighted_statistics(tensor: ScoreTensor, cells: list[Cell], lam: float) 
         z_scores=z_scores,
         q_matrix=q,
         weights=weights,
-        cells=tuple(cells),
     )
 
 
@@ -332,7 +333,7 @@ def _build_result(
 
 
 def _weighted_test(
-    selector: str, config: SelectorConfig, plan: SplitPlan, tensor: ScoreTensor, cells: list[Cell]
+    selector: str, config: SelectorConfig, tensor: ScoreTensor, cells: list[Cell]
 ) -> SelectionResult:
     """Accept candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha."""
@@ -348,7 +349,7 @@ def _weighted_test(
         )
         for r in range(tensor.p)
     ]
-    return _build_result(selector, config, lam, decisions, {"statistics": stats, "plan": plan})
+    return _build_result(selector, config, lam, decisions, {"statistics": stats})
 
 
 def proposed_select(
@@ -366,7 +367,7 @@ def proposed_select(
     plan, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
     )
-    return _weighted_test("proposed", config, plan, tensor, two_layer_cells(plan))
+    return _weighted_test("proposed", config, tensor, two_layer_cells(plan))
 
 
 def single_layer_ablation_select(
@@ -389,12 +390,12 @@ def single_layer_ablation_select(
     if nuisances is None:
         full_model = fit(dataset, np.arange(dataset.n), nuisance_config or NuisanceConfig())
         nuisances = {FOLD_A: full_model, FOLD_B: full_model}
-    plan, tensor = _cross_fitted_tensor(
+    _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisances
     )
     if cells is None:
         cells = single_layer_cells(dataset.n, config.inner_folds, config.seed)
-    return _weighted_test("ablation", config, plan, tensor, cells)
+    return _weighted_test("ablation", config, tensor, cells)
 
 
 def naive_critical_value(
@@ -435,7 +436,6 @@ def _max_statistics(tensor: ScoreTensor, m: int) -> tuple[np.ndarray, np.ndarray
 def _max_statistic_test(
     selector: str,
     config: SelectorConfig,
-    plan: SplitPlan,
     tensor: ScoreTensor,
     critical_value: Callable[[int, np.ndarray], float],
 ) -> SelectionResult:
@@ -454,7 +454,7 @@ def _max_statistic_test(
                 accepted=bool(s_max <= critical),
             )
         )
-    return _build_result(selector, config, config.resolve_lam(tensor.n), decisions, {"plan": plan})
+    return _build_result(selector, config, config.resolve_lam(tensor.n), decisions, {})
 
 
 def naive_select(
@@ -472,7 +472,7 @@ def naive_select(
     """
     if config.bootstrap_draws < 1000:
         raise ValueError("the naive selector requires at least 1000 bootstrap draws")
-    plan, tensor = _cross_fitted_tensor(
+    _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
     )
 
@@ -480,7 +480,7 @@ def naive_select(
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NAIVE_STREAM, m]))
         return naive_critical_value(sigma_m, config.alpha, config.bootstrap_draws, rng)
 
-    return _max_statistic_test("naive", config, plan, tensor, bootstrap_critical)
+    return _max_statistic_test("naive", config, tensor, bootstrap_critical)
 
 
 def bonferroni_select(
@@ -491,8 +491,8 @@ def bonferroni_select(
     nuisance_config: NuisanceConfig | None = None,
 ) -> SelectionResult:
     """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1)."""
-    plan, tensor = _cross_fitted_tensor(
+    _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
     )
     critical = float(norm.ppf(1.0 - config.alpha / (candidates.p - 1)))
-    return _max_statistic_test("bonferroni", config, plan, tensor, lambda m, sigma_m: critical)
+    return _max_statistic_test("bonferroni", config, tensor, lambda m, sigma_m: critical)

@@ -91,6 +91,16 @@ def test_failures_recorded_and_run_continues():
     assert all("synthetic failure" in msg for _, msg in report.failures)
 
 
+def test_failing_selector_does_not_void_the_others():
+    report = run_experiment(_config(selectors=("accept_all", "always_fails"), repetitions=4))
+    assert report.summaries["accept_all"].reps == 4
+    assert len(report.records) == 4 * len(SPECS)
+    assert {r.selector for r in report.records} == {"accept_all"}
+    assert [k for k, _ in report.failures] == [0, 1, 2, 3]
+    assert all(msg.startswith("always_fails: RuntimeError:") for _, msg in report.failures)
+    assert report.summaries["always_fails"].reps == 0
+
+
 def test_programming_errors_abort_the_run():
     with pytest.raises(TypeError, match="synthetic programming error"):
         run_experiment(_config(selectors=("broken",), repetitions=2))
@@ -224,16 +234,13 @@ def test_bootstrap_ks_calibrated_on_gaussian_scores():
 
 def test_ks_pair_scan_skips_constant_scores():
     n = 50
-    values = np.zeros((3, 3, n))
-    rng_fill = np.random.default_rng(1)
-    noisy = rng_fill.standard_normal(n)
-    values[0, 1] = noisy
-    values[1, 0] = -noisy
-    # pair (0, 2) and (1, 2) left exactly constant
-    tensor = ScoreTensor(values=values, fold_of=np.zeros(n, dtype=np.int8))
+    losses = np.zeros((3, n))
+    losses[0] = np.random.default_rng(1).standard_normal(n)
+    # candidates 1 and 2 share their losses, so pair (1, 2) is exactly constant
+    tensor = ScoreTensor(losses=losses, fold_of=np.zeros(n, dtype=np.int8))
     tested, skipped = ks_pair_pvalues(tensor, 200, np.random.default_rng(2))
-    assert [(r, s) for r, s, _ in tested] == [(0, 1)]
-    assert skipped == [(0, 2), (1, 2)]
+    assert [(r, s) for r, s, _ in tested] == [(0, 1), (0, 2)]
+    assert skipped == [(1, 2)]
 
 
 def test_clt_diagnostic_smoke():

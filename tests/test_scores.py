@@ -129,10 +129,9 @@ def test_cov_hat_diagonal_is_variance_over_n():
 
 def test_constant_scores_give_constant_delta_zero_variance():
     n = 10
-    values = np.zeros((2, 2, n))
-    values[0, 1] = 0.7
-    values[1, 0] = -0.7
-    tensor = ScoreTensor(values=values, fold_of=np.zeros(n, dtype=np.int8))
+    losses = np.zeros((2, n))
+    losses[0] = 0.7
+    tensor = ScoreTensor(losses=losses, fold_of=np.zeros(n, dtype=np.int8))
     dv = delta_hat(tensor, 0)
     assert dv.delta[0] == pytest.approx(0.7)
     cov = cov_hat(tensor, 0)

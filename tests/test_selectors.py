@@ -148,15 +148,30 @@ def test_proposed_statistic_definition():
     )
 
 
-def test_proposed_lambda_zero_equals_unweighted_average():
+@pytest.mark.parametrize("lam", [0.0, 600**0.4, 50.0], ids=["zero", "n_pow_0.4", "fifty"])
+def test_proposed_matches_pairwise_weighted_average(lam):
+    # reference: per cell and candidate, softmax over the mean pairwise scores
+    # on the weight units, applied to the pairwise scores on the eval units
     ds, truth, cands, sel_seed = _toy_problem()
-    res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, lam=0.0, seed=sel_seed))
+    res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed))
     stats = res.extras["statistics"]
-    _, tensor = _cross_fitted_tensor(ds, cands, 5, sel_seed)
-    for r in range(cands.p):
-        others = [s for s in range(cands.p) if s != r]
-        q_direct = tensor.values[r, others, :].mean(axis=0)
-        npt.assert_allclose(stats.q_matrix[:, r], q_direct, rtol=1e-12)
+    plan, tensor = _cross_fitted_tensor(ds, cands, 5, sel_seed)
+    cells = two_layer_cells(plan)
+    q = np.zeros((ds.n, cands.p))
+    weights = np.zeros((len(cells), cands.p, cands.p - 1))
+    for c, cell in enumerate(cells):
+        for r in range(cands.p):
+            rows = tensor.values[r, [s for s in range(cands.p) if s != r]]
+            weights[c, r] = exp_weights(rows[:, cell.weight_idx].mean(axis=1), lam)
+            q[cell.eval_idx, r] = weights[c, r] @ rows[:, cell.eval_idx]
+    z = q.sum(axis=0) / (np.sqrt(ds.n) * q.std(axis=0, ddof=1))
+    if lam == 0.0:
+        # uniform weights: the plain average of the pairwise scores
+        npt.assert_allclose(stats.q_matrix, q, rtol=1e-12)
+    else:
+        npt.assert_allclose(stats.q_matrix, q, rtol=0, atol=1e-12 * np.abs(tensor.losses).max())
+    npt.assert_allclose(stats.weights, weights, rtol=0, atol=1e-12)
+    npt.assert_allclose(stats.z_scores, z, rtol=1e-9)
 
 
 def test_proposed_power_separated_candidates():
