@@ -121,19 +121,9 @@ class ExperimentConfig:
         )
 
 
+# JSON spells the weighting temperature "lambda", a Python keyword.
 _CONFIG_JSON_KEYS = {
-    "n",
-    "dims",
-    "noise_specs",
-    "selectors",
-    "alpha",
-    "lambda",
-    "inner_folds",
-    "bootstrap_draws",
-    "repetitions",
-    "seed",
-    "oracle_nuisances",
-    "workers",
+    "lambda" if f.name == "lam" else f.name for f in dataclasses.fields(ExperimentConfig)
 }
 
 

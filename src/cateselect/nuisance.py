@@ -212,11 +212,3 @@ def fit(dataset: Dataset, indices: np.ndarray, config: NuisanceConfig) -> Nuisan
         clip_eta=config.clip_eta,
     )
 
-
-def predict(model: NuisanceModel, x: np.ndarray) -> tuple[float, float, float]:
-    """Predict ``(mu0, mu1, e)`` at a single covariate vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"expected covariate vector of dimension {model.d}")
-    mu0, mu1, e = model.predict_rows(x[None, :])
-    return float(mu0[0]), float(mu1[0]), float(e[0])

@@ -6,7 +6,9 @@ per-unit loss ``tau_r^2 - 2 tau_r * gamma`` is its squared error against
 that proxy with the shared ``gamma^2`` dropped, so the pairwise score
 ``tau_r^2 - tau_s^2 - 2 (tau_r - tau_s) * gamma`` of two candidates, a
 one-step estimate of their MSE gap, is the difference of their losses.
-Every selector consumes the p x n loss matrix and contrasts its rows.
+Every selector consumes the p x n loss matrix and contrasts its rows:
+``delta_hat`` and ``cov_hat`` return plain arrays, the mean gaps of one
+candidate against each rival and the covariance of those means.
 """
 
 from __future__ import annotations
@@ -27,30 +29,24 @@ FOLD_B = 1
 
 NuisanceSource = Union[Mapping[int, NuisanceModel], OracleNuisance]
 
-PSD_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ScoreTensor:
     """Per-unit candidate losses: ``losses[r, i] = tau_r[i]^2 - 2 tau_r[i] gamma[i]``.
 
     The score of r against s on unit i is ``losses[r, i] - losses[s, i]``.
-    ``fold_of`` records each unit's major fold so downstream code can trace
-    which nuisance model produced its pseudo-outcome.
+    Every loss must be finite, so no statistic built from them is NaN.
     """
 
     losses: np.ndarray
-    fold_of: np.ndarray
 
     def __post_init__(self) -> None:
         losses = np.asarray(self.losses, dtype=float)
-        fold_of = np.asarray(self.fold_of, dtype=np.int8)
         if losses.ndim != 2:
             raise ValueError("candidate losses must have shape (p, n)")
-        if fold_of.shape != (losses.shape[1],):
-            raise ValueError("fold labels must cover all units")
+        if not np.all(np.isfinite(losses)):
+            raise ValueError("candidate losses must be finite")
         object.__setattr__(self, "losses", _readonly(losses))
-        object.__setattr__(self, "fold_of", _readonly(fold_of))
 
     @property
     def values(self) -> np.ndarray:
@@ -65,44 +61,6 @@ class ScoreTensor:
     @property
     def n(self) -> int:
         return self.losses.shape[1]
-
-
-@dataclass(frozen=True)
-class DeltaVector:
-    """Estimated MSE gaps of candidate ``reference`` against every other."""
-
-    reference: int
-    others: tuple[int, ...]
-    delta: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _readonly(np.asarray(self.delta, dtype=float)))
-        if self.delta.shape != (len(self.others),):
-            raise ValueError("delta length must match the comparison set")
-        if not np.all(np.isfinite(self.delta)):
-            raise ValueError("delta entries must be finite")
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Covariance of the mean score vector (per-unit covariance over n)."""
-
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValueError("covariance must be square")
-        if not np.allclose(sigma, sigma.T, atol=1e-12, rtol=0.0):
-            raise ValueError("covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)
-        if eigvals.min() < -PSD_TOL:
-            raise ValueError("covariance is not positive semidefinite within tolerance")
-        object.__setattr__(self, "sigma", _readonly(sigma))
-
-    @property
-    def k(self) -> int:
-        return self.sigma.shape[0]
 
 
 def _gamma_from_values(
@@ -156,30 +114,25 @@ def build_score_tensor(
         raise ValueError("split plan does not match the dataset size")
     gamma = pseudo_outcomes(dataset, nuisances, fold_of)
     preds = candidates.predictions
-    return ScoreTensor(losses=preds**2 - 2.0 * preds * gamma, fold_of=fold_of)
+    return ScoreTensor(losses=preds**2 - 2.0 * preds * gamma)
 
 
-def _others(p: int, m: int) -> tuple[int, ...]:
-    return tuple(s for s in range(p) if s != m)
-
-
-def delta_hat(tensor: ScoreTensor, m: int) -> DeltaVector:
-    """Mean score of candidate ``m`` against each rival over all units."""
+def _rival_scores(tensor: ScoreTensor, m: int) -> np.ndarray:
+    """Per-unit scores of candidate ``m`` against each rival, shape (p - 1, n)."""
     if tensor.n < 2:
-        raise ValueError("need at least two units to average scores")
-    others = _others(tensor.p, m)
-    delta = (tensor.losses[m] - tensor.losses[list(others)]).mean(axis=1)
-    return DeltaVector(reference=m, others=others, delta=delta)
+        raise ValueError("need at least two units to summarize scores")
+    return tensor.losses[m] - tensor.losses[[s for s in range(tensor.p) if s != m]]
 
 
-def cov_hat(tensor: ScoreTensor, m: int) -> CovarianceEstimate:
+def delta_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
+    """Mean score of candidate ``m`` against each rival, in rival order."""
+    return _rival_scores(tensor, m).mean(axis=1)
+
+
+def cov_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
     """Covariance of the mean score vector for candidate ``m``.
 
     Sample covariance (ddof=1) of the per-unit score vectors divided by n,
     so its diagonal is the squared standard error of each delta entry.
     """
-    if tensor.n < 2:
-        raise ValueError("need at least two units to estimate a covariance")
-    rows = tensor.losses[m] - tensor.losses[list(_others(tensor.p, m))]
-    sigma = np.atleast_2d(np.cov(rows, ddof=1)) / tensor.n
-    return CovarianceEstimate(sigma=sigma)
+    return np.atleast_2d(np.cov(_rival_scores(tensor, m), ddof=1)) / tensor.n

@@ -294,9 +294,8 @@ def _cross_fitted_tensor(
     inner_folds: int,
     seed: int,
     nuisance_override: NuisanceSource | None = None,
-    nuisance_config: NuisanceConfig | None = None,
 ) -> tuple[SplitPlan, ScoreTensor]:
-    """Split, cross-fit the nuisances and score every candidate pair.
+    """Split, cross-fit the nuisances and score every candidate on every unit.
 
     Each major fold's units are scored with the model trained on the
     opposite fold, unless ``nuisance_override`` supplies the nuisances.
@@ -304,7 +303,7 @@ def _cross_fitted_tensor(
     plan = two_way_split(dataset.n, inner_folds, seed)
     nuisances = nuisance_override
     if nuisances is None:
-        nconfig = nuisance_config or NuisanceConfig()
+        nconfig = NuisanceConfig()
         indices = np.arange(dataset.n)
         model_on_a = fit(dataset, indices[plan.major == FOLD_A], nconfig)
         model_on_b = fit(dataset, indices[plan.major == FOLD_B], nconfig)
@@ -357,7 +356,6 @@ def proposed_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
-    nuisance_config: NuisanceConfig | None = None,
 ) -> SelectionResult:
     """Two-layer cross-fitted exponentially weighted selection.
 
@@ -365,7 +363,7 @@ def proposed_select(
     one-sided normal critical value at level alpha.
     """
     plan, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
+        dataset, candidates, config.inner_folds, config.seed, nuisance_override
     )
     return _weighted_test("proposed", config, tensor, two_layer_cells(plan))
 
@@ -375,27 +373,23 @@ def single_layer_ablation_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
-    nuisance_config: NuisanceConfig | None = None,
-    cells: list[Cell] | None = None,
 ) -> SelectionResult:
     """One-layer variant kept to demonstrate inflated error rates.
 
     Nuisances are fitted on the full sample (every unit is scored in-sample)
-    and, unless ``cells`` is given, the weight-learning folds are drawn over
-    all units with no major-fold separation. Passing explicit ``cells``
-    aligns the fold geometry with another selector for controlled
-    comparisons.
+    and the weight-learning folds are drawn over all units with no
+    major-fold separation.
     """
     nuisances: NuisanceSource | None = nuisance_override
     if nuisances is None:
-        full_model = fit(dataset, np.arange(dataset.n), nuisance_config or NuisanceConfig())
+        full_model = fit(dataset, np.arange(dataset.n), NuisanceConfig())
         nuisances = {FOLD_A: full_model, FOLD_B: full_model}
     _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisances
     )
-    if cells is None:
-        cells = single_layer_cells(dataset.n, config.inner_folds, config.seed)
-    return _weighted_test("ablation", config, tensor, cells)
+    return _weighted_test(
+        "ablation", config, tensor, single_layer_cells(dataset.n, config.inner_folds, config.seed)
+    )
 
 
 def naive_critical_value(
@@ -421,18 +415,6 @@ def naive_critical_value(
     return float(np.quantile(maxima, 1.0 - alpha))
 
 
-def _max_statistics(tensor: ScoreTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized pairwise statistics for candidate m plus its covariance."""
-    dv = delta_hat(tensor, m)
-    cov = cov_hat(tensor, m)
-    sd = np.sqrt(np.diag(cov.sigma))
-    if np.any(sd <= 0):
-        raise RuntimeError(
-            f"candidate {m}: degenerate pairwise score variance; statistics undefined"
-        )
-    return dv.delta / sd, cov.sigma
-
-
 def _max_statistic_test(
     selector: str,
     config: SelectorConfig,
@@ -443,9 +425,15 @@ def _max_statistic_test(
     statistics does not exceed ``critical_value(m, sigma_m)``."""
     decisions = []
     for m in range(tensor.p):
-        stats_m, sigma_m = _max_statistics(tensor, m)
+        delta_m = delta_hat(tensor, m)
+        sigma_m = cov_hat(tensor, m)
+        sd = np.sqrt(np.diag(sigma_m))
+        if np.any(sd <= 0):
+            raise RuntimeError(
+                f"candidate {m}: degenerate pairwise score variance; statistics undefined"
+            )
         critical = critical_value(m, sigma_m)
-        s_max = float(stats_m.max())
+        s_max = float((delta_m / sd).max())
         decisions.append(
             CandidateDecision(
                 candidate=m,
@@ -462,7 +450,6 @@ def naive_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
-    nuisance_config: NuisanceConfig | None = None,
 ) -> SelectionResult:
     """Max-statistic selection with parametric bootstrap critical values.
 
@@ -473,7 +460,7 @@ def naive_select(
     if config.bootstrap_draws < 1000:
         raise ValueError("the naive selector requires at least 1000 bootstrap draws")
     _, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
+        dataset, candidates, config.inner_folds, config.seed, nuisance_override
     )
 
     def bootstrap_critical(m: int, sigma_m: np.ndarray) -> float:
@@ -488,11 +475,10 @@ def bonferroni_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
-    nuisance_config: NuisanceConfig | None = None,
 ) -> SelectionResult:
     """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1)."""
     _, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisance_override, nuisance_config
+        dataset, candidates, config.inner_folds, config.seed, nuisance_override
     )
     critical = float(norm.ppf(1.0 - config.alpha / (candidates.p - 1)))
     return _max_statistic_test("bonferroni", config, tensor, lambda m, sigma_m: critical)

@@ -164,8 +164,8 @@ def test_criterion_6_oracle_delta_agreement():
         cands = make_candidates(truth, specs, cand_seed)
         plan = two_way_split(ds.n, 5, sel_seed)
         tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
-        delta = delta_hat(tensor, 0).delta[0]
-        se = np.sqrt(cov_hat(tensor, 0).sigma[0, 0])
+        delta = delta_hat(tensor, 0)[0]
+        se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         hits += abs(delta - target) < 4 * se
     _check(
         "criterion 6 (oracle-nuisance relative error matches moments)",
@@ -185,8 +185,8 @@ def test_criterion_7_clt_calibration():
         cands = make_candidates(truth, specs, cand_seed)
         plan = two_way_split(ds.n, 5, sel_seed)
         tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
-        delta = delta_hat(tensor, 0).delta[0]
-        se = np.sqrt(cov_hat(tensor, 0).sigma[0, 0])
+        delta = delta_hat(tensor, 0)[0]
+        se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         zs[k] = (delta - target) / se
     ks_p = kstest(zs, "norm").pvalue
 

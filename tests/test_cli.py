@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from cateselect.cli import cli
-from cateselect.datagen import NoiseSpec, generate_toy, make_candidates
+from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
 from cateselect.datagen import write_dataset_csv, write_predictions_csv
 
 
@@ -114,6 +115,17 @@ def test_select_bad_csv_exits_1(tmp_path, capsys):
     code = cli(["select", "--data", str(bad), "--preds", str(preds)])
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_select_overflowing_predictions_exits_2(tmp_path, capsys):
+    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
+    cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
+    write_dataset_csv(ds, tmp_path / "d.csv")
+    write_predictions_csv(CandidateSet(cands.predictions * 1e160), tmp_path / "p.csv")
+    code = cli(["select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_sweep_cli(tmp_path, capsys):

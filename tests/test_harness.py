@@ -211,6 +211,13 @@ def test_config_rejects_unknown_keys():
         experiment_config_from_dict({"n": 100, "bogus": 1})
 
 
+def test_public_api_names_resolve():
+    import cateselect
+
+    missing = [name for name in cateselect.__all__ if not hasattr(cateselect, name)]
+    assert missing == []
+
+
 def test_missing_config_file_names_path(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="nope.json"):
@@ -237,7 +244,7 @@ def test_ks_pair_scan_skips_constant_scores():
     losses = np.zeros((3, n))
     losses[0] = np.random.default_rng(1).standard_normal(n)
     # candidates 1 and 2 share their losses, so pair (1, 2) is exactly constant
-    tensor = ScoreTensor(losses=losses, fold_of=np.zeros(n, dtype=np.int8))
+    tensor = ScoreTensor(losses=losses)
     tested, skipped = ks_pair_pvalues(tensor, 200, np.random.default_rng(2))
     assert [(r, s) for r, s, _ in tested] == [(0, 1), (0, 2)]
     assert skipped == [(1, 2)]

@@ -8,7 +8,6 @@ from cateselect.nuisance import (
     NuisanceModel,
     OracleNuisance,
     fit,
-    predict,
 )
 
 
@@ -43,9 +42,9 @@ def test_noiseless_slope_recovered_exactly():
     y = 2.0 * x[:, 0]
     ds = Dataset(x=x, t=t, y=y)
     model = fit(ds, np.arange(60), NuisanceConfig(ridge_lambda=0.0))
-    mu0, mu1, _ = predict(model, np.array([3.0]))
-    assert mu0 == pytest.approx(6.0, abs=1e-10)
-    assert mu1 == pytest.approx(6.0, abs=1e-10)
+    mu0, mu1, _ = model.predict_rows(np.array([[3.0]]))
+    assert mu0[0] == pytest.approx(6.0, abs=1e-10)
+    assert mu1[0] == pytest.approx(6.0, abs=1e-10)
 
 
 def test_zero_coefficient_model_predicts_intercepts():
@@ -58,8 +57,8 @@ def test_zero_coefficient_model_predicts_intercepts():
         prop_intercept=0.0,
         clip_eta=0.05,
     )
-    mu0, mu1, e = predict(model, np.array([10.0, -3.0]))
-    assert (mu0, mu1, e) == (-0.5, 1.5, 0.5)
+    mu0, mu1, e = model.predict_rows(np.array([[10.0, -3.0]]))
+    assert (mu0[0], mu1[0], e[0]) == (-0.5, 1.5, 0.5)
 
 
 def test_propensity_clipping():
@@ -72,15 +71,15 @@ def test_propensity_clipping():
         prop_intercept=6.9,  # sigmoid ~ 0.999
         clip_eta=0.05,
     )
-    _, _, e = predict(model, np.array([0.0]))
-    assert e == 0.95
+    _, _, e = model.predict_rows(np.array([[0.0]]))
+    assert e[0] == 0.95
 
 
 def test_predict_dimension_mismatch():
     ds, _, _ = _linear_dataset(100, 2, seed=3)
     model = fit(ds, np.arange(ds.n), NuisanceConfig())
     with pytest.raises(ValueError):
-        predict(model, np.zeros(5))
+        model.predict_rows(np.zeros((1, 5)))
 
 
 def test_small_arm_rejected():

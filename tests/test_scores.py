@@ -6,7 +6,6 @@ from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, m
 from cateselect.datagen import population_relative_error
 from cateselect.nuisance import NuisanceModel, OracleNuisance
 from cateselect.scores import (
-    CovarianceEstimate,
     ScoreTensor,
     build_score_tensor,
     cov_hat,
@@ -103,17 +102,15 @@ def test_identical_candidates_zero_tensor():
 
 def test_delta_hat_is_tensor_mean():
     tensor, *_ = _toy_tensor()
-    dv = delta_hat(tensor, 2)
-    assert dv.reference == 2
-    assert dv.others == (0, 1, 3)
+    delta = delta_hat(tensor, 2)
     expected = tensor.values[2, [0, 1, 3], :].mean(axis=1)
-    npt.assert_array_equal(dv.delta, expected)
+    npt.assert_array_equal(delta, expected)
 
 
 def test_delta_antisymmetry():
     tensor, *_ = _toy_tensor()
-    d01 = delta_hat(tensor, 0).delta[0]
-    d10 = delta_hat(tensor, 1).delta[0]
+    d01 = delta_hat(tensor, 0)[0]
+    d10 = delta_hat(tensor, 1)[0]
     assert d01 == -d10
 
 
@@ -122,26 +119,18 @@ def test_cov_hat_diagonal_is_variance_over_n():
     cov = cov_hat(tensor, 0)
     rows = tensor.values[0, [1, 2, 3], :]
     for j in range(3):
-        npt.assert_allclose(cov.sigma[j, j], np.var(rows[j], ddof=1) / tensor.n, rtol=1e-12)
+        npt.assert_allclose(cov[j, j], np.var(rows[j], ddof=1) / tensor.n, rtol=1e-12)
     # PSD within tolerance
-    assert np.linalg.eigvalsh(cov.sigma).min() >= -1e-8
+    assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
 
 def test_constant_scores_give_constant_delta_zero_variance():
     n = 10
     losses = np.zeros((2, n))
     losses[0] = 0.7
-    tensor = ScoreTensor(losses=losses, fold_of=np.zeros(n, dtype=np.int8))
-    dv = delta_hat(tensor, 0)
-    assert dv.delta[0] == pytest.approx(0.7)
-    cov = cov_hat(tensor, 0)
-    assert cov.sigma[0, 0] == 0.0
-
-
-def test_covariance_estimate_rejects_non_psd():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1, 3
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        CovarianceEstimate(sigma=bad)
+    tensor = ScoreTensor(losses=losses)
+    assert delta_hat(tensor, 0)[0] == pytest.approx(0.7)
+    assert cov_hat(tensor, 0)[0, 0] == 0.0
 
 
 def test_delta_matches_population_value_with_oracle():
@@ -152,10 +141,10 @@ def test_delta_matches_population_value_with_oracle():
     cands = make_candidates(truth, specs, seed=32)
     plan = two_way_split(n, 5, 33)
     tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
-    dv = delta_hat(tensor, 0)
+    delta = delta_hat(tensor, 0)
     cov = cov_hat(tensor, 0)
     target = population_relative_error(specs[0], specs[1])
-    assert abs(dv.delta[0] - target) < 4 * np.sqrt(cov.sigma[0, 0])
+    assert abs(delta[0] - target) < 4 * np.sqrt(cov[0, 0])
 
 
 def test_cross_fitting_uses_opposite_fold_model():

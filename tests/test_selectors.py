@@ -13,6 +13,7 @@ from cateselect.nuisance import OracleNuisance
 from cateselect.selectors import (
     SelectorConfig,
     _cross_fitted_tensor,
+    _weighted_test,
     bonferroni_select,
     exp_weights,
     naive_critical_value,
@@ -280,11 +281,17 @@ def test_bonferroni_critical_dominates_naive_under_positive_correlation():
     from cateselect.scores import build_score_tensor, cov_hat
     plan = two_way_split(ds.n, 5, sel_seed)
     tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
-    cov = cov_hat(tensor, 0).sigma
+    cov = cov_hat(tensor, 0)
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert corr.min() >= 0  # chosen configuration has shared positive factors
     c_toy = naive_critical_value(cov, alpha, 100_000, np.random.default_rng(8))
     assert norm.ppf(1 - alpha / 3) >= c_toy
+
+
+def test_naive_critical_value_rejects_non_psd():
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1, 3
+    with pytest.raises(RuntimeError, match="positive semidefinite"):
+        naive_critical_value(bad, 0.1, 1000, np.random.default_rng(0))
 
 
 def test_bonferroni_superset_of_per_pair_level_alpha():
@@ -304,6 +311,18 @@ def test_naive_and_bonferroni_share_scores():
         assert a.statistic == b.statistic
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "select", [proposed_select, naive_select, bonferroni_select, single_layer_ablation_select]
+)
+def test_overflowing_losses_are_rejected(select):
+    # finite predictions whose squares overflow would otherwise yield NaN statistics
+    ds, truth, cands, sel_seed = _toy_problem()
+    huge = CandidateSet(cands.predictions * 1e160)
+    with pytest.raises(ValueError, match="finite"):
+        select(ds, huge, SelectorConfig(seed=sel_seed))
+
+
 # --- ablation ----------------------------------------------------------------
 
 
@@ -317,16 +336,18 @@ def test_ablation_result_schema():
 
 
 def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
-    # with oracle nuisances there is nothing to leak; aligning the fold
-    # geometry makes the two pipelines compute identical statistics
+    # with oracle nuisances there is nothing to leak, so the two selectors
+    # differ only in their cells; aligning the fold geometry makes the
+    # weighted test compute identical statistics
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     oracle = OracleNuisance.from_truth(truth)
+    plan, tensor = _cross_fitted_tensor(ds, cands, cfg.inner_folds, cfg.seed, oracle)
+    ra_own = single_layer_ablation_select(ds, cands, cfg, nuisance_override=oracle)
+    own_cells = single_layer_cells(ds.n, cfg.inner_folds, cfg.seed)
+    assert ra_own.stats == _weighted_test("ablation", cfg, tensor, own_cells).stats
     rp = proposed_select(ds, cands, cfg, nuisance_override=oracle)
-    plan = two_way_split(ds.n, cfg.inner_folds, cfg.seed)
-    ra = single_layer_ablation_select(
-        ds, cands, cfg, nuisance_override=oracle, cells=two_layer_cells(plan)
-    )
+    ra = _weighted_test("ablation", cfg, tensor, two_layer_cells(plan))
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
         assert a.statistic == b.statistic
@@ -386,11 +407,10 @@ def test_statistics_equivariant_under_candidate_relabeling(n, perm, seed):
         return np.array([s.statistic for s in select(ds, candidates, config).stats])
 
     # the weighted sums run over rivals in index order, so only rounding differs
-    npt.assert_allclose(
-        statistics(proposed_select, relabeled),
-        statistics(proposed_select, cands)[list(perm)],
-        rtol=1e-9,
-    )
+    for select in (proposed_select, single_layer_ablation_select):
+        npt.assert_allclose(
+            statistics(select, relabeled), statistics(select, cands)[list(perm)], rtol=1e-9
+        )
     # max statistics are exact; naive critical values are not compared because
     # each candidate's bootstrap stream is keyed to its index, not its predictions
     for select in (bonferroni_select, naive_select):
