@@ -11,8 +11,8 @@ Subcommands:
 * ``diagnose``: normality (``clt``) or perturbation-stability
   (``stability``) diagnostics, written as JSON plus CSV.
 
-Exit codes: 0 on success, 1 on configuration or usage errors, 2 on runtime
-failures.
+Exit codes: 0 on success, 1 on configuration, usage or input errors
+(including inputs a selector cannot score), 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -211,7 +211,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
         candidates = ingest_predictions(args.preds, dataset.n)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    results = [SELECTOR_FUNCS[name](dataset, candidates, config) for name in selectors]
+    try:
+        results = [SELECTOR_FUNCS[name](dataset, candidates, config) for name in selectors]
+    except ValueError as exc:
+        # inputs a selector cannot score, e.g. overflowing losses; RuntimeError stays exit 2
+        raise ConfigError(f"cannot select on --data {args.data} and --preds {args.preds}: {exc}") from exc
     if len(results) == 1:
         print(json.dumps(results[0].to_dict(), indent=2))
     else:

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import kstest
 
 from .datagen import (
     CandidateSet,
@@ -105,6 +104,7 @@ class ExperimentConfig:
         best = min(mses)
         if sum(1 for v in mses if v == best) != 1:
             raise ValueError("candidate specs must identify a unique winner (smallest mean^2 + sd^2)")
+        self.selector_config(self.seed)  # raises on invalid selector settings
 
     @property
     def winner_index(self) -> int:
@@ -144,20 +144,16 @@ def experiment_config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    return {
-        "n": config.n,
-        "dims": list(config.dims),
-        "noise_specs": [[s.mean, s.sd] for s in config.noise_specs],
-        "selectors": list(config.selectors),
-        "alpha": config.alpha,
-        "lambda": config.lam,
-        "inner_folds": config.inner_folds,
-        "bootstrap_draws": config.bootstrap_draws,
-        "repetitions": config.repetitions,
-        "seed": config.seed,
-        "oracle_nuisances": config.oracle_nuisances,
-        "workers": config.workers,
-    }
+    """The JSON form of ``config``, the inverse of ``experiment_config_from_dict``."""
+    data: dict[str, Any] = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(config, f.name)
+        if f.name == "noise_specs":
+            value = [[s.mean, s.sd] for s in value]
+        elif isinstance(value, tuple):
+            value = list(value)
+        data["lambda" if f.name == "lam" else f.name] = value
+    return data
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -429,6 +425,8 @@ def ks_pair_pvalues(
     Pairs with (numerically) constant scores cannot be standardized and are
     returned in the skip list instead.
     """
+    from scipy.stats import kstest  # deferred: slow to import, and only diagnostics need it
+
     tested: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int]] = []
     for r in range(tensor.p):
@@ -572,7 +570,7 @@ def stability_diagnostic(
         preds_full = make_candidates(truth_full, config.noise_specs, cand_seed).predictions
         lam = config.selector_config(sel_seed).resolve_lam(n)
 
-        def q_with(replacements: dict[int, int], n=n, sel_seed=sel_seed, lam=lam):
+        def tensor_with(replacements: dict[int, int], n=n, sel_seed=sel_seed):
             rows = np.arange(n)
             for j, src in replacements.items():
                 rows[j] = src
@@ -584,12 +582,18 @@ def stability_diagnostic(
                 override = OracleNuisance(
                     mu0=truth_full.mu0[rows], mu1=truth_full.mu1[rows], e=truth_full.e[rows]
                 )
-            plan, tensor = _cross_fitted_tensor(
+            return _cross_fitted_tensor(
                 dataset, CandidateSet(preds_full[:, rows]), config.inner_folds, sel_seed, override
             )
-            return plan, exp_weighted_statistics(tensor, two_layer_cells(plan), lam).q_matrix
 
-        plan, q_base = q_with({})
+        # the split depends only on n, inner_folds and the seed: every refit shares these cells
+        plan, base_tensor = tensor_with({})
+        cells = two_layer_cells(plan)
+
+        def q_with(replacements: dict[int, int], cells=cells, lam=lam):
+            return exp_weighted_statistics(tensor_with(replacements)[1], cells, lam).q_matrix
+
+        q_base = exp_weighted_statistics(base_tensor, cells, lam).q_matrix
         probe_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_STABILITY, n, 1])
         )
@@ -597,7 +601,7 @@ def stability_diagnostic(
         estimates1 = []
         for k in range(probes):
             j = int(probe_rng.integers(n))
-            diff = q_with({j: n + k})[1] - q_base
+            diff = q_with({j: n + k}) - q_base
             same_major = (plan.major == plan.major[j]) & (plan.inner != plan.inner[j])
             cross = plan.major != plan.major[j]
             cases = [diff[same_major], diff[cross]]
@@ -611,9 +615,9 @@ def stability_diagnostic(
             src_l = src_j + 1
             mixed = (
                 q_base
-                - q_with({j: src_j})[1]
-                - q_with({l: src_l})[1]
-                + q_with({j: src_j, l: src_l})[1]
+                - q_with({j: src_j})
+                - q_with({l: src_l})
+                + q_with({j: src_j, l: src_l})
             )
             keep = np.ones(n, dtype=bool)
             keep[[j, l]] = False

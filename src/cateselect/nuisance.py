@@ -79,10 +79,12 @@ class NuisanceModel:
 
 @dataclass(frozen=True)
 class OracleNuisance:
-    """Per-unit true nuisance values, index-aligned with a dataset.
+    """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a dataset.
 
-    Used to bypass fitting entirely, e.g. to isolate the effect of nuisance
-    estimation error in simulation studies.
+    The values are either true (``from_truth``, to isolate the effect of
+    nuisance estimation error in simulation studies) or cross-fitted: each
+    unit's predictions from a model trained without it. Scores read only
+    these arrays, never the models behind them.
     """
 
     mu0: np.ndarray

@@ -1,8 +1,10 @@
 """Selection procedures that map a dataset plus candidates to an accepted set.
 
-Every selector scores its candidates through one path,
-``_cross_fitted_tensor``: two-layer split, nuisances cross-fitted on the
-opposite major fold (or supplied), then the p x n per-unit loss matrix.
+This module owns the sample split and the cross-fitting. Every selector
+but the ablation scores its candidates through ``_cross_fitted_tensor``:
+a two-layer split, one nuisance fit per major fold whose predictions fill
+the opposite fold's units (unless true values are supplied), then the
+p x n per-unit loss matrix from ``scores.build_score_tensor``.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -26,20 +28,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .datagen import CandidateSet, Dataset, _readonly
 from .nuisance import NuisanceConfig, OracleNuisance, fit
-from .scores import (
-    FOLD_A,
-    FOLD_B,
-    NuisanceSource,
-    ScoreTensor,
-    build_score_tensor,
-    cov_hat,
-    delta_hat,
-)
+from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
 
+FOLD_A = 0
+FOLD_B = 1
 _NAIVE_STREAM = 0x5EED01
 _ABLATION_STREAM = 0x5EED02
 
@@ -293,22 +289,23 @@ def _cross_fitted_tensor(
     candidates: CandidateSet,
     inner_folds: int,
     seed: int,
-    nuisance_override: NuisanceSource | None = None,
+    nuisance_override: OracleNuisance | None = None,
 ) -> tuple[SplitPlan, ScoreTensor]:
     """Split, cross-fit the nuisances and score every candidate on every unit.
 
-    Each major fold's units are scored with the model trained on the
+    Each major fold's units get the predictions of the model trained on the
     opposite fold, unless ``nuisance_override`` supplies the nuisances.
     """
     plan = two_way_split(dataset.n, inner_folds, seed)
     nuisances = nuisance_override
     if nuisances is None:
-        nconfig = NuisanceConfig()
-        indices = np.arange(dataset.n)
-        model_on_a = fit(dataset, indices[plan.major == FOLD_A], nconfig)
-        model_on_b = fit(dataset, indices[plan.major == FOLD_B], nconfig)
-        nuisances = {FOLD_A: model_on_b, FOLD_B: model_on_a}
-    return plan, build_score_tensor(dataset, candidates, plan, nuisances)
+        values = np.empty((3, dataset.n))
+        for train, scored in ((FOLD_A, FOLD_B), (FOLD_B, FOLD_A)):
+            model = fit(dataset, np.flatnonzero(plan.major == train), NuisanceConfig())
+            rows = plan.major == scored
+            values[:, rows] = model.predict_rows(dataset.x[rows])
+        nuisances = OracleNuisance(*values)
+    return plan, build_score_tensor(dataset, candidates, nuisances)
 
 
 def _build_result(
@@ -338,7 +335,7 @@ def _weighted_test(
     one-sided normal critical value at level alpha."""
     lam = config.resolve_lam(tensor.n)
     stats = exp_weighted_statistics(tensor, cells, lam)
-    critical = float(norm.ppf(1.0 - config.alpha))
+    critical = float(ndtri(1.0 - config.alpha))
     decisions = [
         CandidateDecision(
             candidate=r,
@@ -380,13 +377,11 @@ def single_layer_ablation_select(
     and the weight-learning folds are drawn over all units with no
     major-fold separation.
     """
-    nuisances: NuisanceSource | None = nuisance_override
+    nuisances = nuisance_override
     if nuisances is None:
         full_model = fit(dataset, np.arange(dataset.n), NuisanceConfig())
-        nuisances = {FOLD_A: full_model, FOLD_B: full_model}
-    _, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisances
-    )
+        nuisances = OracleNuisance(*full_model.predict_rows(dataset.x))
+    tensor = build_score_tensor(dataset, candidates, nuisances)
     return _weighted_test(
         "ablation", config, tensor, single_layer_cells(dataset.n, config.inner_folds, config.seed)
     )
@@ -480,5 +475,5 @@ def bonferroni_select(
     _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisance_override
     )
-    critical = float(norm.ppf(1.0 - config.alpha / (candidates.p - 1)))
+    critical = float(ndtri(1.0 - config.alpha / (candidates.p - 1)))
     return _max_statistic_test("bonferroni", config, tensor, lambda m, sigma_m: critical)

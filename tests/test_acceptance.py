@@ -33,7 +33,6 @@ from cateselect.selectors import (
     exp_weights,
     naive_critical_value,
     proposed_select,
-    two_way_split,
 )
 
 from conftest import record_criterion
@@ -159,11 +158,10 @@ def test_criterion_6_oracle_delta_agreement():
     target = population_relative_error(specs[0], specs[1])
     hits = 0
     for k in range(100):
-        data_seed, cand_seed, sel_seed = _derived_seeds(SEED, 6, k)
+        data_seed, cand_seed, _ = _derived_seeds(SEED, 6, k)
         ds, truth = generate_toy(100_000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        plan = two_way_split(ds.n, 5, sel_seed)
-        tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
+        tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
         delta = delta_hat(tensor, 0)[0]
         se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         hits += abs(delta - target) < 4 * se
@@ -180,11 +178,10 @@ def test_criterion_7_clt_calibration():
     target = population_relative_error(specs[0], specs[1])
     zs = np.empty(500)
     for k in range(500):
-        data_seed, cand_seed, sel_seed = _derived_seeds(SEED, 7, k)
+        data_seed, cand_seed, _ = _derived_seeds(SEED, 7, k)
         ds, truth = generate_toy(2000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        plan = two_way_split(ds.n, 5, sel_seed)
-        tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
+        tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
         delta = delta_hat(tensor, 0)[0]
         se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         zs[k] = (delta - target) / se
@@ -252,8 +249,7 @@ def test_criterion_10_exactness_properties():
     data_seed, cand_seed, sel_seed = _derived_seeds(SEED, 10, 0)
     ds, truth = generate_toy(500, (2, 2, 2, 2), data_seed)
     cands = make_candidates(truth, NEAR_TIED_SPECS, cand_seed)
-    plan = two_way_split(ds.n, 5, sel_seed)
-    tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
     if not np.array_equal(tensor.values, -tensor.values.transpose(1, 0, 2)):
         problems.append("score antisymmetry violated")
 

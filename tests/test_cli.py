@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cateselect
 from cateselect.cli import cli
 from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
 from cateselect.datagen import write_dataset_csv, write_predictions_csv
@@ -76,6 +81,14 @@ def test_bad_config_values_exit_1(tmp_path, capsys):
     config = _write_config(tmp_path, repetitions=0)
     code = cli(["simulate", "--config", str(config)])
     assert code == 1
+    config = _write_config(tmp_path, alpha=1.5)
+    assert cli(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "alpha" in capsys.readouterr().err
+    config = _write_config(tmp_path)
+    for flag, value in (("--alpha", "1.5"), ("--inner-folds", "1")):
+        argv = ["simulate", "--config", str(config), flag, value, "--out", str(tmp_path / "out")]
+        assert cli(argv) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_select_prints_accepted_set(tmp_path, capsys):
@@ -118,14 +131,16 @@ def test_select_bad_csv_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_select_overflowing_predictions_exits_2(tmp_path, capsys):
+def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
     ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
     cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
     write_dataset_csv(ds, tmp_path / "d.csv")
     write_predictions_csv(CandidateSet(cands.predictions * 1e160), tmp_path / "p.csv")
     code = cli(["select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv")])
-    assert code == 2
-    assert "finite" in capsys.readouterr().err
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert str(tmp_path / "p.csv") in err
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -171,3 +186,14 @@ def test_diagnose_stability_cli(tmp_path):
 
 def test_help_exits_zero(capsys):
     assert cli(["--help"]) == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the diagnostics need it
+    env = dict(os.environ)
+    src = str(Path(cateselect.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, cateselect.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from cateselect.datagen import NEAR_TIED_SPECS, NoiseSpec
 from cateselect.harness import (
+    _CONFIG_JSON_KEYS,
     ConfigError,
     ExperimentConfig,
     bootstrap_standardized_means,
@@ -198,9 +199,17 @@ def test_config_requires_unique_winner():
                          selectors=("proposed",), repetitions=1, seed=0)
 
 
+@pytest.mark.parametrize("setting", [{"alpha": 1.5}, {"inner_folds": 1}, {"lam": -1.0}])
+def test_config_rejects_invalid_selector_settings(setting):
+    # caught when the config is built, not as a failure in every repetition
+    with pytest.raises(ValueError):
+        _config(**setting)
+
+
 def test_config_json_roundtrip():
     config = _config(selectors=("proposed",), lam=12.5)
     payload = experiment_config_to_dict(config)
+    assert set(payload) == _CONFIG_JSON_KEYS
     assert payload["lambda"] == 12.5
     restored = experiment_config_from_dict(json.loads(json.dumps(payload)))
     assert restored == config

@@ -12,7 +12,8 @@ from cateselect.scores import (
     delta_hat,
     pseudo_outcomes,
 )
-from cateselect.selectors import SplitPlan, _cross_fitted_tensor, two_way_split
+from cateselect import selectors
+from cateselect.selectors import _cross_fitted_tensor
 
 
 def _constant_model(mu0, mu1, e_logit, d=1, clip_eta=0.05):
@@ -27,6 +28,11 @@ def _constant_model(mu0, mu1, e_logit, d=1, clip_eta=0.05):
     )
 
 
+def _values(model, ds):
+    """The per-unit nuisance values a model predicts for every unit of ``ds``."""
+    return OracleNuisance(*model.predict_rows(ds.x))
+
+
 def _two_units(y_treated, y_control):
     """One treated and one control unit at x = 0."""
     return Dataset(x=np.zeros((2, 1)), t=np.array([1, 0]), y=np.array([y_treated, y_control]))
@@ -35,14 +41,16 @@ def _two_units(y_treated, y_control):
 def test_pseudo_outcome_hand_value():
     # t=1, y=2, mu1=1, mu0=0, e=0.5 -> 1/0.5 + 1 - 0 - 0 = 3
     model = _constant_model(mu0=0.0, mu1=1.0, e_logit=0.0)
-    gamma = pseudo_outcomes(_two_units(2.0, 0.0), {0: model}, np.zeros(2, dtype=np.int8))
+    ds = _two_units(2.0, 0.0)
+    gamma = pseudo_outcomes(ds, _values(model, ds))
     assert gamma[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_pseudo_outcome_vanishing_residuals():
     # y equals the predicted mean of its own arm: the proxy collapses to mu1 - mu0
     model = _constant_model(mu0=0.25, mu1=1.75, e_logit=0.3)
-    gamma = pseudo_outcomes(_two_units(1.75, 0.25), {0: model}, np.zeros(2, dtype=np.int8))
+    ds = _two_units(1.75, 0.25)
+    gamma = pseudo_outcomes(ds, _values(model, ds))
     assert gamma[0] == pytest.approx(1.5, abs=1e-12)
     assert gamma[1] == pytest.approx(1.5, abs=1e-12)
 
@@ -59,7 +67,7 @@ def test_pseudo_outcome_conditionally_unbiased_at_fixed_x():
     y = np.where(t == 1, mu1_x + rng.normal(0, 0.5, n), mu0_x + rng.normal(0, 0.5, n))
     ds = Dataset(x=np.zeros((n, 1)), t=t, y=y)
     oracle = OracleNuisance(mu0=np.full(n, mu0_x), mu1=np.full(n, mu1_x), e=e)
-    gamma = pseudo_outcomes(ds, oracle, np.zeros(n, dtype=np.int8))
+    gamma = pseudo_outcomes(ds, oracle)
     se = gamma.std(ddof=1) / np.sqrt(n)
     assert abs(gamma.mean() - (mu1_x - mu0_x)) < 4 * se
 
@@ -68,8 +76,7 @@ def test_pair_score_hand_values():
     model = _constant_model(mu0=0.0, mu1=1.0, e_logit=0.0)
     ds = _two_units(2.0, 0.0)  # the treated unit's proxy is 3
     cands = CandidateSet(np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
-    plan = SplitPlan(major=np.array([0, 1]), inner=np.zeros(2), inner_folds=1)
-    values = build_score_tensor(ds, cands, plan, {0: model, 1: model}).values
+    values = build_score_tensor(ds, cands, _values(model, ds)).values
     assert values[0, 1, 0] == pytest.approx(-5.0, abs=1e-12)
     assert values[2, 3, 0] == 0.0
     # swapping the candidates flips the sign exactly
@@ -95,8 +102,7 @@ def test_identical_candidates_zero_tensor():
     ds, truth = generate_toy(100, (1, 1, 1, 1), seed=4)
     row = truth.tau + 0.1
     cands = CandidateSet(np.vstack([row, row]))
-    plan = two_way_split(100, 5, 1)
-    tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
     npt.assert_array_equal(tensor.values, np.zeros_like(tensor.values))
 
 
@@ -139,27 +145,35 @@ def test_delta_matches_population_value_with_oracle():
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=31)
     specs = [NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)]
     cands = make_candidates(truth, specs, seed=32)
-    plan = two_way_split(n, 5, 33)
-    tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
     delta = delta_hat(tensor, 0)
     cov = cov_hat(tensor, 0)
     target = population_relative_error(specs[0], specs[1])
     assert abs(delta[0] - target) < 4 * np.sqrt(cov[0, 0])
 
 
-def test_cross_fitting_uses_opposite_fold_model():
-    # constant models with different intercepts per fold leave a visible imprint
+def test_cross_fitting_uses_opposite_fold_model(monkeypatch):
+    # constant models with different intercepts per training fold leave a
+    # visible imprint: every unit must carry the other fold's model
     n = 60
     ds, _ = generate_toy(n, (1, 1, 1, 1), seed=9)
     cands = CandidateSet(np.vstack([np.zeros(n), np.ones(n)]))
-    plan = two_way_split(n, 5, 10)
+    plan = selectors.two_way_split(n, 5, 10)
     model_a = _constant_model(mu0=0.0, mu1=0.0, e_logit=0.0, d=4)
     model_b = _constant_model(mu0=5.0, mu1=5.0, e_logit=0.0, d=4)
-    tensor = build_score_tensor(ds, cands, plan, {0: model_a, 1: model_b})
-    gamma = pseudo_outcomes(ds, {0: model_a, 1: model_b}, plan.major)
-    # score for pair (0, 1) is -1 + 2 * gamma; check a unit in each fold
-    i_a = int(np.flatnonzero(plan.major == 0)[0])
-    i_b = int(np.flatnonzero(plan.major == 1)[0])
-    assert tensor.values[0, 1, i_a] == pytest.approx(-1.0 + 2.0 * gamma[i_a])
-    assert tensor.values[0, 1, i_b] == pytest.approx(-1.0 + 2.0 * gamma[i_b])
-    assert gamma[i_a] != gamma[i_b]
+    trained_on = {0: model_a, 1: model_b}
+
+    def stub_fit(dataset, indices, config):
+        fold = int(plan.major[indices[0]])
+        npt.assert_array_equal(indices, np.flatnonzero(plan.major == fold))
+        return trained_on[fold]
+
+    monkeypatch.setattr(selectors, "fit", stub_fit)
+    got_plan, tensor = _cross_fitted_tensor(ds, cands, 5, 10)
+    npt.assert_array_equal(got_plan.major, plan.major)
+    gamma_a = pseudo_outcomes(ds, _values(model_a, ds))
+    gamma_b = pseudo_outcomes(ds, _values(model_b, ds))
+    assert np.all(gamma_a != gamma_b)
+    # score for pair (0, 1) is -1 + 2 * gamma, gamma from the other fold's model
+    expected = np.where(plan.major == 0, gamma_b, gamma_a)
+    npt.assert_allclose(tensor.values[0, 1], -1.0 + 2.0 * expected, rtol=1e-12)

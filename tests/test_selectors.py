@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from cateselect import selectors
 from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
 from cateselect.harness import _derived_seeds
 from cateselect.nuisance import OracleNuisance
@@ -279,8 +280,7 @@ def test_bonferroni_critical_dominates_naive_under_positive_correlation():
     # and on toy-score covariances, when all correlations are nonnegative
     ds, truth, cands, sel_seed = _toy_problem(n=2000, specs=tuple([NoiseSpec(0.03 * j, 0.1) for j in range(4)]))
     from cateselect.scores import build_score_tensor, cov_hat
-    plan = two_way_split(ds.n, 5, sel_seed)
-    tensor = build_score_tensor(ds, cands, plan, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
     cov = cov_hat(tensor, 0)
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert corr.min() >= 0  # chosen configuration has shared positive factors
@@ -351,6 +351,18 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
         assert a.statistic == b.statistic
+
+
+def test_ablation_draws_no_two_layer_split(monkeypatch):
+    ds, truth, cands, sel_seed = _toy_problem()
+
+    def no_split(*args):
+        raise AssertionError("the ablation must not draw a two-layer split")
+
+    monkeypatch.setattr(selectors, "two_way_split", no_split)
+    single_layer_ablation_select(ds, cands, SelectorConfig(seed=sel_seed))
+    oracle = OracleNuisance.from_truth(truth)
+    single_layer_ablation_select(ds, cands, SelectorConfig(seed=sel_seed), nuisance_override=oracle)
 
 
 def test_ablation_differs_from_proposed_with_fitted_nuisances():
