@@ -12,6 +12,7 @@ noisy-oracle candidate estimators can be built on top.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,10 +278,33 @@ def _parse_float(field: str, line_no: int, column: str) -> float:
     return value
 
 
+def _numeric_body(path: str, width: int) -> np.ndarray | None:
+    """Parse the rows below the header with numpy's C reader.
+
+    Returns the (rows, width) float array, or None when the reader rejects
+    the body or warns (a header-only file), or when the width is wrong or a
+    value is not finite. Callers then re-read the file row by row, which
+    names the offending line.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            body = np.loadtxt(
+                path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
+            )
+        except (ValueError, Warning):
+            return None
+    if body.shape[1] != width or not np.all(np.isfinite(body)):
+        return None
+    return body
+
+
 def ingest_dataset(path: str) -> Dataset:
     """Load a dataset from CSV with header ``x_0,...,x_{d-1},t,y``.
 
-    Malformed rows raise ``ValueError`` naming the offending line;
+    The numeric body is parsed by numpy. A file numpy rejects, or one with
+    a non-binary treatment or a single arm, is re-read row by row, so
+    malformed rows raise ``ValueError`` naming the offending line and
     non-binary treatments and single-arm files are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -296,6 +320,12 @@ def ingest_dataset(path: str) -> Dataset:
         expected = [f"x_{j}" for j in range(d)] + ["t", "y"]
         if header != expected:
             raise ValueError(f"{path}: header must be {','.join(expected)}")
+
+        body = _numeric_body(path, d + 2)
+        if body is not None:
+            t = body[:, d]
+            if np.all((t == 0.0) | (t == 1.0)) and t.min() != t.max():
+                return Dataset(x=body[:, :d], t=t.astype(np.int64), y=body[:, d + 1])
 
         xs, ts, ys = [], [], []
         for line_no, row in enumerate(reader, start=2):
@@ -321,7 +351,10 @@ def ingest_dataset(path: str) -> Dataset:
 def ingest_predictions(path: str, n: int) -> CandidateSet:
     """Load candidate predictions from CSV with header ``tau_0,...,tau_{p-1}``.
 
-    The file must contain exactly ``n`` rows, one per dataset unit.
+    The file must contain exactly ``n`` rows, one per dataset unit. The
+    numeric body is parsed by numpy; a file numpy rejects, or one with the
+    wrong row count, is re-read row by row, so errors name the offending
+    line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -334,6 +367,10 @@ def ingest_predictions(path: str, n: int) -> CandidateSet:
         expected = [f"tau_{r}" for r in range(p)]
         if header != expected:
             raise ValueError(f"{path}: header must be tau_0,...,tau_{{p-1}}")
+
+        body = _numeric_body(path, p)
+        if body is not None and body.shape[0] == n:
+            return CandidateSet(body.T)
 
         rows = []
         for line_no, row in enumerate(reader, start=2):

@@ -74,7 +74,10 @@ def build_score_tensor(
         raise ValueError("candidate predictions must cover every dataset unit")
     gamma = pseudo_outcomes(dataset, nuisances)
     preds = candidates.predictions
-    return ScoreTensor(losses=preds**2 - 2.0 * preds * gamma)
+    # overflowing losses are rejected by ScoreTensor's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = preds**2 - 2.0 * preds * gamma
+    return ScoreTensor(losses=losses)
 
 
 def _rival_scores(tensor: ScoreTensor, m: int) -> np.ndarray:

@@ -49,7 +49,7 @@ class SelectorConfig:
     ``lam`` is the exponential-weighting temperature; None resolves to
     ``n ** 0.4`` at selection time, which grows slower than sqrt(n) as the
     weighting theory requires. ``bootstrap_draws`` only matters for the
-    naive selector, which insists on at least 1000 draws.
+    naive selector; fewer than 1000 draws are rejected here.
     """
 
     alpha: float = 0.10
@@ -65,8 +65,8 @@ class SelectorConfig:
             raise ValueError("lam must be nonnegative")
         if self.inner_folds < 2:
             raise ValueError("need at least two inner folds")
-        if self.bootstrap_draws < 1:
-            raise ValueError("bootstrap_draws must be positive")
+        if self.bootstrap_draws < 1000:
+            raise ValueError("bootstrap_draws must be at least 1000")
 
     def resolve_lam(self, n: int) -> float:
         return float(self.lam) if self.lam is not None else float(n) ** 0.4
@@ -450,10 +450,8 @@ def naive_select(
 
     Candidate m is accepted when the largest of its standardized pairwise
     statistics does not exceed the bootstrap quantile drawn from N(0,
-    sigma_m). Requires at least 1000 bootstrap draws.
+    sigma_m).
     """
-    if config.bootstrap_draws < 1000:
-        raise ValueError("the naive selector requires at least 1000 bootstrap draws")
     _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisance_override
     )

@@ -130,7 +130,7 @@ def test_select_bad_csv_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
     ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
     cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
@@ -141,6 +141,22 @@ def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "finite" in err
     assert str(tmp_path / "p.csv") in err
+    assert "RuntimeWarning" not in err
+
+
+def test_select_too_few_bootstrap_draws_blames_the_setting(tmp_path, capsys):
+    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
+    cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
+    write_dataset_csv(ds, tmp_path / "d.csv")
+    write_predictions_csv(cands, tmp_path / "p.csv")
+    code = cli([
+        "select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv"),
+        "--selectors", "naive", "--bootstrap-draws", "500",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bootstrap" in err
+    assert str(tmp_path) not in err
 
 
 def test_sweep_cli(tmp_path, capsys):

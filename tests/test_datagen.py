@@ -1,9 +1,15 @@
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cateselect import datagen
 from cateselect.datagen import (
     COMPETITIVE_PLUS_INFERIOR_SPECS,
     NEAR_TIED_SPECS,
@@ -187,3 +193,137 @@ def test_ingest_predictions_row_count_checked(tmp_path):
     path.write_text("tau_0,tau_1\n1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError, match="expected 5"):
         ingest_predictions(str(path), 5)
+
+
+# --- numpy reader against the row parser --------------------------------------
+
+DATA_HEADER = "x_0,t,y\n"
+PREDS_HEADER = "tau_0,tau_1\n"
+
+# id -> (file text, prediction row count or None for a dataset, numpy parses the body)
+INGESTION_CASES = {
+    "data_blank_line": (DATA_HEADER + "0.1,0,1.0\n\n0.2,1,2.0\n", None, True),
+    "data_whitespace_line": (DATA_HEADER + "0.1,0,1.0\n   \n0.2,1,2.0\n", None, False),
+    "data_crlf": ("x_0,t,y\r\n0.1,0,1.0\r\n0.2,1,2.0\r\n", None, True),
+    "data_padded": (DATA_HEADER + " 1.5 ,0, 2.5 \n0.2, 1 ,2.0\n", None, True),
+    "data_quoted": (DATA_HEADER + '"1.5",0,1.0\n0.2,1,"2.0"\n', None, False),
+    "data_underscore": (DATA_HEADER + "1_000,0,1.0\n0.2,1,2.0\n", None, False),
+    "data_trailing_comma": (DATA_HEADER + "0.1,0,1.0,\n0.2,1,2.0,\n", None, False),
+    "data_comment_line": (DATA_HEADER + "# note\n0.1,0,1.0\n0.2,1,2.0\n", None, False),
+    "data_comment_field": (DATA_HEADER + "#0.1,0,1.0\n0.2,1,2.0\n", None, False),
+    "data_nan": (DATA_HEADER + "nan,0,1.0\n0.2,1,2.0\n", None, False),
+    "data_inf": (DATA_HEADER + "0.1,0,1.0\n0.2,1,-inf\n", None, False),
+    "data_overflow": (DATA_HEADER + "0.1,0,1.0\n1e400,1,2.0\n", None, False),
+    "data_t_two": (DATA_HEADER + "0.1,0,1.0\n0.2,2,2.0\n", None, True),
+    "data_t_float_one": (DATA_HEADER + "0.1,0.0,1.0\n0.2,1.0,2.0\n", None, True),
+    "data_single_row": (DATA_HEADER + "0.1,1,1.0\n", None, True),
+    "data_single_arm": (DATA_HEADER + "0.1,1,1.0\n0.2,1,2.0\n", None, True),
+    "data_header_only": (DATA_HEADER, None, False),
+    "data_ragged": (DATA_HEADER + "0.1,0,1.0\n0.2,1\n", None, False),
+    "preds_blank_line": (PREDS_HEADER + "1.0,2.0\n\n3.0,4.0\n", 2, True),
+    "preds_whitespace_line": (PREDS_HEADER + "1.0,2.0\n \t\n3.0,4.0\n", 2, False),
+    "preds_crlf": ("tau_0,tau_1\r\n1.0,2.0\r\n3.0,4.0\r\n", 2, True),
+    "preds_padded": (PREDS_HEADER + " 1.5 ,2.0\n3.0, 4.5 \n", 2, True),
+    "preds_quoted": (PREDS_HEADER + '"1.5",2.0\n3.0,4.0\n', 2, False),
+    "preds_underscore": (PREDS_HEADER + "1_000,2.0\n3.0,4.0\n", 2, False),
+    "preds_trailing_comma": (PREDS_HEADER + "1.0,2.0,\n3.0,4.0,\n", 2, False),
+    "preds_comment_line": (PREDS_HEADER + "#1.0,2.0\n3.0,4.0\n", 2, False),
+    "preds_nan": (PREDS_HEADER + "1.0,nan\n3.0,4.0\n", 2, False),
+    "preds_inf": (PREDS_HEADER + "1.0,2.0\ninf,4.0\n", 2, False),
+    "preds_overflow": (PREDS_HEADER + "1.0,2.0\n3.0,-1e400\n", 2, False),
+    "preds_single_row": (PREDS_HEADER + "1.0,2.0\n", 1, True),
+    "preds_header_only": (PREDS_HEADER, 3, False),
+    "preds_ragged": (PREDS_HEADER + "1.0,2.0\n3.0\n", 2, False),
+    "preds_too_few_rows": (PREDS_HEADER + "1.0,2.0\n3.0,4.0\n", 3, True),
+    "preds_too_many_rows": (PREDS_HEADER + "1.0,2.0\n3.0,4.0\n", 1, True),
+}
+
+
+def _ingest(path, n):
+    """Ingested arrays, or the ValueError message."""
+    try:
+        if n is None:
+            ds = ingest_dataset(str(path))
+            return [ds.x, ds.t, ds.y]
+        return [ingest_predictions(str(path), n).predictions]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _row_parser_only():
+    return mock.patch.object(datagen, "_numeric_body", lambda path, width: None)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+            b.flags.c_contiguous,
+            b.flags.f_contiguous,
+        )
+
+
+@pytest.mark.parametrize("case", list(INGESTION_CASES))
+def test_ingestion_matches_row_parser(tmp_path, case):
+    text, n, numpy_parses = INGESTION_CASES[case]
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    bodies = []
+    reader = datagen._numeric_body
+
+    def spy(path, width):
+        bodies.append(reader(path, width))
+        return bodies[-1]
+
+    with mock.patch.object(datagen, "_numeric_body", spy):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _ingest(path, n)
+    assert [body is not None for body in bodies] == [numpy_parses]
+    assert not caught  # e.g. numpy's "input contained no data" on a header-only file
+    with _row_parser_only():
+        want = _ingest(path, n)
+    _assert_same(got, want)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e308, -9.999999999999999e307)
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_ingestion_roundtrip_is_bitwise(data):
+    n = data.draw(st.integers(2, 12))
+    d = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(2, 4))
+    x = np.array(data.draw(st.lists(_finite, min_size=n * d, max_size=n * d))).reshape(n, d)
+    t = np.array([0, 1] + data.draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2, max_size=n - 2)))
+    y = np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+    preds = np.array(data.draw(st.lists(_finite, min_size=p * n, max_size=p * n))).reshape(p, n)
+    ds, cands = Dataset(x=x, t=t, y=y), CandidateSet(preds)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_dataset_csv(ds, tmp / "repr-d.csv")
+        write_predictions_csv(cands, tmp / "repr-p.csv")
+        x_header = ",".join(f"x_{j}" for j in range(d))
+        np.savetxt(tmp / "savetxt-d.csv", np.column_stack([x, t, y]), fmt="%.17g", delimiter=",",
+                   header=f"{x_header},t,y", comments="")
+        np.savetxt(tmp / "savetxt-p.csv", preds.T, fmt="%.17g", delimiter=",",
+                   header=",".join(f"tau_{r}" for r in range(p)), comments="")
+        for name, rows, expected in (
+            ("repr-d.csv", None, [ds.x, ds.t, ds.y]),
+            ("repr-p.csv", n, [cands.predictions]),
+            ("savetxt-d.csv", None, [ds.x, ds.t, ds.y]),
+            ("savetxt-p.csv", n, [cands.predictions]),
+        ):
+            got = _ingest(tmp / name, rows)
+            with _row_parser_only():
+                _assert_same(got, _ingest(tmp / name, rows))
+            for a, b in zip(got, expected, strict=True):
+                assert a.tobytes() == b.tobytes()

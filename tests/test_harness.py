@@ -199,7 +199,9 @@ def test_config_requires_unique_winner():
                          selectors=("proposed",), repetitions=1, seed=0)
 
 
-@pytest.mark.parametrize("setting", [{"alpha": 1.5}, {"inner_folds": 1}, {"lam": -1.0}])
+@pytest.mark.parametrize(
+    "setting", [{"alpha": 1.5}, {"inner_folds": 1}, {"lam": -1.0}, {"bootstrap_draws": 500}]
+)
 def test_config_rejects_invalid_selector_settings(setting):
     # caught when the config is built, not as a failure in every repetition
     with pytest.raises(ValueError):

@@ -311,7 +311,7 @@ def test_naive_and_bonferroni_share_scores():
         assert a.statistic == b.statistic
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "select", [proposed_select, naive_select, bonferroni_select, single_layer_ablation_select]
 )
