@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,13 @@ _ARM_RESAMPLE_ATTEMPTS = 5
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function: ``exp`` only ever sees ``-|z|``.
+
+    ``minimum(z, -z)`` is ``-|z|`` but returns a NaN ``z`` unchanged, so NaN
+    inputs keep their sign and payload.
+    """
+    ez = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -278,6 +279,16 @@ def _parse_float(field: str, line_no: int, column: str) -> float:
     return value
 
 
+def _csv_rows(fh: Iterable[str], path: str) -> Iterator[list[str]]:
+    """Rows of a CSV file; the csv module's own errors (a field over its size
+    limit, say) become ``ValueError`` naming the file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _numeric_body(path: str, width: int) -> np.ndarray | None:
     """Parse the rows below the header with numpy's C reader.
 
@@ -308,11 +319,10 @@ def ingest_dataset(path: str) -> Dataset:
     non-binary treatments and single-arm files are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        records = _csv_rows(fh, path)
+        header = next(records, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if len(header) < 3 or header[-2:] != ["t", "y"]:
             raise ValueError(f"{path}: header must be x_0,...,x_{{d-1}},t,y")
@@ -328,7 +338,7 @@ def ingest_dataset(path: str) -> Dataset:
                 return Dataset(x=body[:, :d], t=t.astype(np.int64), y=body[:, d + 1])
 
         xs, ts, ys = [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if not row:
                 continue
             if len(row) != d + 2:
@@ -357,11 +367,10 @@ def ingest_predictions(path: str, n: int) -> CandidateSet:
     line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        records = _csv_rows(fh, path)
+        header = next(records, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
         p = len(header)
         expected = [f"tau_{r}" for r in range(p)]
@@ -373,7 +382,7 @@ def ingest_predictions(path: str, n: int) -> CandidateSet:
             return CandidateSet(body.T)
 
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if not row:
                 continue
             if len(row) != p:

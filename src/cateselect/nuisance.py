@@ -125,8 +125,8 @@ def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
     return beta
 
 
-def _penalized_logloss(design: np.ndarray, t: np.ndarray, beta: np.ndarray, penalty: float) -> float:
-    eta = design @ beta
+def _penalized_logloss(eta: np.ndarray, t: np.ndarray, beta: np.ndarray, penalty: float) -> float:
+    """Penalized logistic loss at ``beta``, given its linear predictor ``eta``."""
     # log(1 + exp(eta)) - t * eta, computed stably
     ll = np.logaddexp(0.0, eta) - t * eta
     return float(ll.sum() + 0.5 * penalty * np.dot(beta[1:], beta[1:]))
@@ -138,17 +138,20 @@ def _logistic_solve(
     """L2-penalized logistic regression by damped Newton iterations.
 
     Deterministic: fixed starting point, fixed iteration order, halving line
-    search on the penalized loss. Raises if the step norm never falls below
-    ``tol``.
+    search on the penalized loss. The accepted candidate's linear predictor
+    and loss carry over to the next iteration, so each iterate is evaluated
+    once. When 30 halvings all fail, the step is taken at scale 2**-30
+    anyway. Raises if the step norm never falls below ``tol``.
     """
     design = np.column_stack([np.ones(x.shape[0]), x])
     k = design.shape[1]
     reg = penalty * np.eye(k)
     reg[0, 0] = 0.0
     beta = np.zeros(k)
-    loss = _penalized_logloss(design, t, beta, penalty)
+    eta = design @ beta
+    loss = _penalized_logloss(eta, t, beta, penalty)
     for _ in range(max_iter):
-        prob = _sigmoid(design @ beta)
+        prob = _sigmoid(eta)
         grad = design.T @ (prob - t) + reg @ beta
         wdiag = prob * (1.0 - prob)
         hess = (design * wdiag[:, None]).T @ design + reg
@@ -159,12 +162,16 @@ def _logistic_solve(
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
-            cand_loss = _penalized_logloss(design, t, candidate, penalty)
+            cand_eta = design @ candidate
+            cand_loss = _penalized_logloss(cand_eta, t, candidate, penalty)
             if cand_loss <= loss:
+                beta, eta, loss = candidate, cand_eta, cand_loss
                 break
             scale *= 0.5
-        beta = beta - scale * step
-        loss = _penalized_logloss(design, t, beta, penalty)
+        else:
+            beta = beta - scale * step
+            eta = design @ beta
+            loss = _penalized_logloss(eta, t, beta, penalty)
         if np.max(np.abs(scale * step)) < tol:
             if not np.all(np.isfinite(beta)):
                 raise RuntimeError("logistic solve produced non-finite coefficients")

@@ -20,15 +20,20 @@ p x n per-unit loss matrix from ``scores.build_score_tensor``.
   nuisances on the full sample and draws its weight-learning folds over all
   units; kept to demonstrate how error control degrades without the
   two-layer split. It shares the weighted test with ``proposed_select``.
+
+The normal critical values of the proposed and Bonferroni tests come from
+the standard library's ``statistics.NormalDist``, so selection imports
+numpy only; scipy stays out of this path because it is slow to import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .datagen import CandidateSet, Dataset, _readonly
 from .nuisance import NuisanceConfig, OracleNuisance, fit
@@ -40,6 +45,12 @@ _NAIVE_STREAM = 0x5EED01
 _ABLATION_STREAM = 0x5EED02
 
 _MIN_INNER_FOLD = 2
+
+
+def _normal_quantile(level: float) -> float:
+    """Standard normal quantile at ``level`` in (0, 1]; +inf at 1.0, where
+    ``level = 1 - alpha`` has rounded up for a tiny alpha."""
+    return math.inf if level >= 1.0 else NormalDist().inv_cdf(level)
 
 
 @dataclass(frozen=True)
@@ -335,7 +346,7 @@ def _weighted_test(
     one-sided normal critical value at level alpha."""
     lam = config.resolve_lam(tensor.n)
     stats = exp_weighted_statistics(tensor, cells, lam)
-    critical = float(ndtri(1.0 - config.alpha))
+    critical = _normal_quantile(1.0 - config.alpha)
     decisions = [
         CandidateDecision(
             candidate=r,
@@ -473,5 +484,5 @@ def bonferroni_select(
     _, tensor = _cross_fitted_tensor(
         dataset, candidates, config.inner_folds, config.seed, nuisance_override
     )
-    critical = float(ndtri(1.0 - config.alpha / (candidates.p - 1)))
+    critical = _normal_quantile(1.0 - config.alpha / (candidates.p - 1))
     return _max_statistic_test("bonferroni", config, tensor, lambda m, sigma_m: critical)

@@ -130,6 +130,22 @@ def test_select_bad_csv_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_file", ["data", "preds"])
+def test_select_oversized_field_exits_1(tmp_path, capsys, bad_file):
+    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
+    cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
+    paths = {"data": tmp_path / "d.csv", "preds": tmp_path / "p.csv"}
+    write_dataset_csv(ds, paths["data"])
+    write_predictions_csv(cands, paths["preds"])
+    lines = paths[bad_file].read_text().splitlines()
+    lines[1] = "1" * 200_000 + "," + lines[1]  # line 2 starts with an oversized field
+    paths[bad_file].write_text("\n".join(lines) + "\n")
+    code = cli(["select", "--data", str(paths["data"]), "--preds", str(paths["preds"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{paths[bad_file]}: line 2: field larger than field limit" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
     ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
@@ -204,12 +220,16 @@ def test_help_exits_zero(capsys):
     assert cli(["--help"]) == 0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the diagnostics need it
+@pytest.mark.parametrize("module", ["cateselect.cli", "cateselect.harness"])
+def test_select_path_imports_no_scipy(module):
+    # scipy is slow to import and only the diagnostics need it (kstest)
     env = dict(os.environ)
     src = str(Path(cateselect.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, cateselect.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -193,6 +194,57 @@ def test_ingest_predictions_row_count_checked(tmp_path):
     path.write_text("tau_0,tau_1\n1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError, match="expected 5"):
         ingest_predictions(str(path), 5)
+
+
+OVERSIZED_FIELD = "1" * 200_000  # over the csv module's 131 072-character field limit
+
+
+@pytest.mark.parametrize(
+    "text, n, line",
+    [
+        (f"x_0,t,y\n{OVERSIZED_FIELD},0,1.0\n0.2,1,2.0\n", None, 2),
+        (f"x_0,t,y\n0.1,0,1.0\n0.2,1,{OVERSIZED_FIELD}\n", None, 3),
+        (f"x_{OVERSIZED_FIELD},t,y\n0.1,0,1.0\n", None, 1),
+        (f"tau_0,tau_1\n1.0,{OVERSIZED_FIELD}\n3.0,4.0\n", 2, 2),
+        (f"tau_0,tau_{OVERSIZED_FIELD}\n1.0,2.0\n", 1, 1),
+    ],
+    ids=["data_body", "data_last_row", "data_header", "preds_body", "preds_header"],
+)
+def test_oversized_field_is_an_input_error(tmp_path, text, n, line):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: field larger"):
+        if n is None:
+            ingest_dataset(str(path))
+        else:
+            ingest_predictions(str(path), n)
+
+
+def _masked_sigmoid(z):
+    """The logistic function evaluated branch by branch through boolean masks."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_form():
+    tiny = np.finfo(float).tiny
+    nan_payloads = np.array(
+        [0x7FF8000000000001, 0xFFF8000000000002, 0x7FF4000000000000], dtype=np.uint64
+    ).view(float)
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308,
+         5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3, 36.7, -36.7, 709.8, -709.8]
+    )
+    spread = np.random.default_rng(0).standard_normal(10_000) * 20.0
+    z = np.concatenate([specials, nan_payloads, spread])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = datagen._sigmoid(z)
+    assert got.view(np.uint64).tobytes() == _masked_sigmoid(z).view(np.uint64).tobytes()
 
 
 # --- numpy reader against the row parser --------------------------------------

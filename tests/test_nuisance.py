@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cateselect.datagen import Dataset, generate_toy
+from cateselect import nuisance
+from cateselect.datagen import Dataset, _sigmoid, generate_toy
 from cateselect.nuisance import (
     NuisanceConfig,
     NuisanceModel,
@@ -130,3 +131,89 @@ def test_oracle_nuisance_from_truth():
     assert oracle.n == truth.n
     with pytest.raises(ValueError):
         OracleNuisance(mu0=np.zeros(3), mu1=np.zeros(3), e=np.array([0.0, 0.5, 0.5]))
+
+
+# --- logistic solver against the re-evaluating loop ---------------------------
+
+
+def _reevaluating_solve(x, t, penalty, max_iter=100, tol=1e-10):
+    """The damped Newton loop that recomputes ``design @ beta`` and the loss
+    of every accepted iterate. Returns the coefficients and the numbers of
+    iterations, line-search candidates and exhausted line searches."""
+
+    def loss_at(design, beta):
+        eta = design @ beta
+        ll = np.logaddexp(0.0, eta) - t * eta
+        return float(ll.sum() + 0.5 * penalty * np.dot(beta[1:], beta[1:]))
+
+    design = np.column_stack([np.ones(x.shape[0]), x])
+    k = design.shape[1]
+    reg = penalty * np.eye(k)
+    reg[0, 0] = 0.0
+    beta = np.zeros(k)
+    loss = loss_at(design, beta)
+    candidates = exhausted = 0
+    for iterations in range(1, max_iter + 1):
+        prob = _sigmoid(design @ beta)
+        grad = design.T @ (prob - t) + reg @ beta
+        wdiag = prob * (1.0 - prob)
+        hess = (design * wdiag[:, None]).T @ design + reg
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta - scale * step
+            candidates += 1
+            cand_loss = loss_at(design, candidate)
+            if cand_loss <= loss:
+                break
+            scale *= 0.5
+        else:
+            exhausted += 1
+        beta = beta - scale * step
+        loss = loss_at(design, beta)
+        if np.max(np.abs(scale * step)) < tol:
+            return beta, iterations, candidates, exhausted
+    raise RuntimeError("did not converge")
+
+
+def _separable_dataset(seed, n, d, noise):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    t = (x @ np.array([3.0, -2.0, 1.0])[:d] + noise * rng.standard_normal(n) > 0).astype(int)
+    return Dataset(x=x, t=t, y=x[:, 0])
+
+
+SOLVER_CASES = {
+    "toy_d8": (lambda: generate_toy(3000, (2, 2, 2, 2), seed=11)[0], None),
+    "toy_d406": (lambda: generate_toy(2000, (2, 2, 2, 400), seed=12)[0], None),
+    # the first Newton steps overshoot: line-search halvings
+    "near_separable": (lambda: _separable_dataset(3, 200, 2, 0.05), 1e-2),
+    # one line search fails all 30 halvings and steps at scale 2**-30
+    "exhausted_search": (lambda: _separable_dataset(21, 50, 3, 0.05), 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_logistic_fit_matches_reevaluating_loop(case, monkeypatch):
+    make, logistic_l2 = SOLVER_CASES[case]
+    ds = make()
+    config = NuisanceConfig(logistic_l2=logistic_l2)
+    penalty = logistic_l2 if logistic_l2 is not None else 1e-3 * ds.n
+    expected, iterations, candidates, exhausted = _reevaluating_solve(ds.x, ds.t.astype(float), penalty)
+
+    calls = []
+    loss = nuisance._penalized_logloss
+
+    def counting_loss(*args):
+        calls.append(None)
+        return loss(*args)
+
+    monkeypatch.setattr(nuisance, "_penalized_logloss", counting_loss)
+    model = fit(ds, np.arange(ds.n), config)
+    assert np.array_equal(np.r_[model.prop_intercept, model.prop_coef], expected)
+    # one loss per candidate, plus the start and each iterate no candidate reached
+    assert len(calls) == 1 + candidates + exhausted
+    if case == "near_separable":
+        assert candidates > iterations
+    if case == "exhausted_search":
+        assert exhausted >= 1

@@ -323,6 +323,37 @@ def test_overflowing_losses_are_rejected(select):
         select(ds, huge, SelectorConfig(seed=sel_seed))
 
 
+# --- normal critical values --------------------------------------------------
+
+
+def test_normal_critical_values_match_scipy_ndtri():
+    from scipy.special import ndtri
+
+    ds, truth = generate_toy(200, (1, 1, 1, 1), seed=4)
+    cands = make_candidates(truth, [NoiseSpec(0.01 * j, 0.1) for j in range(41)], seed=5)
+    oracle = OracleNuisance.from_truth(truth)
+    for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+        config = SelectorConfig(alpha=alpha, seed=6)
+        expected = ndtri(1.0 - alpha)
+        for s in proposed_select(ds, cands, config, nuisance_override=oracle).stats:
+            assert abs(s.critical - expected) <= 1e-15 * abs(expected)
+        for p in range(2, 42):
+            subset = CandidateSet(cands.predictions[:p])
+            expected = ndtri(1.0 - alpha / (p - 1))
+            for s in bonferroni_select(ds, subset, config, nuisance_override=oracle).stats:
+                assert abs(s.critical - expected) <= 1e-15 * abs(expected)
+
+
+@pytest.mark.parametrize("select", [proposed_select, bonferroni_select])
+def test_alpha_below_rounding_accepts_every_candidate(select):
+    # 1 - 1e-17 rounds to 1.0, whose normal quantile is +inf
+    ds, truth, cands, sel_seed = _toy_problem()
+    res = select(ds, cands, SelectorConfig(alpha=1e-17, seed=sel_seed),
+                 nuisance_override=OracleNuisance.from_truth(truth))
+    assert all(s.critical == np.inf for s in res.stats)
+    assert res.accepted == tuple(range(cands.p))
+
+
 # --- ablation ----------------------------------------------------------------
 
 
