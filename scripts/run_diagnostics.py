@@ -10,11 +10,10 @@ shrink with n.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from cateselect import NEAR_TIED_SPECS
-from cateselect.harness import ExperimentConfig, clt_diagnostic, stability_diagnostic
+from cateselect.harness import ExperimentConfig, clt_diagnostic, stability_diagnostic, strict_json
 
 
 def main() -> None:
@@ -39,7 +38,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     clt = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
-    (out / "clt.json").write_text(json.dumps(clt.to_dict(), indent=2, sort_keys=True) + "\n")
+    (out / "clt.json").write_text(strict_json(clt.to_dict(), indent=2, sort_keys=True) + "\n")
     print(
         f"normality scan: {clt.rejection_share:.3f} of {clt.datasets} datasets flagged "
         f"at level {clt.ks_level} ({len(clt.skipped)} constant pairs skipped)"
@@ -47,7 +46,7 @@ def main() -> None:
 
     grid = [int(v) for v in args.grid.split(",")]
     stab = stability_diagnostic(grid, config, probes=args.probes)
-    (out / "stability.json").write_text(json.dumps(stab.to_dict(), indent=2, sort_keys=True) + "\n")
+    (out / "stability.json").write_text(strict_json(stab.to_dict(), indent=2, sort_keys=True) + "\n")
     print(
         f"stability: slope(delta1^2)={stab.slope_delta1_sq:.2f}, "
         f"slope(delta2^2)={stab.slope_delta2_sq:.2f} over n grid {grid}"

@@ -9,9 +9,10 @@ curves collapse.
 """
 
 import argparse
+from pathlib import Path
 
 from cateselect import COMPETITIVE_PLUS_INFERIOR_SPECS
-from cateselect.harness import ExperimentConfig, sweep
+from cateselect.harness import ExperimentConfig, strict_json, sweep
 
 
 def main() -> None:
@@ -39,14 +40,11 @@ def main() -> None:
     )
     values = [int(v) for v in args.values.split(",")]
     points = sweep(config, "candidate_count", values)
-    from pathlib import Path
-    import json
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"axis": "candidate_count", "values": values,
                "reports": [p.report.to_dict() for p in points]}
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "sweep.json").write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
     for point in points:
         s = point.report.summaries
         gap = s["naive"].anws - s["proposed"].anws

@@ -2,11 +2,10 @@
 """Sample-size sweep: how wrong-selection counts respond to more test data."""
 
 import argparse
-import json
 from pathlib import Path
 
 from cateselect import COMPETITIVE_PLUS_INFERIOR_SPECS
-from cateselect.harness import ExperimentConfig, sweep
+from cateselect.harness import ExperimentConfig, strict_json, sweep
 
 
 def main() -> None:
@@ -36,7 +35,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     payload = {"axis": "sample_fraction", "values": fractions,
                "reports": [p.report.to_dict() for p in points]}
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "sweep.json").write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
     for point in points:
         s = point.report.summaries
         line = "  ".join(f"{name} ANWS={s[name].anws:.3f}" for name in sorted(s))

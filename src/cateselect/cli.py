@@ -11,8 +11,10 @@ Subcommands:
 * ``diagnose``: normality (``clt``) or perturbation-stability
   (``stability``) diagnostics, written as JSON plus CSV.
 
+Every JSON output is strict: a non-finite float is written as ``null``.
 Exit codes: 0 on success, 1 on configuration, usage or input errors
-(including inputs a selector cannot score), 2 on runtime failures.
+(including inputs a selector cannot score), 2 on runtime failures and,
+with nothing printed, when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
     stability_diagnostic,
+    strict_json,
     sweep,
     write_per_rep_csv,
 )
@@ -55,14 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
+    """Config overrides every config-driven command reads."""
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--selectors",
-        default=None,
-        help="comma-separated selector names (naive,bonferroni,proposed,ablation)",
-    )
-    parser.add_argument("--alpha", type=float, default=None, help="significance level")
     parser.add_argument(
         "--lambda",
         dest="lam",
@@ -71,6 +69,17 @@ def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
         help="exponential weighting temperature (default n^0.4)",
     )
     parser.add_argument("--inner-folds", type=int, default=None, help="inner fold count")
+
+
+def _add_experiment_overrides(parser: argparse.ArgumentParser) -> None:
+    """The common overrides plus those only ``simulate`` and ``sweep`` read."""
+    _add_common_overrides(parser)
+    parser.add_argument(
+        "--selectors",
+        default=None,
+        help="comma-separated selector names (naive,bonferroni,proposed,ablation)",
+    )
+    parser.add_argument("--alpha", type=float, default=None, help="significance level")
     parser.add_argument("--reps", type=int, default=None, help="number of repetitions")
 
 
@@ -80,7 +89,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", required=True, help="JSON experiment config")
-    _add_common_overrides(p_sim)
+    _add_experiment_overrides(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="run an experiment along an axis")
     p_sweep.add_argument("--config", required=True, help="JSON experiment config")
@@ -92,7 +101,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated axis values, ascending"
     )
-    _add_common_overrides(p_sweep)
+    _add_experiment_overrides(p_sweep)
 
     p_sel = sub.add_parser("select", help="one-shot selection on CSV inputs")
     p_sel.add_argument("--data", required=True, help="dataset CSV (x_0,...,t,y)")
@@ -132,13 +141,13 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.selectors is not None:
+    if getattr(args, "selectors", None) is not None:
         updates["selectors"] = _parse_selector_list(args.selectors)
-    if args.alpha is not None:
+    if getattr(args, "alpha", None) is not None:
         updates["alpha"] = args.alpha
     if args.lam is not None:
         updates["lam"] = args.lam
-    if getattr(args, "inner_folds", None) is not None:
+    if args.inner_folds is not None:
         updates["inner_folds"] = args.inner_folds
     if getattr(args, "reps", None) is not None:
         updates["repetitions"] = args.reps
@@ -185,7 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "values": [p.value for p in points],
         "reports": [p.report.to_dict() for p in points],
     }
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "sweep.json").write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
     for point in points:
         write_per_rep_csv(point.report.records, out / f"per_rep_{point.value}.csv")
         print(f"--- {axis} = {point.value}")
@@ -217,9 +226,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
         # inputs a selector cannot score, e.g. overflowing losses; RuntimeError stays exit 2
         raise ConfigError(f"cannot select on --data {args.data} and --preds {args.preds}: {exc}") from exc
     if len(results) == 1:
-        print(json.dumps(results[0].to_dict(), indent=2))
+        print(strict_json(results[0].to_dict(), indent=2))
     else:
-        print(json.dumps([r.to_dict() for r in results], indent=2))
+        print(strict_json([r.to_dict() for r in results], indent=2))
     return EXIT_OK
 
 
@@ -229,7 +238,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "clt":
         report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
-        (out / "clt.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        (out / "clt.json").write_text(strict_json(report.to_dict(), indent=2, sort_keys=True) + "\n")
         with open(out / "clt_pairs.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "r", "s", "ks_p", "adjusted_p"])
@@ -247,7 +256,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot parse stability grid {args.grid!r}") from exc
         report = stability_diagnostic(grid, config, probes=args.probes)
         (out / "stability.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+            strict_json(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         with open(out / "stability.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -281,7 +290,15 @@ def cli(argv: list[str] | None = None) -> int:
         "diagnose": _cmd_diagnose,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: say nothing, and send the exit-time flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_RUNTIME
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

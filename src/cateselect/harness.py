@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,10 +49,27 @@ _STREAM_CI = 5
 
 CI_RESAMPLES = 2000
 CI_LEVEL = 0.95
+KS_LEVEL = 0.05
 
 
 class ConfigError(ValueError):
     """Raised for invalid experiment configuration (bad file, bad values)."""
+
+
+def _finite_or_null(value: Any) -> Any:
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def strict_json(payload: Any, **kwargs: Any) -> str:
+    """``json.dumps`` that writes every non-finite float as ``null``, so the
+    text stays valid JSON (no ``NaN`` or ``Infinity`` tokens)."""
+    return json.dumps(_finite_or_null(payload), allow_nan=False, **kwargs)
 
 
 SelectorFunc = Callable[..., SelectionResult]
@@ -218,7 +236,7 @@ class ExperimentReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            strict_json(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         write_per_rep_csv(self.records, out / "per_rep.csv")
 
@@ -275,19 +293,15 @@ def _rep_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, list[RepRecord
         return k, [], [f"{type(exc).__name__}: {exc}"]
 
 
-def percentile_ci(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    resamples: int = CI_RESAMPLES,
-    level: float = CI_LEVEL,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of ``values``."""
+def percentile_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile bootstrap CI (``CI_LEVEL``, ``CI_RESAMPLES`` draws) for the
+    mean of ``values``."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return (float("nan"), float("nan"))
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
+    idx = rng.integers(0, arr.size, size=(CI_RESAMPLES, arr.size))
     means = arr[idx].mean(axis=1)
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - CI_LEVEL) / 2.0
     return float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
 
 
@@ -466,14 +480,13 @@ def clt_diagnostic(
     config: ExperimentConfig,
     datasets: int = 100,
     bootstrap_draws: int = 500,
-    ks_level: float = 0.05,
 ) -> CltReport:
     """Bootstrap each candidate pair's standardized mean and KS-test it.
 
     Per simulated dataset: resample the per-unit pairwise scores, recenter
     and studentize, test the draws against N(0, 1), Bonferroni-adjust the
     p-values across pairs, and flag the dataset when any adjusted p-value
-    falls below ``ks_level``. Pairs with constant scores are skipped and
+    falls below ``KS_LEVEL``. Pairs with constant scores are skipped and
     noted.
     """
     per_dataset = []
@@ -497,7 +510,7 @@ def clt_diagnostic(
             {"r": r, "s": s, "ks_p": p, "adjusted_p": min(1.0, p * tested)} for r, s, p in raw
         ]
         min_adjusted = min((pair["adjusted_p"] for pair in pairs), default=float("nan"))
-        flags[d] = bool(pairs) and min_adjusted < ks_level
+        flags[d] = bool(pairs) and min_adjusted < KS_LEVEL
         per_dataset.append(
             {
                 "dataset": d,
@@ -510,7 +523,7 @@ def clt_diagnostic(
     return CltReport(
         datasets=datasets,
         bootstrap_draws=bootstrap_draws,
-        ks_level=ks_level,
+        ks_level=KS_LEVEL,
         rejection_share=float(flags.mean()) if datasets else float("nan"),
         per_dataset=per_dataset,
         skipped=skipped,

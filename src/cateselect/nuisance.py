@@ -1,8 +1,12 @@
 """Outcome and propensity nuisance models: ridge regression plus L2 logistic.
 
-Both solvers are deterministic (closed-form ridge, damped Newton for the
-logistic) so that refitting after a one-unit replacement measures genuine
-model movement rather than solver jitter.
+The estimator is one fixed learner, not a configurable one: each ridge and
+the logistic fit carry an L2 penalty of 1e-3 per training row (intercepts
+unpenalized), propensities are clipped to [0.05, 0.95], and the Newton
+solve stops once a step's largest entry falls below 1e-10, failing after
+100 iterations. Both solvers are deterministic (closed-form ridge, damped
+Newton for the logistic) so that refitting after a one-unit replacement
+measures genuine model movement rather than solver jitter.
 """
 
 from __future__ import annotations
@@ -13,36 +17,10 @@ import numpy as np
 
 from .datagen import Dataset, ToyGroundTruth, _readonly, _sigmoid
 
-_DEFAULT_PENALTY_RATE = 1e-3
-
-
-@dataclass(frozen=True)
-class NuisanceConfig:
-    """Solver settings.
-
-    ``ridge_lambda`` and ``logistic_l2`` are absolute penalty weights; when
-    left as None they default to 1e-3 times the number of rows entering the
-    respective regression, which keeps the regularization strength constant
-    per sample and the Newton Hessian invertible.
-    """
-
-    ridge_lambda: float | None = None
-    logistic_l2: float | None = None
-    clip_eta: float = 0.05
-    max_iter: int = 100
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.clip_eta < 0.5:
-            raise ValueError("clip_eta must lie in (0, 0.5)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        for name in ("ridge_lambda", "logistic_l2"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be nonnegative")
+_PENALTY_RATE = 1e-3
+_CLIP_ETA = 0.05
+_MAX_ITER = 100
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,7 +33,6 @@ class NuisanceModel:
     mu1_intercept: float
     prop_coef: np.ndarray
     prop_intercept: float
-    clip_eta: float
 
     def __post_init__(self) -> None:
         for name in ("mu0_coef", "mu1_coef", "prop_coef"):
@@ -73,7 +50,7 @@ class NuisanceModel:
         mu0 = x @ self.mu0_coef + self.mu0_intercept
         mu1 = x @ self.mu1_coef + self.mu1_intercept
         raw = _sigmoid(x @ self.prop_coef + self.prop_intercept)
-        e = np.clip(raw, self.clip_eta, 1.0 - self.clip_eta)
+        e = np.clip(raw, _CLIP_ETA, 1.0 - _CLIP_ETA)
         return mu0, mu1, e
 
 
@@ -132,16 +109,15 @@ def _penalized_logloss(eta: np.ndarray, t: np.ndarray, beta: np.ndarray, penalty
     return float(ll.sum() + 0.5 * penalty * np.dot(beta[1:], beta[1:]))
 
 
-def _logistic_solve(
-    x: np.ndarray, t: np.ndarray, penalty: float, max_iter: int, tol: float
-) -> np.ndarray:
+def _logistic_solve(x: np.ndarray, t: np.ndarray, penalty: float) -> np.ndarray:
     """L2-penalized logistic regression by damped Newton iterations.
 
     Deterministic: fixed starting point, fixed iteration order, halving line
     search on the penalized loss. The accepted candidate's linear predictor
     and loss carry over to the next iteration, so each iterate is evaluated
     once. When 30 halvings all fail, the step is taken at scale 2**-30
-    anyway. Raises if the step norm never falls below ``tol``.
+    anyway. Raises if the step norm stays above ``_TOL`` for ``_MAX_ITER``
+    iterations.
     """
     design = np.column_stack([np.ones(x.shape[0]), x])
     k = design.shape[1]
@@ -150,7 +126,7 @@ def _logistic_solve(
     beta = np.zeros(k)
     eta = design @ beta
     loss = _penalized_logloss(eta, t, beta, penalty)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         prob = _sigmoid(eta)
         grad = design.T @ (prob - t) + reg @ beta
         wdiag = prob * (1.0 - prob)
@@ -172,14 +148,14 @@ def _logistic_solve(
             beta = beta - scale * step
             eta = design @ beta
             loss = _penalized_logloss(eta, t, beta, penalty)
-        if np.max(np.abs(scale * step)) < tol:
+        if np.max(np.abs(scale * step)) < _TOL:
             if not np.all(np.isfinite(beta)):
                 raise RuntimeError("logistic solve produced non-finite coefficients")
             return beta
-    raise RuntimeError(f"logistic solver did not converge in {max_iter} iterations")
+    raise RuntimeError(f"logistic solver did not converge in {_MAX_ITER} iterations")
 
 
-def fit(dataset: Dataset, indices: np.ndarray, config: NuisanceConfig) -> NuisanceModel:
+def fit(dataset: Dataset, indices: np.ndarray) -> NuisanceModel:
     """Fit outcome ridges per arm and a logistic propensity on ``indices``.
 
     Requires at least ``d + 2`` units in each treatment arm of the training
@@ -201,15 +177,9 @@ def fit(dataset: Dataset, indices: np.ndarray, config: NuisanceConfig) -> Nuisan
             raise ValueError(
                 f"treatment arm {arm} has {n_arm} training units; need at least {d + 2}"
             )
-        penalty = config.ridge_lambda
-        if penalty is None:
-            penalty = _DEFAULT_PENALTY_RATE * n_arm
-        arm_betas[arm] = _ridge_solve(x[mask], y[mask], penalty)
+        arm_betas[arm] = _ridge_solve(x[mask], y[mask], _PENALTY_RATE * n_arm)
 
-    penalty = config.logistic_l2
-    if penalty is None:
-        penalty = _DEFAULT_PENALTY_RATE * idx.size
-    prop_beta = _logistic_solve(x, t.astype(float), penalty, config.max_iter, config.tol)
+    prop_beta = _logistic_solve(x, t.astype(float), _PENALTY_RATE * idx.size)
 
     return NuisanceModel(
         mu0_coef=arm_betas[0][1:],
@@ -218,6 +188,5 @@ def fit(dataset: Dataset, indices: np.ndarray, config: NuisanceConfig) -> Nuisan
         mu1_intercept=float(arm_betas[1][0]),
         prop_coef=prop_beta[1:],
         prop_intercept=float(prop_beta[0]),
-        clip_eta=config.clip_eta,
     )
 

@@ -29,14 +29,14 @@ numpy only; scipy stays out of this path because it is slow to import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .datagen import CandidateSet, Dataset, _readonly
-from .nuisance import NuisanceConfig, OracleNuisance, fit
+from .nuisance import OracleNuisance, fit
 from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
 
 FOLD_A = 0
@@ -273,7 +273,6 @@ class SelectionResult:
     seed: int
     accepted: tuple[int, ...]
     stats: tuple[CandidateDecision, ...]
-    extras: dict[str, Any] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -312,7 +311,7 @@ def _cross_fitted_tensor(
     if nuisances is None:
         values = np.empty((3, dataset.n))
         for train, scored in ((FOLD_A, FOLD_B), (FOLD_B, FOLD_A)):
-            model = fit(dataset, np.flatnonzero(plan.major == train), NuisanceConfig())
+            model = fit(dataset, np.flatnonzero(plan.major == train))
             rows = plan.major == scored
             values[:, rows] = model.predict_rows(dataset.x[rows])
         nuisances = OracleNuisance(*values)
@@ -324,7 +323,6 @@ def _build_result(
     config: SelectorConfig,
     lam: float,
     stats: list[CandidateDecision],
-    extras: dict[str, Any],
 ) -> SelectionResult:
     accepted = tuple(s.candidate for s in stats if s.accepted)
     return SelectionResult(
@@ -335,7 +333,6 @@ def _build_result(
         seed=config.seed,
         accepted=accepted,
         stats=tuple(stats),
-        extras=extras,
     )
 
 
@@ -356,7 +353,7 @@ def _weighted_test(
         )
         for r in range(tensor.p)
     ]
-    return _build_result(selector, config, lam, decisions, {"statistics": stats})
+    return _build_result(selector, config, lam, decisions)
 
 
 def proposed_select(
@@ -390,7 +387,7 @@ def single_layer_ablation_select(
     """
     nuisances = nuisance_override
     if nuisances is None:
-        full_model = fit(dataset, np.arange(dataset.n), NuisanceConfig())
+        full_model = fit(dataset, np.arange(dataset.n))
         nuisances = OracleNuisance(*full_model.predict_rows(dataset.x))
     tensor = build_score_tensor(dataset, candidates, nuisances)
     return _weighted_test(
@@ -448,7 +445,7 @@ def _max_statistic_test(
                 accepted=bool(s_max <= critical),
             )
         )
-    return _build_result(selector, config, config.resolve_lam(tensor.n), decisions, {})
+    return _build_result(selector, config, config.resolve_lam(tensor.n), decisions)
 
 
 def naive_select(

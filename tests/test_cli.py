@@ -220,16 +220,95 @@ def test_help_exits_zero(capsys):
     assert cli(["--help"]) == 0
 
 
-@pytest.mark.parametrize("module", ["cateselect.cli", "cateselect.harness"])
-def test_select_path_imports_no_scipy(module):
-    # scipy is slow to import and only the diagnostics need it (kstest)
+def _src_env():
+    """Environment for a child interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(cateselect.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["cateselect.cli", "cateselect.harness"])
+def test_select_path_imports_no_scipy(module):
+    # scipy is slow to import and only the diagnostics need it (kstest)
     code = (
         f"import sys, {module}; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# --- strict JSON, closed pipes, experiment-only flags ---------------------------
+
+
+def _strict_loads(text):
+    """``json.loads`` that rejects the NaN and Infinity tokens JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _write_select_inputs(tmp_path):
+    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
+    cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
+    write_dataset_csv(ds, tmp_path / "d.csv")
+    write_predictions_csv(cands, tmp_path / "p.csv")
+    return ["--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv")]
+
+
+def test_select_infinite_critical_value_is_null(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1.0: the critical value is +inf and accepts every candidate
+    inputs = _write_select_inputs(tmp_path)
+    code = cli(["select", *inputs, "--alpha", "1e-17", "--selectors", "bonferroni,proposed"])
+    assert code == 0
+    payload = _strict_loads(capsys.readouterr().out)
+    for result in payload:
+        assert result["accepted"] == [0, 1]
+        assert [s["critical"] for s in result["stats"]] == [None, None]
+
+
+def test_diagnose_stability_undefined_slopes_are_null(tmp_path):
+    # oracle nuisances and uniform weights: no probe moves the other units'
+    # scores, so the log-log slopes of the zero perturbations are undefined
+    config = _write_config(tmp_path, oracle_nuisances=True, **{"lambda": 0.0})
+    out = tmp_path / "diag"
+    code = cli([
+        "diagnose", "stability", "--config", str(config), "--out", str(out),
+        "--grid", "200,300,400", "--probes", "2",
+    ])
+    assert code == 0
+    payload = _strict_loads((out / "stability.json").read_text())
+    assert payload["delta1"] == [0.0, 0.0, 0.0]
+    assert payload["slope_delta1_sq"] is None
+    assert payload["slope_delta2_sq"] is None
+
+
+def test_select_into_closed_pipe_exits_2_silently(tmp_path):
+    inputs = _write_select_inputs(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cateselect", "select", *inputs, "--selectors", "bonferroni"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_src_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("flag, value", [("--reps", "999"), ("--selectors", "ablation"), ("--alpha", "0.5")])
+def test_diagnose_rejects_experiment_only_flags(tmp_path, capsys, flag, value):
+    config = _write_config(tmp_path)
+    out = tmp_path / "diag"
+    code = cli(["diagnose", "clt", "--config", str(config), "--out", str(out), flag, value])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -92,6 +92,20 @@ def test_failures_recorded_and_run_continues():
     assert all("synthetic failure" in msg for _, msg in report.failures)
 
 
+def test_report_of_a_selector_without_records_is_strict_json(tmp_path):
+    # every repetition failed: the metrics and their intervals are NaN, written as null
+    run_experiment(_config(selectors=("always_fails",), repetitions=2)).write(str(tmp_path))
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    summary = report["selectors"]["always_fails"]
+    assert summary["fwer"] is None and summary["anws"] is None
+    assert summary["fwer_ci"] == [None, None] and summary["anws_ci"] == [None, None]
+    assert summary["reps"] == 0
+
+
 def test_failing_selector_does_not_void_the_others():
     report = run_experiment(_config(selectors=("accept_all", "always_fails"), repetitions=4))
     assert report.summaries["accept_all"].reps == 4

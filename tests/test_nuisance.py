@@ -4,12 +4,7 @@ import pytest
 
 from cateselect import nuisance
 from cateselect.datagen import Dataset, _sigmoid, generate_toy
-from cateselect.nuisance import (
-    NuisanceConfig,
-    NuisanceModel,
-    OracleNuisance,
-    fit,
-)
+from cateselect.nuisance import NuisanceModel, OracleNuisance, fit
 
 
 def _linear_dataset(n, d, seed, noise=0.0):
@@ -26,13 +21,12 @@ def _linear_dataset(n, d, seed, noise=0.0):
 
 def test_zero_ridge_matches_ols():
     ds, beta0, beta1 = _linear_dataset(200, 3, seed=1)
-    config = NuisanceConfig(ridge_lambda=0.0, logistic_l2=None)
-    model = fit(ds, np.arange(ds.n), config)
     # noiseless linear outcomes: the unpenalized solve interpolates exactly
-    npt.assert_allclose(model.mu0_coef, beta0, atol=1e-8)
-    npt.assert_allclose(model.mu1_coef, beta1, atol=1e-8)
-    npt.assert_allclose(model.mu0_intercept, -1.0, atol=1e-8)
-    npt.assert_allclose(model.mu1_intercept, 1.0, atol=1e-8)
+    for arm, slopes, intercept in ((0, beta0, -1.0), (1, beta1, 1.0)):
+        mask = ds.t == arm
+        beta = nuisance._ridge_solve(ds.x[mask], ds.y[mask], 0.0)
+        npt.assert_allclose(beta[1:], slopes, atol=1e-8)
+        npt.assert_allclose(beta[0], intercept, atol=1e-8)
 
 
 def test_noiseless_slope_recovered_exactly():
@@ -41,11 +35,9 @@ def test_noiseless_slope_recovered_exactly():
     x = rng.standard_normal((60, 1))
     t = np.tile([0, 1], 30)
     y = 2.0 * x[:, 0]
-    ds = Dataset(x=x, t=t, y=y)
-    model = fit(ds, np.arange(60), NuisanceConfig(ridge_lambda=0.0))
-    mu0, mu1, _ = model.predict_rows(np.array([[3.0]]))
-    assert mu0[0] == pytest.approx(6.0, abs=1e-10)
-    assert mu1[0] == pytest.approx(6.0, abs=1e-10)
+    for arm in (0, 1):
+        beta = nuisance._ridge_solve(x[t == arm], y[t == arm], 0.0)
+        assert beta[0] + 3.0 * beta[1] == pytest.approx(6.0, abs=1e-10)
 
 
 def test_zero_coefficient_model_predicts_intercepts():
@@ -56,7 +48,6 @@ def test_zero_coefficient_model_predicts_intercepts():
         mu1_intercept=1.5,
         prop_coef=np.zeros(2),
         prop_intercept=0.0,
-        clip_eta=0.05,
     )
     mu0, mu1, e = model.predict_rows(np.array([[10.0, -3.0]]))
     assert (mu0[0], mu1[0], e[0]) == (-0.5, 1.5, 0.5)
@@ -70,7 +61,6 @@ def test_propensity_clipping():
         mu1_intercept=0.0,
         prop_coef=np.zeros(1),
         prop_intercept=6.9,  # sigmoid ~ 0.999
-        clip_eta=0.05,
     )
     _, _, e = model.predict_rows(np.array([[0.0]]))
     assert e[0] == 0.95
@@ -78,7 +68,7 @@ def test_propensity_clipping():
 
 def test_predict_dimension_mismatch():
     ds, _, _ = _linear_dataset(100, 2, seed=3)
-    model = fit(ds, np.arange(ds.n), NuisanceConfig())
+    model = fit(ds, np.arange(ds.n))
     with pytest.raises(ValueError):
         model.predict_rows(np.zeros((1, 5)))
 
@@ -90,22 +80,13 @@ def test_small_arm_rejected():
     control = np.flatnonzero(ds.t == 0)
     idx = np.concatenate([control, treated])
     with pytest.raises(ValueError, match="arm 1"):
-        fit(ds, idx, NuisanceConfig())
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        NuisanceConfig(clip_eta=0.6)
-    with pytest.raises(ValueError):
-        NuisanceConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        NuisanceConfig(ridge_lambda=-1.0)
+        fit(ds, idx)
 
 
 def test_fit_deterministic():
     ds, truth = generate_toy(800, (2, 2, 2, 2), seed=8)
-    m1 = fit(ds, np.arange(ds.n), NuisanceConfig())
-    m2 = fit(ds, np.arange(ds.n), NuisanceConfig())
+    m1 = fit(ds, np.arange(ds.n))
+    m2 = fit(ds, np.arange(ds.n))
     npt.assert_array_equal(m1.mu0_coef, m2.mu0_coef)
     npt.assert_array_equal(m1.prop_coef, m2.prop_coef)
 
@@ -117,7 +98,7 @@ def test_outcome_error_shrinks_with_n():
         errs = []
         for n in (5000, 20000):
             ds, truth = generate_toy(n, (2, 2, 2, 2), seed=1000 + seed)
-            model = fit(ds, np.arange(n), NuisanceConfig())
+            model = fit(ds, np.arange(n))
             _, mu1, _ = model.predict_rows(ds.x)
             errs.append(np.sqrt(np.mean((mu1 - truth.mu1) ** 2)))
         ratios.append(errs[0] / errs[1])
@@ -197,7 +178,6 @@ SOLVER_CASES = {
 def test_logistic_fit_matches_reevaluating_loop(case, monkeypatch):
     make, logistic_l2 = SOLVER_CASES[case]
     ds = make()
-    config = NuisanceConfig(logistic_l2=logistic_l2)
     penalty = logistic_l2 if logistic_l2 is not None else 1e-3 * ds.n
     expected, iterations, candidates, exhausted = _reevaluating_solve(ds.x, ds.t.astype(float), penalty)
 
@@ -209,8 +189,13 @@ def test_logistic_fit_matches_reevaluating_loop(case, monkeypatch):
         return loss(*args)
 
     monkeypatch.setattr(nuisance, "_penalized_logloss", counting_loss)
-    model = fit(ds, np.arange(ds.n), config)
-    assert np.array_equal(np.r_[model.prop_intercept, model.prop_coef], expected)
+    if logistic_l2 is None:
+        # the toy cases go through fit, at its penalty of 1e-3 per training row
+        model = fit(ds, np.arange(ds.n))
+        coef = np.r_[model.prop_intercept, model.prop_coef]
+    else:
+        coef = nuisance._logistic_solve(ds.x, ds.t.astype(float), logistic_l2)
+    assert np.array_equal(coef, expected)
     # one loss per candidate, plus the start and each iterate no candidate reached
     assert len(calls) == 1 + candidates + exhausted
     if case == "near_separable":

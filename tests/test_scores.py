@@ -16,7 +16,7 @@ from cateselect import selectors
 from cateselect.selectors import _cross_fitted_tensor
 
 
-def _constant_model(mu0, mu1, e_logit, d=1, clip_eta=0.05):
+def _constant_model(mu0, mu1, e_logit, d=1):
     return NuisanceModel(
         mu0_coef=np.zeros(d),
         mu0_intercept=mu0,
@@ -24,7 +24,6 @@ def _constant_model(mu0, mu1, e_logit, d=1, clip_eta=0.05):
         mu1_intercept=mu1,
         prop_coef=np.zeros(d),
         prop_intercept=e_logit,
-        clip_eta=clip_eta,
     )
 
 
@@ -163,7 +162,7 @@ def test_cross_fitting_uses_opposite_fold_model(monkeypatch):
     model_b = _constant_model(mu0=5.0, mu1=5.0, e_logit=0.0, d=4)
     trained_on = {0: model_a, 1: model_b}
 
-    def stub_fit(dataset, indices, config):
+    def stub_fit(dataset, indices):
         fold = int(plan.major[indices[0]])
         npt.assert_array_equal(indices, np.flatnonzero(plan.major == fold))
         return trained_on[fold]

@@ -16,6 +16,7 @@ from cateselect.selectors import (
     _cross_fitted_tensor,
     _weighted_test,
     bonferroni_select,
+    exp_weighted_statistics,
     exp_weights,
     naive_critical_value,
     naive_select,
@@ -129,10 +130,21 @@ def _toy_problem(n=600, specs=None, seed=100):
     return ds, truth, cands, sel_seed
 
 
+def _proposed_statistics(ds, cands, config):
+    """The weighted-test statistics behind ``proposed_select``, checked against
+    the statistics it reports."""
+    res = proposed_select(ds, cands, config)
+    plan, tensor = _cross_fitted_tensor(ds, cands, config.inner_folds, config.seed)
+    stats = exp_weighted_statistics(tensor, two_layer_cells(plan), config.resolve_lam(ds.n))
+    for r in range(cands.p):
+        assert res.stats[r].statistic == stats.z_scores[r]
+    return plan, tensor, stats
+
+
 def test_proposed_weights_on_simplex():
     ds, truth, cands, sel_seed = _toy_problem()
-    res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
-    weights = res.extras["statistics"].weights
+    _, _, stats = _proposed_statistics(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
+    weights = stats.weights
     assert weights.shape == (10, cands.p, cands.p - 1)
     npt.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12)
     assert weights.min() >= 0
@@ -140,8 +152,7 @@ def test_proposed_weights_on_simplex():
 
 def test_proposed_statistic_definition():
     ds, truth, cands, sel_seed = _toy_problem()
-    res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
-    stats = res.extras["statistics"]
+    _, _, stats = _proposed_statistics(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
     npt.assert_allclose(stats.score_sums, stats.q_matrix.sum(axis=0), rtol=1e-12)
     npt.assert_allclose(
         stats.z_scores,
@@ -155,9 +166,9 @@ def test_proposed_matches_pairwise_weighted_average(lam):
     # reference: per cell and candidate, softmax over the mean pairwise scores
     # on the weight units, applied to the pairwise scores on the eval units
     ds, truth, cands, sel_seed = _toy_problem()
-    res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed))
-    stats = res.extras["statistics"]
-    plan, tensor = _cross_fitted_tensor(ds, cands, 5, sel_seed)
+    plan, tensor, stats = _proposed_statistics(
+        ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed)
+    )
     cells = two_layer_cells(plan)
     q = np.zeros((ds.n, cands.p))
     weights = np.zeros((len(cells), cands.p, cands.p - 1))
