@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
         choices=["candidate-count", "sample-fraction"],
     )
     p_sweep.add_argument(
-        "--values", required=True, help="comma-separated axis values, ascending"
+        "--values", required=True, help="comma-separated axis values, strictly increasing"
     )
     _add_experiment_overrides(p_sweep)
 
@@ -235,9 +235,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_experiment_config(args.config), args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "clt":
         report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "clt.json").write_text(strict_json(report.to_dict(), indent=2, sort_keys=True) + "\n")
         with open(out / "clt_pairs.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -255,6 +255,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"cannot parse stability grid {args.grid!r}") from exc
         report = stability_diagnostic(grid, config, probes=args.probes)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "stability.json").write_text(
             strict_json(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )

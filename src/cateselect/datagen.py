@@ -178,6 +178,16 @@ class CandidateSet:
         return self.predictions.shape[1]
 
 
+def _check_toy_design(n: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Validate a toy design's size and block sizes; returns the blocks as ints."""
+    if n < 20:
+        raise ValueError("toy designs need n >= 20")
+    blocks = tuple(int(m) for m in dims)
+    if len(blocks) != 4 or min(blocks) < 1:
+        raise ValueError("dims must be four block sizes, each >= 1")
+    return blocks
+
+
 def generate_toy(
     n: int,
     dims: tuple[int, int, int, int],
@@ -206,11 +216,7 @@ def generate_toy(
     -------
     (Dataset, ToyGroundTruth)
     """
-    if n < 20:
-        raise ValueError("toy designs need n >= 20")
-    if len(dims) != 4 or any(int(m) < 1 for m in dims):
-        raise ValueError("dims must be four block sizes, each >= 1")
-    m_inst, m_conf, m_adj, m_dist = (int(m) for m in dims)
+    m_inst, m_conf, m_adj, m_dist = _check_toy_design(n, dims)
 
     rng = np.random.default_rng(seed)
     w_treat = rng.uniform(-1.0, 1.0, m_inst + m_conf)

@@ -25,6 +25,7 @@ from .datagen import (
     CandidateSet,
     Dataset,
     NoiseSpec,
+    _check_toy_design,
     generate_toy,
     make_candidates,
 )
@@ -105,7 +106,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
+        # a design generate_toy rejects would fail every repetition
+        object.__setattr__(self, "dims", _check_toy_design(self.n, self.dims))
         object.__setattr__(
             self,
             "noise_specs",
@@ -385,7 +387,8 @@ def sweep(
     values: list[float] | list[int],
 ) -> list[SweepPoint]:
     """Run one experiment per value along ``candidate_count`` or
-    ``sample_fraction``.
+    ``sample_fraction``; the values must be strictly increasing, and every
+    one is validated before the first experiment runs.
 
     The candidate-count sweep keeps, at each value p, the p best specs by
     population MSE, so the winner is always present and growing p adds
@@ -393,25 +396,27 @@ def sweep(
     """
     if axis not in ("candidate_count", "sample_fraction"):
         raise ConfigError(f"unknown sweep axis: {axis}")
-    if list(values) != sorted(values):
-        raise ConfigError("sweep values must be sorted ascending")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    points = []
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("sweep values must be strictly increasing")
+    subs = []
     ranked = _specs_sorted_by_quality(config.noise_specs)
     for value in values:
         if axis == "candidate_count":
             p = int(value)
             if not 2 <= p <= len(ranked):
                 raise ConfigError(f"candidate_count value {p} out of range [2, {len(ranked)}]")
-            sub = dataclasses.replace(config, noise_specs=tuple(ranked[:p]))
+            subs.append(dataclasses.replace(config, noise_specs=tuple(ranked[:p])))
         else:
             frac = float(value)
             if not 0.0 < frac <= 1.0:
                 raise ConfigError(f"sample_fraction value {frac} must lie in (0, 1]")
-            sub = dataclasses.replace(config, n=int(round(config.n * frac)))
-        points.append(SweepPoint(value=value, report=run_experiment(sub)))
-    return points
+            try:
+                subs.append(dataclasses.replace(config, n=int(round(config.n * frac))))
+            except ValueError as exc:
+                raise ConfigError(f"sample_fraction value {frac}: {exc}") from exc
+    return [SweepPoint(value=value, report=run_experiment(sub)) for value, sub in zip(values, subs)]
 
 
 def bootstrap_standardized_means(
@@ -489,6 +494,10 @@ def clt_diagnostic(
     falls below ``KS_LEVEL``. Pairs with constant scores are skipped and
     noted.
     """
+    if datasets < 1:
+        raise ConfigError(f"datasets must be at least 1, got {datasets}")
+    if bootstrap_draws < 1:
+        raise ConfigError(f"bootstrap draws must be at least 1, got {bootstrap_draws}")
     per_dataset = []
     skipped: list[tuple[int, int, int]] = []
     flags = np.zeros(datasets, dtype=bool)
@@ -524,7 +533,7 @@ def clt_diagnostic(
         datasets=datasets,
         bootstrap_draws=bootstrap_draws,
         ks_level=KS_LEVEL,
-        rejection_share=float(flags.mean()) if datasets else float("nan"),
+        rejection_share=float(flags.mean()),
         per_dataset=per_dataset,
         skipped=skipped,
     )
@@ -572,8 +581,14 @@ def stability_diagnostic(
     """
     if len(n_grid) < 3:
         raise ConfigError("stability grid needs at least three sizes")
-    if list(n_grid) != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("stability grid must be strictly increasing")
+    try:
+        _check_toy_design(n_grid[0], config.dims)  # the smallest size
+    except ValueError as exc:
+        raise ConfigError(f"stability grid size {n_grid[0]}: {exc}") from exc
+    if probes < 1:
+        raise ConfigError(f"probes must be at least 1, got {probes}")
     first_sq = []
     second_sq = []
     for n in n_grid:

@@ -78,6 +78,8 @@ class SelectorConfig:
             raise ValueError("need at least two inner folds")
         if self.bootstrap_draws < 1000:
             raise ValueError("bootstrap_draws must be at least 1000")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def resolve_lam(self, n: int) -> float:
         return float(self.lam) if self.lam is not None else float(n) ** 0.4

@@ -312,3 +312,67 @@ def test_diagnose_rejects_experiment_only_flags(tmp_path, capsys, flag, value):
     assert code == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- settings that would fail every repetition exit 1 before any work ---------
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "diagnose", "select"])
+def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
+    config = str(_write_config(tmp_path))
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--config", config, "--out", str(out)],
+        "sweep": ["sweep", "--config", config, "--axis", "candidate-count", "--values", "2,3",
+                  "--out", str(out)],
+        "diagnose": ["diagnose", "clt", "--config", config, "--datasets", "2", "--bootstrap", "60",
+                     "--out", str(out)],
+        "select": ["select", *_write_select_inputs(tmp_path)],
+    }[command]
+    assert cli([*argv, "--seed", "-1"]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, command, message",
+    [
+        ({"n": 10}, ["simulate"], "n >= 20"),
+        ({"dims": [2, 2, 2, 0]}, ["simulate"], "dims must be four block sizes"),
+        ({}, ["sweep", "--axis", "sample-fraction", "--values", "0.005"], "sample_fraction value 0.005"),
+        ({}, ["sweep", "--axis", "candidate-count", "--values", "2,2"], "strictly increasing"),
+    ],
+    ids=["n_10", "empty_block", "tiny_fraction", "repeated_value"],
+)
+def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
+    config = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert cli([command[0], "--config", str(config), "--out", str(out), *command[1:]]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value, message",
+    [
+        ("clt", "--datasets", "-1", "datasets must be at least 1"),
+        ("clt", "--datasets", "0", "datasets must be at least 1"),
+        ("clt", "--bootstrap", "0", "bootstrap draws must be at least 1"),
+        ("stability", "--probes", "0", "probes must be at least 1"),
+        ("stability", "--probes", "-1", "probes must be at least 1"),
+        ("stability", "--grid", "10,20,30", "grid size 10"),
+    ],
+    ids=["datasets_-1", "datasets_0", "bootstrap_0", "probes_0", "probes_-1", "grid_from_10"],
+)
+def test_diagnose_rejects_empty_counts(tmp_path, capsys, kind, flag, value, message):
+    config = _write_config(tmp_path)
+    out = tmp_path / "diag"
+    small = {
+        "clt": ["--datasets", "2", "--bootstrap", "60"],
+        "stability": ["--grid", "200,300,400", "--probes", "2"],
+    }[kind]
+    # the flag under test comes last, so it overrides the small default
+    argv = ["diagnose", kind, "--config", str(config), "--out", str(out), *small, flag, value]
+    assert cli(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -222,6 +223,61 @@ def test_config_rejects_invalid_selector_settings(setting):
         _config(**setting)
 
 
+@pytest.mark.parametrize(
+    "design",
+    [{"n": 10}, {"dims": (2, 2, 2, 0)}, {"dims": (2, 2, 2)}],
+    ids=["n_10", "empty_block", "three_blocks"],
+)
+def test_config_rejects_designs_generate_toy_rejects(design):
+    # such a design would fail in every repetition and report reps=0
+    with pytest.raises(ValueError, match="toy designs need|dims must be"):
+        _config(**design)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        _config(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("sample_fraction", [0.05], "sample_fraction value 0.05"),  # n = 10
+        ("sample_fraction", [0.5, 0.5], "strictly increasing"),
+        ("candidate_count", [2, 2], "strictly increasing"),
+    ],
+    ids=["fraction_0.05", "repeated_fraction", "repeated_count"],
+)
+def test_sweep_rejects_points_that_cannot_run(axis, values, message):
+    with pytest.raises(ConfigError, match=message):
+        sweep(_config(), axis, values)
+
+
+def test_sweep_validates_every_value_before_running():
+    calls = []
+
+    def counting(dataset, candidates, config, nuisance_override=None):
+        calls.append(config.seed)
+        return _fixed_selector("counting", lambda r: True)(dataset, candidates, config)
+
+    register_selector("counting", counting)
+    with pytest.raises(ConfigError, match="candidate_count value 9"):
+        sweep(_config(selectors=("counting",)), "candidate_count", [2, 9])
+    assert calls == []
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_configs_load(path):
+    config = load_experiment_config(str(path))
+    if path.name == "power_sweep.json":
+        # the candidate-count study: temperature n ** 0.45 to the last bit
+        assert config.lam == config.n ** 0.45
+        assert config.selectors == ("naive", "bonferroni", "proposed")
+
+
 def test_config_json_roundtrip():
     config = _config(selectors=("proposed",), lam=12.5)
     payload = experiment_config_to_dict(config)
@@ -288,6 +344,16 @@ def test_clt_diagnostic_smoke():
     assert set(payload) >= {"rejection_share", "per_dataset", "skipped"}
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"datasets": 0}, {"datasets": -1}, {"bootstrap_draws": 0}],
+    ids=["datasets_0", "datasets_-1", "bootstrap_0"],
+)
+def test_clt_diagnostic_rejects_empty_counts(counts):
+    with pytest.raises(ConfigError, match="must be at least 1"):
+        clt_diagnostic(_config(selectors=("proposed",)), **counts)
+
+
 # --- stability diagnostics ----------------------------------------------------
 
 
@@ -319,3 +385,13 @@ def test_stability_report_shapes():
     assert all(v >= 0 for v in report.delta1)
     assert all(v >= 0 for v in report.delta2)
     assert report.probes_per_point == 3
+
+
+@pytest.mark.parametrize(
+    "grid, probes, message",
+    [([10, 20, 30], 2, "grid size 10"), ([200, 300, 400], 0, "probes must be at least 1")],
+    ids=["grid_from_10", "probes_0"],
+)
+def test_stability_diagnostic_rejects_empty_counts(grid, probes, message):
+    with pytest.raises(ConfigError, match=message):
+        stability_diagnostic(grid, _config(selectors=("proposed",)), probes=probes)
