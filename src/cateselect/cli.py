@@ -106,11 +106,11 @@ def _build_parser() -> _Parser:
     p_sel = sub.add_parser("select", help="one-shot selection on CSV inputs")
     p_sel.add_argument("--data", required=True, help="dataset CSV (x_0,...,t,y)")
     p_sel.add_argument("--preds", required=True, help="predictions CSV (tau_0,...)")
-    p_sel.add_argument("--alpha", type=float, default=0.10)
-    p_sel.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_sel.add_argument("--inner-folds", type=int, default=5)
-    p_sel.add_argument("--bootstrap-draws", type=int, default=2000)
-    p_sel.add_argument("--seed", type=int, default=0)
+    p_sel.add_argument("--alpha", type=float, default=SelectorConfig.alpha)
+    p_sel.add_argument("--lambda", dest="lam", type=float, default=SelectorConfig.lam)
+    p_sel.add_argument("--inner-folds", type=int, default=SelectorConfig.inner_folds)
+    p_sel.add_argument("--bootstrap-draws", type=int, default=SelectorConfig.bootstrap_draws)
+    p_sel.add_argument("--seed", type=int, default=SelectorConfig.seed)
     p_sel.add_argument("--selectors", default="proposed")
 
     p_diag = sub.add_parser("diagnose", help="run CLT or stability diagnostics")

@@ -34,11 +34,13 @@ from .selectors import (
     SelectorConfig,
     SelectionResult,
     bonferroni_select,
+    cells,
     exp_weighted_statistics,
     naive_select,
     proposed_select,
     single_layer_ablation_select,
-    two_layer_cells,
+    two_way_split,
+    _check_split,
     _cross_fitted_tensor,
 )
 
@@ -83,6 +85,9 @@ SELECTOR_FUNCS: dict[str, SelectorFunc] = {
 }
 
 
+_TWO_LAYER = {"naive", "bonferroni", "proposed"}
+
+
 def register_selector(name: str, fn: SelectorFunc) -> None:
     """Add a selector to the registry (mainly for tests and extensions)."""
     SELECTOR_FUNCS[name] = fn
@@ -96,10 +101,10 @@ class ExperimentConfig:
     dims: tuple[int, int, int, int] = (2, 2, 2, 2)
     noise_specs: tuple[NoiseSpec, ...] = ()
     selectors: tuple[str, ...] = ("naive", "bonferroni", "proposed")
-    alpha: float = 0.10
-    lam: float | None = None
-    inner_folds: int = 5
-    bootstrap_draws: int = 2000
+    alpha: float = SelectorConfig.alpha
+    lam: float | None = SelectorConfig.lam
+    inner_folds: int = SelectorConfig.inner_folds
+    bootstrap_draws: int = SelectorConfig.bootstrap_draws
     repetitions: int = 100
     seed: int = 0
     oracle_nuisances: bool = False
@@ -125,6 +130,8 @@ class ExperimentConfig:
         if sum(1 for v in mses if v == best) != 1:
             raise ValueError("candidate specs must identify a unique winner (smallest mean^2 + sd^2)")
         self.selector_config(self.seed)  # raises on invalid selector settings
+        # the ablation splits all n units; every other built-in selector, n // 2
+        _check_split(self.n, self.inner_folds, 2 if set(self.selectors) & _TWO_LAYER else 1)
 
     @property
     def winner_index(self) -> int:
@@ -498,6 +505,11 @@ def clt_diagnostic(
         raise ConfigError(f"datasets must be at least 1, got {datasets}")
     if bootstrap_draws < 1:
         raise ConfigError(f"bootstrap draws must be at least 1, got {bootstrap_draws}")
+    try:
+        # the diagnostic scores on the two-way split, even for an ablation-only config
+        _check_split(config.n, config.inner_folds, 2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     per_dataset = []
     skipped: list[tuple[int, int, int]] = []
     flags = np.zeros(datasets, dtype=bool)
@@ -506,9 +518,8 @@ def clt_diagnostic(
         dataset, truth = generate_toy(config.n, config.dims, data_seed)
         candidates = make_candidates(truth, config.noise_specs, cand_seed)
         override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
-        _, tensor = _cross_fitted_tensor(
-            dataset, candidates, config.inner_folds, sel_seed, override
-        )
+        plan = two_way_split(config.n, config.inner_folds, sel_seed)
+        tensor = _cross_fitted_tensor(dataset, candidates, plan, override)
         boot_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_CLT_BOOT, d])
         )
@@ -585,6 +596,7 @@ def stability_diagnostic(
         raise ConfigError("stability grid must be strictly increasing")
     try:
         _check_toy_design(n_grid[0], config.dims)  # the smallest size
+        _check_split(n_grid[0], config.inner_folds, 2)
     except ValueError as exc:
         raise ConfigError(f"stability grid size {n_grid[0]}: {exc}") from exc
     if probes < 1:
@@ -598,7 +610,11 @@ def stability_diagnostic(
         preds_full = make_candidates(truth_full, config.noise_specs, cand_seed).predictions
         lam = config.selector_config(sel_seed).resolve_lam(n)
 
-        def tensor_with(replacements: dict[int, int], n=n, sel_seed=sel_seed):
+        # the split depends only on n, inner_folds and the seed: every refit shares it
+        plan = two_way_split(n, config.inner_folds, sel_seed)
+        plan_cells = cells(plan)
+
+        def q_with(replacements: dict[int, int]) -> np.ndarray:
             rows = np.arange(n)
             for j, src in replacements.items():
                 rows[j] = src
@@ -610,18 +626,11 @@ def stability_diagnostic(
                 override = OracleNuisance(
                     mu0=truth_full.mu0[rows], mu1=truth_full.mu1[rows], e=truth_full.e[rows]
                 )
-            return _cross_fitted_tensor(
-                dataset, CandidateSet(preds_full[:, rows]), config.inner_folds, sel_seed, override
-            )
+            candidates = CandidateSet(preds_full[:, rows])
+            tensor = _cross_fitted_tensor(dataset, candidates, plan, override)
+            return exp_weighted_statistics(tensor, plan_cells, lam).q_matrix
 
-        # the split depends only on n, inner_folds and the seed: every refit shares these cells
-        plan, base_tensor = tensor_with({})
-        cells = two_layer_cells(plan)
-
-        def q_with(replacements: dict[int, int], cells=cells, lam=lam):
-            return exp_weighted_statistics(tensor_with(replacements)[1], cells, lam).q_matrix
-
-        q_base = exp_weighted_statistics(base_tensor, cells, lam).q_matrix
+        q_base = q_with({})
         probe_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_STABILITY, n, 1])
         )

@@ -1,10 +1,11 @@
 """Selection procedures that map a dataset plus candidates to an accepted set.
 
 This module owns the sample split and the cross-fitting. Every selector
-but the ablation scores its candidates through ``_cross_fitted_tensor``:
-a two-layer split, one nuisance fit per major fold whose predictions fill
-the opposite fold's units (unless true values are supplied), then the
-p x n per-unit loss matrix from ``scores.build_score_tensor``.
+draws a ``SplitPlan`` (two major folds, or one for the ablation, each cut
+into inner folds) and scores its candidates through ``_cross_fitted_tensor``:
+one nuisance fit per major fold whose predictions fill the other fold's
+units (unless true values are supplied), then the p x n per-unit loss
+matrix from ``scores.build_score_tensor``.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -16,10 +17,10 @@ p x n per-unit loss matrix from ``scores.build_score_tensor``.
   covariance.
 * ``bonferroni_select``: the same max statistic against a union-bound normal
   threshold.
-* ``single_layer_ablation_select``: deliberately casual variant that fits
-  nuisances on the full sample and draws its weight-learning folds over all
-  units; kept to demonstrate how error control degrades without the
-  two-layer split. It shares the weighted test with ``proposed_select``.
+* ``single_layer_ablation_select``: the proposed test on a one-fold plan,
+  so nuisances are fitted on the full sample and the weight-learning folds
+  span all units; kept to demonstrate how error control degrades without
+  the two-layer split.
 
 The normal critical values of the proposed and Bonferroni tests come from
 the standard library's ``statistics.NormalDist``, so selection imports
@@ -39,8 +40,6 @@ from .datagen import CandidateSet, Dataset, _readonly
 from .nuisance import OracleNuisance, fit
 from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
 
-FOLD_A = 0
-FOLD_B = 1
 _NAIVE_STREAM = 0x5EED01
 _ABLATION_STREAM = 0x5EED02
 
@@ -87,59 +86,59 @@ class SelectorConfig:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Two-layer fold assignment: major fold A/B times inner fold 0..V-1."""
+    """Fold assignment of a sample split: ``groups`` major folds (2 for the
+    two-way split, 1 for the ablation's one-layer split), each cut into
+    inner folds 0..V-1."""
 
     major: np.ndarray
     inner: np.ndarray
     inner_folds: int
-
-    def __post_init__(self) -> None:
-        major = np.asarray(self.major, dtype=np.int8)
-        inner = np.asarray(self.inner, dtype=np.int64)
-        if major.shape != inner.shape or major.ndim != 1:
-            raise ValueError("major and inner labels must be aligned 1-d arrays")
-        if not np.all((major == FOLD_A) | (major == FOLD_B)):
-            raise ValueError("major labels must be FOLD_A or FOLD_B")
-        if inner.min() < 0 or inner.max() >= self.inner_folds:
-            raise ValueError("inner labels must lie in [0, inner_folds)")
-        for fold in (FOLD_A, FOLD_B):
-            mask = major == fold
-            if not mask.any():
-                raise ValueError("both major folds must be nonempty")
-            counts = np.bincount(inner[mask], minlength=self.inner_folds)
-            if counts.min() == 0:
-                raise ValueError("every inner fold must be nonempty within each major fold")
-        object.__setattr__(self, "major", _readonly(major))
-        object.__setattr__(self, "inner", _readonly(inner))
+    groups: int
 
     @property
     def n(self) -> int:
         return self.major.shape[0]
 
 
-def two_way_split(n: int, inner_folds: int, seed: int) -> SplitPlan:
-    """Uniformly random balanced two-layer split, deterministic in the seed.
-
-    Major folds have sizes floor(n/2) and ceil(n/2); within each major fold
-    the inner fold sizes differ by at most one. Requires every inner fold to
-    hold at least two units.
-    """
+def _check_split(n: int, inner_folds: int, groups: int) -> None:
+    """Raise unless every inner fold of a ``groups``-fold split of n units
+    holds at least two units."""
     if inner_folds < 2:
         raise ValueError("need at least two inner folds")
-    if (n // 2) // inner_folds < _MIN_INNER_FOLD:
+    if (n // groups) // inner_folds < _MIN_INNER_FOLD:
         raise ValueError(
             f"n={n} is too small for {inner_folds} inner folds of at least "
             f"{_MIN_INNER_FOLD} units per major fold"
         )
-    rng = np.random.default_rng(seed)
+
+
+def _split(n: int, inner_folds: int, groups: int, rng: np.random.Generator) -> SplitPlan:
+    """Uniformly random balanced split: major fold g holds permuted units
+    ``g*n//groups`` up to ``(g+1)*n//groups``, and within each major fold the
+    inner fold sizes differ by at most one."""
+    _check_split(n, inner_folds, groups)
     perm = rng.permutation(n)
     major = np.empty(n, dtype=np.int8)
     inner = np.empty(n, dtype=np.int64)
-    half = n // 2
-    for fold, members in ((FOLD_A, perm[:half]), (FOLD_B, perm[half:])):
+    for fold in range(groups):
+        members = perm[fold * n // groups : (fold + 1) * n // groups]
         major[members] = fold
         inner[members] = np.arange(members.size) % inner_folds
-    return SplitPlan(major=major, inner=inner, inner_folds=inner_folds)
+    return SplitPlan(_readonly(major), _readonly(inner), inner_folds, groups)
+
+
+def two_way_split(n: int, inner_folds: int, seed: int) -> SplitPlan:
+    """The two-layer split, deterministic in the seed: major folds of sizes
+    floor(n/2) and ceil(n/2), each cut into ``inner_folds`` inner folds of at
+    least two units."""
+    return _split(n, inner_folds, 2, np.random.default_rng(seed))
+
+
+def single_layer_split(n: int, inner_folds: int, seed: int) -> SplitPlan:
+    """The ablation's one-layer split: one major fold of all n units, cut into
+    ``inner_folds`` inner folds of at least two units."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _ABLATION_STREAM]))
+    return _split(n, inner_folds, 1, rng)
 
 
 def exp_weights(delta: np.ndarray, lam: float) -> np.ndarray:
@@ -167,43 +166,17 @@ class Cell(NamedTuple):
     weight_idx: np.ndarray
 
 
-def two_layer_cells(plan: SplitPlan) -> list[Cell]:
-    """Cells of the two-layer layout: evaluate an inner fold with weights
-    learned on the rest of its own major fold."""
+def cells(plan: SplitPlan) -> list[Cell]:
+    """Cells of a split: evaluate each inner fold with weights learned on the
+    rest of its own major fold."""
     indices = np.arange(plan.n)
-    cells = []
-    for fold in (FOLD_A, FOLD_B):
+    out = []
+    for fold in range(plan.groups):
         in_major = plan.major == fold
         for v in range(plan.inner_folds):
             in_cell = in_major & (plan.inner == v)
-            eval_idx = indices[in_cell]
-            weight_idx = indices[in_major & ~in_cell]
-            if eval_idx.size < _MIN_INNER_FOLD:
-                raise ValueError(
-                    f"inner fold {v} of major fold {fold} has {eval_idx.size} units; "
-                    f"need at least {_MIN_INNER_FOLD}"
-                )
-            cells.append(Cell(eval_idx=eval_idx, weight_idx=weight_idx))
-    return cells
-
-
-def single_layer_cells(n: int, inner_folds: int, seed: int) -> list[Cell]:
-    """Cells of the casual one-layer layout: folds drawn over all units,
-    weights learned on each fold's complement."""
-    if inner_folds < 2:
-        raise ValueError("need at least two inner folds")
-    if n // inner_folds < _MIN_INNER_FOLD:
-        raise ValueError(f"n={n} is too small for {inner_folds} folds")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _ABLATION_STREAM]))
-    perm = rng.permutation(n)
-    labels = np.empty(n, dtype=np.int64)
-    labels[perm] = np.arange(n) % inner_folds
-    indices = np.arange(n)
-    cells = []
-    for v in range(inner_folds):
-        in_cell = labels == v
-        cells.append(Cell(eval_idx=indices[in_cell], weight_idx=indices[~in_cell]))
-    return cells
+            out.append(Cell(eval_idx=indices[in_cell], weight_idx=indices[in_major & ~in_cell]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,25 +272,25 @@ class SelectionResult:
 def _cross_fitted_tensor(
     dataset: Dataset,
     candidates: CandidateSet,
-    inner_folds: int,
-    seed: int,
-    nuisance_override: OracleNuisance | None = None,
-) -> tuple[SplitPlan, ScoreTensor]:
-    """Split, cross-fit the nuisances and score every candidate on every unit.
+    plan: SplitPlan,
+    override: OracleNuisance | None = None,
+) -> ScoreTensor:
+    """Cross-fit the nuisances over the plan's major folds and score every
+    candidate on every unit.
 
-    Each major fold's units get the predictions of the model trained on the
-    opposite fold, unless ``nuisance_override`` supplies the nuisances.
+    Each major fold's units get the predictions of the model fitted on the
+    other fold; a one-fold plan's units get those of the model fitted on
+    themselves. ``override`` supplies the nuisances instead.
     """
-    plan = two_way_split(dataset.n, inner_folds, seed)
-    nuisances = nuisance_override
+    nuisances = override
     if nuisances is None:
         values = np.empty((3, dataset.n))
-        for train, scored in ((FOLD_A, FOLD_B), (FOLD_B, FOLD_A)):
+        for train in range(plan.groups):
             model = fit(dataset, np.flatnonzero(plan.major == train))
-            rows = plan.major == scored
+            rows = plan.major == (train + 1) % plan.groups
             values[:, rows] = model.predict_rows(dataset.x[rows])
         nuisances = OracleNuisance(*values)
-    return plan, build_score_tensor(dataset, candidates, nuisances)
+    return build_score_tensor(dataset, candidates, nuisances)
 
 
 def _build_result(
@@ -369,10 +342,9 @@ def proposed_select(
     Accepts candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha.
     """
-    plan, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisance_override
-    )
-    return _weighted_test("proposed", config, tensor, two_layer_cells(plan))
+    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
+    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
+    return _weighted_test("proposed", config, tensor, cells(plan))
 
 
 def single_layer_ablation_select(
@@ -383,18 +355,13 @@ def single_layer_ablation_select(
 ) -> SelectionResult:
     """One-layer variant kept to demonstrate inflated error rates.
 
-    Nuisances are fitted on the full sample (every unit is scored in-sample)
-    and the weight-learning folds are drawn over all units with no
-    major-fold separation.
+    The proposed test on a one-fold plan: nuisances are fitted on the full
+    sample (every unit is scored in-sample) and the weight-learning folds
+    are drawn over all units with no major-fold separation.
     """
-    nuisances = nuisance_override
-    if nuisances is None:
-        full_model = fit(dataset, np.arange(dataset.n))
-        nuisances = OracleNuisance(*full_model.predict_rows(dataset.x))
-    tensor = build_score_tensor(dataset, candidates, nuisances)
-    return _weighted_test(
-        "ablation", config, tensor, single_layer_cells(dataset.n, config.inner_folds, config.seed)
-    )
+    plan = single_layer_split(dataset.n, config.inner_folds, config.seed)
+    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
+    return _weighted_test("ablation", config, tensor, cells(plan))
 
 
 def naive_critical_value(
@@ -462,9 +429,8 @@ def naive_select(
     statistics does not exceed the bootstrap quantile drawn from N(0,
     sigma_m).
     """
-    _, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisance_override
-    )
+    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
+    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
 
     def bootstrap_critical(m: int, sigma_m: np.ndarray) -> float:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NAIVE_STREAM, m]))
@@ -480,8 +446,7 @@ def bonferroni_select(
     nuisance_override: OracleNuisance | None = None,
 ) -> SelectionResult:
     """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1)."""
-    _, tensor = _cross_fitted_tensor(
-        dataset, candidates, config.inner_folds, config.seed, nuisance_override
-    )
+    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
+    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
     critical = _normal_quantile(1.0 - config.alpha / (candidates.p - 1))
     return _max_statistic_test("bonferroni", config, tensor, lambda m, sigma_m: critical)

@@ -341,8 +341,17 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"dims": [2, 2, 2, 0]}, ["simulate"], "dims must be four block sizes"),
         ({}, ["sweep", "--axis", "sample-fraction", "--values", "0.005"], "sample_fraction value 0.005"),
         ({}, ["sweep", "--axis", "candidate-count", "--values", "2,2"], "strictly increasing"),
+        ({"n": 30, "inner_folds": 10, "selectors": ["proposed", "naive"]}, ["simulate"],
+         "n=30 is too small for 10 inner folds"),
+        ({"n": 30, "inner_folds": 10, "selectors": ["proposed", "naive"]},
+         ["diagnose", "clt", "--datasets", "2", "--bootstrap", "60"],
+         "n=30 is too small for 10 inner folds"),
+        ({"n": 1000},
+         ["sweep", "--axis", "sample-fraction", "--values", "0.03,1.0", "--inner-folds", "10"],
+         "sample_fraction value 0.03: n=30 is too small for 10 inner folds"),
     ],
-    ids=["n_10", "empty_block", "tiny_fraction", "repeated_value"],
+    ids=["n_10", "empty_block", "tiny_fraction", "repeated_value", "n_30_for_10_folds",
+         "clt_n_30_for_10_folds", "fraction_to_n_30_for_10_folds"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)
@@ -353,26 +362,29 @@ def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, 
 
 
 @pytest.mark.parametrize(
-    "kind, flag, value, message",
+    "kind, flags, message",
     [
-        ("clt", "--datasets", "-1", "datasets must be at least 1"),
-        ("clt", "--datasets", "0", "datasets must be at least 1"),
-        ("clt", "--bootstrap", "0", "bootstrap draws must be at least 1"),
-        ("stability", "--probes", "0", "probes must be at least 1"),
-        ("stability", "--probes", "-1", "probes must be at least 1"),
-        ("stability", "--grid", "10,20,30", "grid size 10"),
+        ("clt", ["--datasets", "-1"], "datasets must be at least 1"),
+        ("clt", ["--datasets", "0"], "datasets must be at least 1"),
+        ("clt", ["--bootstrap", "0"], "bootstrap draws must be at least 1"),
+        ("stability", ["--probes", "0"], "probes must be at least 1"),
+        ("stability", ["--probes", "-1"], "probes must be at least 1"),
+        ("stability", ["--grid", "10,20,30"], "grid size 10"),
+        ("stability", ["--grid", "20,30,40", "--inner-folds", "10"],
+         "grid size 20: n=20 is too small for 10 inner folds"),
     ],
-    ids=["datasets_-1", "datasets_0", "bootstrap_0", "probes_0", "probes_-1", "grid_from_10"],
+    ids=["datasets_-1", "datasets_0", "bootstrap_0", "probes_0", "probes_-1", "grid_from_10",
+         "grid_from_20_for_10_folds"],
 )
-def test_diagnose_rejects_empty_counts(tmp_path, capsys, kind, flag, value, message):
+def test_diagnose_rejects_empty_counts(tmp_path, capsys, kind, flags, message):
     config = _write_config(tmp_path)
     out = tmp_path / "diag"
     small = {
         "clt": ["--datasets", "2", "--bootstrap", "60"],
         "stability": ["--grid", "200,300,400", "--probes", "2"],
     }[kind]
-    # the flag under test comes last, so it overrides the small default
-    argv = ["diagnose", kind, "--config", str(config), "--out", str(out), *small, flag, value]
+    # the flags under test come last, so they override the small defaults
+    argv = ["diagnose", kind, "--config", str(config), "--out", str(out), *small, *flags]
     assert cli(argv) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -25,6 +25,7 @@ from cateselect.harness import (
     write_per_rep_csv,
 )
 from cateselect.scores import ScoreTensor
+from cateselect import selectors
 from cateselect.selectors import CandidateDecision, SelectionResult
 
 
@@ -239,6 +240,14 @@ def test_config_rejects_negative_seed():
         _config(seed=-1)
 
 
+def test_config_applies_the_split_rule_of_its_selectors():
+    # 10 inner folds of 2 units fit into n=30 once (the ablation) but not twice
+    with pytest.raises(ValueError, match="n=30 is too small for 10 inner folds"):
+        _config(n=30, inner_folds=10, selectors=("proposed", "ablation"))
+    report = run_experiment(_config(n=30, inner_folds=10, selectors=("ablation",), repetitions=2))
+    assert report.failures == [] and report.summaries["ablation"].reps == 2
+
+
 @pytest.mark.parametrize(
     "axis, values, message",
     [
@@ -385,6 +394,19 @@ def test_stability_report_shapes():
     assert all(v >= 0 for v in report.delta1)
     assert all(v >= 0 for v in report.delta2)
     assert report.probes_per_point == 3
+
+
+def test_stability_draws_one_split_per_grid_size(monkeypatch):
+    draws = []
+    split = selectors._split
+
+    def counting_split(n, *args):
+        draws.append(n)
+        return split(n, *args)
+
+    monkeypatch.setattr(selectors, "_split", counting_split)
+    stability_diagnostic([200, 300, 400], _config(selectors=("proposed",)), probes=2)
+    assert draws == [200, 300, 400]
 
 
 @pytest.mark.parametrize(

@@ -16,14 +16,14 @@ from cateselect.selectors import (
     _cross_fitted_tensor,
     _weighted_test,
     bonferroni_select,
+    cells,
     exp_weighted_statistics,
     exp_weights,
     naive_critical_value,
     naive_select,
     proposed_select,
     single_layer_ablation_select,
-    single_layer_cells,
-    two_layer_cells,
+    single_layer_split,
     two_way_split,
 )
 
@@ -52,20 +52,19 @@ def test_split_deterministic():
 def test_split_partition_property(n, v, seed):
     if (n // 2) // v < 2:
         return
-    plan = two_way_split(n, v, seed)
-    cells = two_layer_cells(plan)
-    seen = np.concatenate([c.eval_idx for c in cells])
-    npt.assert_array_equal(np.sort(seen), np.arange(n))
-    for cell in cells:
-        assert cell.eval_idx.size >= 2
-        assert np.intersect1d(cell.eval_idx, cell.weight_idx).size == 0
-        # weights are learned on the rest of the cell's own major fold
-        major = np.flatnonzero(plan.major == plan.major[cell.eval_idx[0]])
-        npt.assert_array_equal(cell.weight_idx, np.setdiff1d(major, cell.eval_idx))
-    flat = single_layer_cells(n, v, seed)
-    npt.assert_array_equal(np.sort(np.concatenate([c.eval_idx for c in flat])), np.arange(n))
-    for cell in flat:
-        assert cell.eval_idx.size >= 2
+    two_way, flat = two_way_split(n, v, seed), single_layer_split(n, v, seed)
+    for plan in (two_way, flat):
+        layout = cells(plan)
+        seen = np.concatenate([c.eval_idx for c in layout])
+        npt.assert_array_equal(np.sort(seen), np.arange(n))
+        for cell in layout:
+            assert cell.eval_idx.size >= 2
+            assert np.intersect1d(cell.eval_idx, cell.weight_idx).size == 0
+            # weights are learned on the rest of the cell's own major fold
+            major = np.flatnonzero(plan.major == plan.major[cell.eval_idx[0]])
+            npt.assert_array_equal(cell.weight_idx, np.setdiff1d(major, cell.eval_idx))
+    # the one-layer split's only major fold is the whole sample
+    for cell in cells(flat):
         npt.assert_array_equal(cell.weight_idx, np.setdiff1d(np.arange(n), cell.eval_idx))
 
 
@@ -134,8 +133,9 @@ def _proposed_statistics(ds, cands, config):
     """The weighted-test statistics behind ``proposed_select``, checked against
     the statistics it reports."""
     res = proposed_select(ds, cands, config)
-    plan, tensor = _cross_fitted_tensor(ds, cands, config.inner_folds, config.seed)
-    stats = exp_weighted_statistics(tensor, two_layer_cells(plan), config.resolve_lam(ds.n))
+    plan = two_way_split(ds.n, config.inner_folds, config.seed)
+    tensor = _cross_fitted_tensor(ds, cands, plan)
+    stats = exp_weighted_statistics(tensor, cells(plan), config.resolve_lam(ds.n))
     for r in range(cands.p):
         assert res.stats[r].statistic == stats.z_scores[r]
     return plan, tensor, stats
@@ -169,10 +169,10 @@ def test_proposed_matches_pairwise_weighted_average(lam):
     plan, tensor, stats = _proposed_statistics(
         ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed)
     )
-    cells = two_layer_cells(plan)
+    layout = cells(plan)
     q = np.zeros((ds.n, cands.p))
-    weights = np.zeros((len(cells), cands.p, cands.p - 1))
-    for c, cell in enumerate(cells):
+    weights = np.zeros((len(layout), cands.p, cands.p - 1))
+    for c, cell in enumerate(layout):
         for r in range(cands.p):
             rows = tensor.values[r, [s for s in range(cands.p) if s != r]]
             weights[c, r] = exp_weights(rows[:, cell.weight_idx].mean(axis=1), lam)
@@ -384,12 +384,13 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     oracle = OracleNuisance.from_truth(truth)
-    plan, tensor = _cross_fitted_tensor(ds, cands, cfg.inner_folds, cfg.seed, oracle)
+    plan = two_way_split(ds.n, cfg.inner_folds, cfg.seed)
+    tensor = _cross_fitted_tensor(ds, cands, plan, oracle)
     ra_own = single_layer_ablation_select(ds, cands, cfg, nuisance_override=oracle)
-    own_cells = single_layer_cells(ds.n, cfg.inner_folds, cfg.seed)
+    own_cells = cells(single_layer_split(ds.n, cfg.inner_folds, cfg.seed))
     assert ra_own.stats == _weighted_test("ablation", cfg, tensor, own_cells).stats
     rp = proposed_select(ds, cands, cfg, nuisance_override=oracle)
-    ra = _weighted_test("ablation", cfg, tensor, two_layer_cells(plan))
+    ra = _weighted_test("ablation", cfg, tensor, cells(plan))
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
         assert a.statistic == b.statistic
