@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +35,6 @@ from .selectors import (
     SelectorConfig,
     SelectionResult,
     bonferroni_select,
-    cells,
     exp_weighted_statistics,
     naive_select,
     proposed_select,
@@ -264,8 +264,10 @@ def _derived_seeds(*entropy: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _single_rep(config: ExperimentConfig, k: int) -> tuple[list[RepRecord], list[str]]:
-    data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_REP, k)
+def _single_rep(
+    config: ExperimentConfig, k: int, seeds: tuple[int, int, int]
+) -> tuple[list[RepRecord], list[str]]:
+    data_seed, cand_seed, sel_seed = seeds
     dataset, truth = generate_toy(config.n, config.dims, data_seed)
     candidates = make_candidates(truth, config.noise_specs, cand_seed)
     override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
@@ -290,10 +292,12 @@ def _single_rep(config: ExperimentConfig, k: int) -> tuple[list[RepRecord], list
     return records, failures
 
 
-def _rep_worker(args: tuple[ExperimentConfig, int]) -> tuple[int, list[RepRecord], list[str]]:
-    config, k = args
+def _rep_worker(
+    job: tuple[ExperimentConfig, int, tuple[int, int, int]]
+) -> tuple[int, list[RepRecord], list[str]]:
+    config, k, seeds = job
     try:
-        return (k, *_single_rep(config, k))
+        return (k, *_single_rep(config, k, seeds))
     except ConfigError:
         raise
     except (ValueError, RuntimeError, ArithmeticError) as exc:
@@ -350,32 +354,47 @@ def summarize_records(
     return summaries
 
 
+def _run(configs: list[ExperimentConfig], workers: int) -> list[ExperimentReport]:
+    """Run every repetition of every config, on one pool of ``workers``
+    processes when there is more than one; one report per config, in order."""
+    # Deriving the seeds here loads numpy.random, which numpy imports lazily,
+    # before the fork: every worker inherits it instead of importing it.
+    jobs = [
+        (config, k, _derived_seeds(config.seed, _STREAM_REP, k))
+        for config in configs
+        for k in range(config.repetitions)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_rep_worker, jobs))
+    else:
+        outcomes = [_rep_worker(job) for job in jobs]
+    pending = iter(outcomes)
+    reports = []
+    for config in configs:
+        records: list[RepRecord] = []
+        failures: list[tuple[int, str]] = []
+        for k, recs, errs in itertools.islice(pending, config.repetitions):
+            records.extend(recs)
+            failures.extend((k, err) for err in errs)
+        report = ExperimentReport(
+            config=config,
+            summaries=summarize_records(config, records),
+            records=records,
+            failures=failures,
+        )
+        report.metadata["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        reports.append(report)
+    return reports
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all repetitions; each failure is recorded as ``(rep, message)``.
 
     A selector that fails numerically loses only its own records of that
     repetition (the message starts with its name); a failed data draw loses
     the repetition for every selector."""
-    jobs = [(config, k) for k in range(config.repetitions)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_rep_worker, jobs))
-    else:
-        outcomes = [_rep_worker(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
-    records: list[RepRecord] = []
-    failures: list[tuple[int, str]] = []
-    for k, recs, errs in outcomes:
-        records.extend(recs)
-        failures.extend((k, err) for err in errs)
-    report = ExperimentReport(
-        config=config,
-        summaries=summarize_records(config, records),
-        records=records,
-        failures=failures,
-    )
-    report.metadata["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return report
+    return _run([config], config.workers)[0]
 
 
 class SweepPoint(NamedTuple):
@@ -423,7 +442,7 @@ def sweep(
                 subs.append(dataclasses.replace(config, n=int(round(config.n * frac))))
             except ValueError as exc:
                 raise ConfigError(f"sample_fraction value {frac}: {exc}") from exc
-    return [SweepPoint(value=value, report=run_experiment(sub)) for value, sub in zip(values, subs)]
+    return [SweepPoint(value, report) for value, report in zip(values, _run(subs, config.workers))]
 
 
 def bootstrap_standardized_means(
@@ -612,7 +631,6 @@ def stability_diagnostic(
 
         # the split depends only on n, inner_folds and the seed: every refit shares it
         plan = two_way_split(n, config.inner_folds, sel_seed)
-        plan_cells = cells(plan)
 
         def q_with(replacements: dict[int, int]) -> np.ndarray:
             rows = np.arange(n)
@@ -628,7 +646,7 @@ def stability_diagnostic(
                 )
             candidates = CandidateSet(preds_full[:, rows])
             tensor = _cross_fitted_tensor(dataset, candidates, plan, override)
-            return exp_weighted_statistics(tensor, plan_cells, lam).q_matrix
+            return exp_weighted_statistics(tensor, plan, lam).q_matrix
 
         q_base = q_with({})
         probe_rng = np.random.default_rng(

@@ -17,6 +17,7 @@ covariance of those means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,12 @@ class ScoreTensor:
         (r, s) with a zero diagonal. Built on demand for inspection only."""
         return _readonly(self.losses[:, None, :] - self.losses[None, :, :])
 
+    @cached_property
+    def centred(self) -> np.ndarray:
+        """Each candidate's losses minus their mean, built once per tensor:
+        the centred score of r against s is ``centred[r] - centred[s]``."""
+        return _readonly(self.losses - self.losses.mean(axis=1, keepdims=True))
+
     @property
     def p(self) -> int:
         return self.losses.shape[0]
@@ -74,9 +81,12 @@ def build_score_tensor(
         raise ValueError("candidate predictions must cover every dataset unit")
     gamma = pseudo_outcomes(dataset, nuisances)
     preds = candidates.predictions
-    # overflowing losses are rejected by ScoreTensor's finiteness check
+    # overflowing losses are rejected by ScoreTensor's finiteness check; one
+    # row at a time, the build holds no second p x n temporary
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = preds**2 - 2.0 * preds * gamma
+        losses = preds**2
+        for loss, pred in zip(losses, preds):
+            loss -= 2.0 * pred * gamma
     return ScoreTensor(losses=losses)
 
 
@@ -96,6 +106,14 @@ def cov_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
     """Covariance of the mean score vector for candidate ``m``.
 
     Sample covariance (ddof=1) of the per-unit score vectors divided by n,
-    so its diagonal is the squared standard error of each delta entry.
+    so its diagonal is the squared standard error of each delta entry. The
+    centred scores are differences of the centred losses, so candidates with
+    identical losses get exactly zero variance, and none is a difference of
+    covariances, which cancels for near-duplicate candidates.
     """
-    return np.atleast_2d(np.cov(_rival_scores(tensor, m), ddof=1)) / tensor.n
+    if tensor.n < 2:
+        raise ValueError("need at least two units to summarize scores")
+    centred = tensor.centred
+    scores = centred[[s for s in range(tensor.p) if s != m]]
+    np.subtract(centred[m], scores, out=scores)
+    return np.dot(scores, scores.T) / (tensor.n - 1) / tensor.n

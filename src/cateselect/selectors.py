@@ -142,21 +142,23 @@ def single_layer_split(n: int, inner_folds: int, seed: int) -> SplitPlan:
 
 
 def exp_weights(delta: np.ndarray, lam: float) -> np.ndarray:
-    """Softmax of ``lam * delta`` with max subtraction for overflow safety.
+    """Softmax of ``lam * delta`` along the last axis, with max subtraction for
+    overflow safety.
 
-    Nonnegative, sums to one, invariant to adding a constant to every entry
-    (exactly so whenever the shifted entries are exactly representable).
+    Every vector along the last axis is nonnegative, sums to one and is
+    invariant to adding a constant to its entries (exactly so whenever the
+    shifted entries are exactly representable).
     """
     delta = np.asarray(delta, dtype=float)
-    if delta.ndim != 1 or delta.size == 0:
-        raise ValueError("delta must be a nonempty vector")
+    if delta.ndim == 0 or delta.shape[-1] == 0:
+        raise ValueError("delta must have a nonempty last axis")
     if not np.all(np.isfinite(delta)):
         raise ValueError("delta entries must be finite")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    shifted = delta - delta.max()
+    shifted = delta - delta.max(axis=-1, keepdims=True)
     w = np.exp(lam * shifted)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class Cell(NamedTuple):
@@ -166,16 +168,34 @@ class Cell(NamedTuple):
     weight_idx: np.ndarray
 
 
+def _cell_order(plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The units sorted by cell (major fold, then inner fold, ascending unit
+    index within a cell) and the cell boundaries in that order.
+
+    One stable sort on the cell label; a label that fits in 16 bits, as every
+    practical fold count does, gets numpy's radix sort.
+    """
+    count = plan.groups * plan.inner_folds
+    label = plan.major.astype(np.int64) * plan.inner_folds + plan.inner
+    order = np.argsort(label.astype(np.min_scalar_type(count - 1)), kind="stable")
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(label, minlength=count), out=bounds[1:])
+    return order, bounds
+
+
 def cells(plan: SplitPlan) -> list[Cell]:
-    """Cells of a split: evaluate each inner fold with weights learned on the
-    rest of its own major fold."""
-    indices = np.arange(plan.n)
+    """Cells of a split, in the order of ``ProposedStatistics.weights``:
+    evaluate each inner fold with weights learned on the rest of its own
+    major fold."""
+    order, bounds = _cell_order(plan)
     out = []
     for fold in range(plan.groups):
-        in_major = plan.major == fold
+        first, last = fold * plan.inner_folds, (fold + 1) * plan.inner_folds
+        members = np.sort(order[bounds[first] : bounds[last]])
+        labels = plan.inner[members]
         for v in range(plan.inner_folds):
-            in_cell = in_major & (plan.inner == v)
-            out.append(Cell(eval_idx=indices[in_cell], weight_idx=indices[in_major & ~in_cell]))
+            eval_idx = order[bounds[first + v] : bounds[first + v + 1]]
+            out.append(Cell(eval_idx=eval_idx, weight_idx=members[labels != v]))
     return out
 
 
@@ -195,28 +215,39 @@ class ProposedStatistics:
     weights: np.ndarray
 
 
-def exp_weighted_statistics(tensor: ScoreTensor, cells: list[Cell], lam: float) -> ProposedStatistics:
-    """Aggregate pairwise scores into one studentized statistic per candidate."""
+def exp_weighted_statistics(tensor: ScoreTensor, plan: SplitPlan, lam: float) -> ProposedStatistics:
+    """Aggregate pairwise scores into one studentized statistic per candidate.
+
+    Cell c of ``cells(plan)`` scores its units with the softmax weights
+    learned on the rest of its major fold. One gather sorts the losses by
+    cell; a weight set's mean is its fold's sum minus the cell's own sum,
+    over the fold's size minus the cell's.
+    """
     p, n = tensor.p, tensor.n
-    q = np.zeros((n, p))
-    weights = np.zeros((len(cells), p, p - 1))
-    covered = np.zeros(n, dtype=bool)
-    for ci, cell in enumerate(cells):
-        covered[cell.eval_idx] = True
-        means = tensor.losses[:, cell.weight_idx].mean(axis=1)
-        mix = np.zeros((p, p))
-        for r in range(p):
-            others = [s for s in range(p) if s != r]
-            w = exp_weights(means[r] - means[others], lam)
-            weights[ci, r] = w
-            mix[r, others] = w
+    if plan.n != n:
+        raise ValueError("the split must cover every unit")
+    order, bounds = _cell_order(plan)
+    by_cell = tensor.losses[:, order]
+    shape = (plan.groups, plan.inner_folds)
+    sums = np.add.reduceat(by_cell, bounds[:-1], axis=1).reshape(p, *shape)
+    sizes = np.diff(bounds).reshape(shape)
+    means = (sums.sum(axis=2, keepdims=True) - sums) / (sizes.sum(axis=1, keepdims=True) - sizes)
+    means = means.reshape(p, -1).T  # (cell, candidate)
+    rivals = np.array([[s for s in range(p) if s != r] for r in range(p)], dtype=np.intp)
+    weights = exp_weights(means[:, :, None] - means[:, rivals], lam)
+    mix = np.zeros((len(means), p, p))
+    mix[:, np.arange(p)[:, None], rivals] = weights
+    for c in range(len(means)):
+        block = by_cell[:, bounds[c] : bounds[c + 1]]
         # the weights sum to one: sum_s w_s (L_r - L_s) is row r of block - mix @ block
-        block = tensor.losses[:, cell.eval_idx]
-        q[cell.eval_idx] = (block - mix @ block).T
-    if not covered.all():
-        raise ValueError("cells do not cover every unit")
-    score_sums = q.sum(axis=0)
-    sigmas = q.std(axis=0, ddof=1)
+        block -= mix[c] @ block
+    q = np.empty((p, n))
+    q[:, order] = by_cell
+    score_sums = q.sum(axis=1)
+    # the deviations reuse the sorted copy: a third p x n array would set a
+    # worker's peak memory
+    deviations = np.subtract(by_cell, (score_sums / n)[:, None], out=by_cell)
+    sigmas = np.sqrt(np.square(deviations, out=deviations).sum(axis=1) / (n - 1))
     if np.any(sigmas <= 0.0):
         raise RuntimeError("degenerate weighted scores: zero variance for some candidate")
     z_scores = score_sums / (np.sqrt(n) * sigmas)
@@ -224,7 +255,7 @@ def exp_weighted_statistics(tensor: ScoreTensor, cells: list[Cell], lam: float) 
         score_sums=score_sums,
         sigmas=sigmas,
         z_scores=z_scores,
-        q_matrix=q,
+        q_matrix=q.T,
         weights=weights,
     )
 
@@ -312,12 +343,12 @@ def _build_result(
 
 
 def _weighted_test(
-    selector: str, config: SelectorConfig, tensor: ScoreTensor, cells: list[Cell]
+    selector: str, config: SelectorConfig, tensor: ScoreTensor, plan: SplitPlan
 ) -> SelectionResult:
     """Accept candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha."""
     lam = config.resolve_lam(tensor.n)
-    stats = exp_weighted_statistics(tensor, cells, lam)
+    stats = exp_weighted_statistics(tensor, plan, lam)
     critical = _normal_quantile(1.0 - config.alpha)
     decisions = [
         CandidateDecision(
@@ -344,7 +375,7 @@ def proposed_select(
     """
     plan = two_way_split(dataset.n, config.inner_folds, config.seed)
     tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
-    return _weighted_test("proposed", config, tensor, cells(plan))
+    return _weighted_test("proposed", config, tensor, plan)
 
 
 def single_layer_ablation_select(
@@ -361,7 +392,7 @@ def single_layer_ablation_select(
     """
     plan = single_layer_split(dataset.n, config.inner_folds, config.seed)
     tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
-    return _weighted_test("ablation", config, tensor, cells(plan))
+    return _weighted_test("ablation", config, tensor, plan)
 
 
 def naive_critical_value(
@@ -395,9 +426,11 @@ def _max_statistic_test(
 ) -> SelectionResult:
     """Accept candidate m when the largest of its standardized pairwise
     statistics does not exceed ``critical_value(m, sigma_m)``."""
+    # every mean gap first, so delta_hat's temporaries never coexist with
+    # the centred copy of the losses that cov_hat builds on first use
+    deltas = [delta_hat(tensor, m) for m in range(tensor.p)]
     decisions = []
-    for m in range(tensor.p):
-        delta_m = delta_hat(tensor, m)
+    for m, delta_m in enumerate(deltas):
         sigma_m = cov_hat(tensor, m)
         sd = np.sqrt(np.diag(sigma_m))
         if np.any(sd <= 0):

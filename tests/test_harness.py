@@ -25,7 +25,7 @@ from cateselect.harness import (
     write_per_rep_csv,
 )
 from cateselect.scores import ScoreTensor
-from cateselect import selectors
+from cateselect import harness, selectors
 from cateselect.selectors import CandidateDecision, SelectionResult
 
 
@@ -155,6 +155,29 @@ def test_worker_count_does_not_change_results():
     serial = run_experiment(base)
     parallel = run_experiment(dataclasses.replace(base, workers=2))
     assert serial.records == parallel.records
+
+
+@pytest.mark.parametrize(
+    "axis, values", [("candidate_count", [2, 3]), ("sample_fraction", [0.5, 1.0])]
+)
+def test_sweep_runs_every_point_on_one_pool(monkeypatch, axis, values):
+    pools = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    config = _config(selectors=("proposed", "naive"), n=400, repetitions=3)
+    serial = sweep(config, axis, values)
+    assert pools == []
+    parallel = sweep(dataclasses.replace(config, workers=2), axis, values)
+    assert len(pools) == 1
+    for a, b in zip(serial, parallel, strict=True):
+        assert a.value == b.value
+        assert a.report.records == b.report.records
+        assert a.report.summaries == b.report.summaries
 
 
 def test_single_value_sweep_equals_run_experiment():

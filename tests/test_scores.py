@@ -130,6 +130,21 @@ def test_cov_hat_diagonal_is_variance_over_n():
     assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
 
+def test_cov_hat_resolves_near_duplicate_candidates():
+    # losses 1e-9 apart per unit: the variance of their difference must
+    # survive, which a difference of covariances would cancel away
+    n = 1000
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(n)
+    tensor = ScoreTensor(losses=np.vstack([base + 1e-9 * rng.standard_normal(n), base]))
+    diff = tensor.losses[0] - tensor.losses[1]
+    variance = cov_hat(tensor, 0)[0, 0]
+    assert variance > 0.0
+    npt.assert_allclose(variance, np.var(diff, ddof=1) / n, rtol=1e-6)
+    # exact duplicates still have exactly zero variance
+    assert cov_hat(ScoreTensor(losses=np.vstack([base, base])), 0)[0, 0] == 0.0
+
+
 def test_constant_scores_give_constant_delta_zero_variance():
     n = 10
     losses = np.zeros((2, n))

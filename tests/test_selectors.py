@@ -3,7 +3,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -11,6 +11,7 @@ from cateselect import selectors
 from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
 from cateselect.harness import _derived_seeds
 from cateselect.nuisance import OracleNuisance
+from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
     SelectorConfig,
     _cross_fitted_tensor,
@@ -66,6 +67,18 @@ def test_split_partition_property(n, v, seed):
     # the one-layer split's only major fold is the whole sample
     for cell in cells(flat):
         npt.assert_array_equal(cell.weight_idx, np.setdiff1d(np.arange(n), cell.eval_idx))
+
+
+def _mask_cells(plan):
+    """The three-masks-per-cell construction ``cells`` replaced."""
+    indices = np.arange(plan.n)
+    out = []
+    for fold in range(plan.groups):
+        in_major = plan.major == fold
+        for v in range(plan.inner_folds):
+            in_cell = in_major & (plan.inner == v)
+            out.append((indices[in_cell], indices[in_major & ~in_cell]))
+    return out
 
 
 def test_split_too_small_rejected():
@@ -135,7 +148,7 @@ def _proposed_statistics(ds, cands, config):
     res = proposed_select(ds, cands, config)
     plan = two_way_split(ds.n, config.inner_folds, config.seed)
     tensor = _cross_fitted_tensor(ds, cands, plan)
-    stats = exp_weighted_statistics(tensor, cells(plan), config.resolve_lam(ds.n))
+    stats = exp_weighted_statistics(tensor, plan, config.resolve_lam(ds.n))
     for r in range(cands.p):
         assert res.stats[r].statistic == stats.z_scores[r]
     return plan, tensor, stats
@@ -161,28 +174,62 @@ def test_proposed_statistic_definition():
     )
 
 
+def _reference_statistics(tensor, layout, lam):
+    """Per cell and candidate, softmax over the mean pairwise scores on the
+    weight units, applied to the pairwise scores on the eval units."""
+    p, n = tensor.p, tensor.n
+    q = np.zeros((n, p))
+    weights = np.zeros((len(layout), p, p - 1))
+    for c, cell in enumerate(layout):
+        for r in range(p):
+            rows = tensor.values[r, [s for s in range(p) if s != r]]
+            weights[c, r] = exp_weights(rows[:, cell.weight_idx].mean(axis=1), lam)
+            q[cell.eval_idx, r] = weights[c, r] @ rows[:, cell.eval_idx]
+    z = q.sum(axis=0) / (np.sqrt(n) * q.std(axis=0, ddof=1))
+    return q, weights, z
+
+
 @pytest.mark.parametrize("lam", [0.0, 600**0.4, 50.0], ids=["zero", "n_pow_0.4", "fifty"])
 def test_proposed_matches_pairwise_weighted_average(lam):
-    # reference: per cell and candidate, softmax over the mean pairwise scores
-    # on the weight units, applied to the pairwise scores on the eval units
     ds, truth, cands, sel_seed = _toy_problem()
     plan, tensor, stats = _proposed_statistics(
         ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed)
     )
-    layout = cells(plan)
-    q = np.zeros((ds.n, cands.p))
-    weights = np.zeros((len(layout), cands.p, cands.p - 1))
-    for c, cell in enumerate(layout):
-        for r in range(cands.p):
-            rows = tensor.values[r, [s for s in range(cands.p) if s != r]]
-            weights[c, r] = exp_weights(rows[:, cell.weight_idx].mean(axis=1), lam)
-            q[cell.eval_idx, r] = weights[c, r] @ rows[:, cell.eval_idx]
-    z = q.sum(axis=0) / (np.sqrt(ds.n) * q.std(axis=0, ddof=1))
+    q, weights, z = _reference_statistics(tensor, cells(plan), lam)
     if lam == 0.0:
         # uniform weights: the plain average of the pairwise scores
         npt.assert_allclose(stats.q_matrix, q, rtol=1e-12)
     else:
         npt.assert_allclose(stats.q_matrix, q, rtol=0, atol=1e-12 * np.abs(tensor.losses).max())
+    npt.assert_allclose(stats.weights, weights, rtol=0, atol=1e-12)
+    npt.assert_allclose(stats.z_scores, z, rtol=1e-9)
+
+
+@given(
+    p=st.integers(2, 7),
+    n=st.integers(8, 400),
+    v=st.integers(2, 5),
+    two_way=st.booleans(),
+    lam=st.floats(0.0, 1000.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_weighted_statistics_match_reference_property(p, n, v, two_way, lam, seed):
+    assume((n // (2 if two_way else 1)) // v >= 2)
+    plan = (two_way_split if two_way else single_layer_split)(n, v, seed)
+    layout = cells(plan)
+    for cell, (eval_idx, weight_idx) in zip(layout, _mask_cells(plan), strict=True):
+        for got, want in ((cell.eval_idx, eval_idx), (cell.weight_idx, weight_idx)):
+            assert got.dtype == want.dtype
+            npt.assert_array_equal(got, want)
+    rng = np.random.default_rng(seed)
+    losses = rng.normal(rng.normal(size=(p, 1)), rng.uniform(0.1, 2.0, size=(p, 1)), size=(p, n))
+    tensor = ScoreTensor(losses=losses)
+    stats = exp_weighted_statistics(tensor, plan, lam)
+    q, weights, z = _reference_statistics(tensor, layout, lam)
+    # the tolerances of test_proposed_matches_pairwise_weighted_average at a
+    # positive temperature
+    npt.assert_allclose(stats.q_matrix, q, rtol=0, atol=1e-12 * np.abs(losses).max())
     npt.assert_allclose(stats.weights, weights, rtol=0, atol=1e-12)
     npt.assert_allclose(stats.z_scores, z, rtol=1e-9)
 
@@ -387,10 +434,10 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     plan = two_way_split(ds.n, cfg.inner_folds, cfg.seed)
     tensor = _cross_fitted_tensor(ds, cands, plan, oracle)
     ra_own = single_layer_ablation_select(ds, cands, cfg, nuisance_override=oracle)
-    own_cells = cells(single_layer_split(ds.n, cfg.inner_folds, cfg.seed))
-    assert ra_own.stats == _weighted_test("ablation", cfg, tensor, own_cells).stats
+    own_plan = single_layer_split(ds.n, cfg.inner_folds, cfg.seed)
+    assert ra_own.stats == _weighted_test("ablation", cfg, tensor, own_plan).stats
     rp = proposed_select(ds, cands, cfg, nuisance_override=oracle)
-    ra = _weighted_test("ablation", cfg, tensor, cells(plan))
+    ra = _weighted_test("ablation", cfg, tensor, plan)
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
         assert a.statistic == b.statistic
