@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep``: the same, repeated along a candidate-count or sample-fraction
   axis; writes ``sweep.json`` plus per-value CSVs.
 * ``select``: one-shot selection on an ingested dataset/prediction pair,
-  printing the selection result as JSON.
+  printing the selection result as JSON. Selectors that share a split
+  layout share its split, nuisance fits and loss matrix.
 * ``diagnose``: normality (``clt``) or perturbation-stability
   (``stability``) diagnostics, written as JSON plus CSV.
 
@@ -24,6 +25,7 @@ import csv
 import dataclasses
 import os
 import sys
+from collections.abc import Collection
 from pathlib import Path
 
 from .datagen import ingest_dataset, ingest_predictions
@@ -39,7 +41,7 @@ from .harness import (
     sweep,
     write_per_rep_csv,
 )
-from .selectors import SelectorConfig
+from .selectors import TAILS, SelectorConfig, run_selectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -127,11 +129,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_selector_list(raw: str) -> tuple[str, ...]:
+def _parse_selector_list(raw: str, known: Collection[str] = SELECTOR_FUNCS) -> tuple[str, ...]:
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not names:
         raise ConfigError("selector list is empty")
-    unknown = [s for s in names if s not in SELECTOR_FUNCS]
+    unknown = [s for s in names if s not in known]
     if unknown:
         raise ConfigError(f"unknown selectors: {', '.join(unknown)}")
     return names
@@ -205,7 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     try:
-        selectors = _parse_selector_list(args.selectors)
+        selectors = _parse_selector_list(args.selectors, known=TAILS)
         config = SelectorConfig(
             alpha=args.alpha,
             lam=args.lam,
@@ -221,7 +223,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        results = [SELECTOR_FUNCS[name](dataset, candidates, config) for name in selectors]
+        results = run_selectors(dataset, candidates, config, selectors)
     except ValueError as exc:
         # inputs a selector cannot score, e.g. overflowing losses; RuntimeError stays exit 2
         raise ConfigError(f"cannot select on --data {args.data} and --preds {args.preds}: {exc}") from exc

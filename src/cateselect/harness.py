@@ -15,7 +15,6 @@ import datetime
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -32,16 +31,17 @@ from .datagen import (
 )
 from .nuisance import OracleNuisance
 from .selectors import (
+    TAILS,
     SelectorConfig,
     SelectionResult,
     bonferroni_select,
     exp_weighted_statistics,
     naive_select,
+    prepare,
     proposed_select,
     single_layer_ablation_select,
     two_way_split,
     _check_split,
-    _cross_fitted_tensor,
 )
 
 _STREAM_REP = 1
@@ -83,9 +83,6 @@ SELECTOR_FUNCS: dict[str, SelectorFunc] = {
     "proposed": proposed_select,
     "ablation": single_layer_ablation_select,
 }
-
-
-_TWO_LAYER = {"naive", "bonferroni", "proposed"}
 
 
 def register_selector(name: str, fn: SelectorFunc) -> None:
@@ -131,7 +128,8 @@ class ExperimentConfig:
             raise ValueError("candidate specs must identify a unique winner (smallest mean^2 + sd^2)")
         self.selector_config(self.seed)  # raises on invalid selector settings
         # the ablation splits all n units; every other built-in selector, n // 2
-        _check_split(self.n, self.inner_folds, 2 if set(self.selectors) & _TWO_LAYER else 1)
+        groups = max((TAILS[name][0] for name in self.selectors if name in TAILS), default=1)
+        _check_split(self.n, self.inner_folds, groups)
 
     @property
     def winner_index(self) -> int:
@@ -365,6 +363,9 @@ def _run(configs: list[ExperimentConfig], workers: int) -> list[ExperimentReport
         for k in range(config.repetitions)
     ]
     if workers > 1:
+        # imported here: multiprocessing is slow to load, and one worker never needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_rep_worker, jobs))
     else:
@@ -538,7 +539,7 @@ def clt_diagnostic(
         candidates = make_candidates(truth, config.noise_specs, cand_seed)
         override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
         plan = two_way_split(config.n, config.inner_folds, sel_seed)
-        tensor = _cross_fitted_tensor(dataset, candidates, plan, override)
+        tensor = prepare(dataset, candidates, plan, override).tensor
         boot_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_CLT_BOOT, d])
         )
@@ -645,7 +646,7 @@ def stability_diagnostic(
                     mu0=truth_full.mu0[rows], mu1=truth_full.mu1[rows], e=truth_full.e[rows]
                 )
             candidates = CandidateSet(preds_full[:, rows])
-            tensor = _cross_fitted_tensor(dataset, candidates, plan, override)
+            tensor = prepare(dataset, candidates, plan, override).tensor
             return exp_weighted_statistics(tensor, plan, lam).q_matrix
 
         q_base = q_with({})

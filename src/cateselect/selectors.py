@@ -1,11 +1,15 @@
 """Selection procedures that map a dataset plus candidates to an accepted set.
 
 This module owns the sample split and the cross-fitting. Every selector
-draws a ``SplitPlan`` (two major folds, or one for the ablation, each cut
-into inner folds) and scores its candidates through ``_cross_fitted_tensor``:
-one nuisance fit per major fold whose predictions fill the other fold's
-units (unless true values are supplied), then the p x n per-unit loss
-matrix from ``scores.build_score_tensor``.
+tests the same thing, the cross-fitted doubly robust scores of one
+``SplitPlan`` (two major folds, or one for the ablation, each cut into
+inner folds); only the statistic on top of them differs. ``prepare`` builds
+that problem once per plan: one nuisance fit per major fold whose
+predictions fill the other fold's units (unless true values are supplied),
+then the p x n per-unit loss matrix from ``scores.build_score_tensor``.
+Each selector is a tail over the resulting ``Prepared`` (``TAILS``), and
+``run_selectors`` prepares each split layout it is asked for once and runs
+every named selector on that layout before preparing the next.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from statistics import NormalDist
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -300,12 +305,31 @@ class SelectionResult:
         }
 
 
-def _cross_fitted_tensor(
+@dataclass(frozen=True)
+class Prepared:
+    """One split layout's scored problem: the plan and the p x n loss matrix
+    of its cross-fitted doubly robust scores, which every selector on that
+    layout tests."""
+
+    plan: SplitPlan
+    tensor: ScoreTensor
+
+    @cached_property
+    def moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(delta_m, sigma_m)`` per candidate m, the mean gaps against each
+        rival and their covariance, built on first use."""
+        # every mean gap first, so delta_hat's temporaries never coexist with
+        # the centred copy of the losses that cov_hat builds on first use
+        deltas = [delta_hat(self.tensor, m) for m in range(self.tensor.p)]
+        return [(delta_m, cov_hat(self.tensor, m)) for m, delta_m in enumerate(deltas)]
+
+
+def prepare(
     dataset: Dataset,
     candidates: CandidateSet,
     plan: SplitPlan,
     override: OracleNuisance | None = None,
-) -> ScoreTensor:
+) -> Prepared:
     """Cross-fit the nuisances over the plan's major folds and score every
     candidate on every unit.
 
@@ -316,12 +340,13 @@ def _cross_fitted_tensor(
     nuisances = override
     if nuisances is None:
         values = np.empty((3, dataset.n))
+        folds = [np.flatnonzero(plan.major == g) for g in range(plan.groups)]
         for train in range(plan.groups):
-            model = fit(dataset, np.flatnonzero(plan.major == train))
-            rows = plan.major == (train + 1) % plan.groups
+            model = fit(dataset, folds[train])
+            rows = folds[(train + 1) % plan.groups]
             values[:, rows] = model.predict_rows(dataset.x[rows])
         nuisances = OracleNuisance(*values)
-    return build_score_tensor(dataset, candidates, nuisances)
+    return Prepared(plan, build_score_tensor(dataset, candidates, nuisances))
 
 
 def _build_result(
@@ -342,13 +367,12 @@ def _build_result(
     )
 
 
-def _weighted_test(
-    selector: str, config: SelectorConfig, tensor: ScoreTensor, plan: SplitPlan
-) -> SelectionResult:
+def _weighted_test(selector: str, prepared: Prepared, config: SelectorConfig) -> SelectionResult:
     """Accept candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha."""
+    tensor = prepared.tensor
     lam = config.resolve_lam(tensor.n)
-    stats = exp_weighted_statistics(tensor, plan, lam)
+    stats = exp_weighted_statistics(tensor, prepared.plan, lam)
     critical = _normal_quantile(1.0 - config.alpha)
     decisions = [
         CandidateDecision(
@@ -360,39 +384,6 @@ def _weighted_test(
         for r in range(tensor.p)
     ]
     return _build_result(selector, config, lam, decisions)
-
-
-def proposed_select(
-    dataset: Dataset,
-    candidates: CandidateSet,
-    config: SelectorConfig,
-    nuisance_override: OracleNuisance | None = None,
-) -> SelectionResult:
-    """Two-layer cross-fitted exponentially weighted selection.
-
-    Accepts candidate r when its studentized weighted score falls below the
-    one-sided normal critical value at level alpha.
-    """
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
-    return _weighted_test("proposed", config, tensor, plan)
-
-
-def single_layer_ablation_select(
-    dataset: Dataset,
-    candidates: CandidateSet,
-    config: SelectorConfig,
-    nuisance_override: OracleNuisance | None = None,
-) -> SelectionResult:
-    """One-layer variant kept to demonstrate inflated error rates.
-
-    The proposed test on a one-fold plan: nuisances are fitted on the full
-    sample (every unit is scored in-sample) and the weight-learning folds
-    are drawn over all units with no major-fold separation.
-    """
-    plan = single_layer_split(dataset.n, config.inner_folds, config.seed)
-    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
-    return _weighted_test("ablation", config, tensor, plan)
 
 
 def naive_critical_value(
@@ -420,18 +411,14 @@ def naive_critical_value(
 
 def _max_statistic_test(
     selector: str,
+    prepared: Prepared,
     config: SelectorConfig,
-    tensor: ScoreTensor,
     critical_value: Callable[[int, np.ndarray], float],
 ) -> SelectionResult:
     """Accept candidate m when the largest of its standardized pairwise
     statistics does not exceed ``critical_value(m, sigma_m)``."""
-    # every mean gap first, so delta_hat's temporaries never coexist with
-    # the centred copy of the losses that cov_hat builds on first use
-    deltas = [delta_hat(tensor, m) for m in range(tensor.p)]
     decisions = []
-    for m, delta_m in enumerate(deltas):
-        sigma_m = cov_hat(tensor, m)
+    for m, (delta_m, sigma_m) in enumerate(prepared.moments):
         sd = np.sqrt(np.diag(sigma_m))
         if np.any(sd <= 0):
             raise RuntimeError(
@@ -447,7 +434,98 @@ def _max_statistic_test(
                 accepted=bool(s_max <= critical),
             )
         )
-    return _build_result(selector, config, config.resolve_lam(tensor.n), decisions)
+    return _build_result(selector, config, config.resolve_lam(prepared.tensor.n), decisions)
+
+
+def _naive_test(prepared: Prepared, config: SelectorConfig) -> SelectionResult:
+    """Candidate m is accepted when the largest of its standardized pairwise
+    statistics does not exceed the bootstrap quantile drawn from N(0,
+    sigma_m)."""
+
+    def bootstrap_critical(m: int, sigma_m: np.ndarray) -> float:
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NAIVE_STREAM, m]))
+        return naive_critical_value(sigma_m, config.alpha, config.bootstrap_draws, rng)
+
+    return _max_statistic_test("naive", prepared, config, bootstrap_critical)
+
+
+def _bonferroni_test(prepared: Prepared, config: SelectorConfig) -> SelectionResult:
+    """Per-pair one-sided z tests at alpha / (p - 1)."""
+    critical = _normal_quantile(1.0 - config.alpha / (prepared.tensor.p - 1))
+    return _max_statistic_test("bonferroni", prepared, config, lambda m, sigma_m: critical)
+
+
+# each built-in selector: the major-fold count of its split layout, and its
+# test on a problem prepared on that layout
+TAILS: dict[str, tuple[int, Callable[[Prepared, SelectorConfig], SelectionResult]]] = {
+    "proposed": (2, partial(_weighted_test, "proposed")),
+    "naive": (2, _naive_test),
+    "bonferroni": (2, _bonferroni_test),
+    "ablation": (1, partial(_weighted_test, "ablation")),
+}
+
+
+def _draw_plan(groups: int, n: int, config: SelectorConfig) -> SplitPlan:
+    """The seeded split of a layout: the two-way split for two major folds,
+    the ablation's one-layer split for one."""
+    if groups == 2:
+        return two_way_split(n, config.inner_folds, config.seed)
+    return single_layer_split(n, config.inner_folds, config.seed)
+
+
+def run_selectors(
+    dataset: Dataset,
+    candidates: CandidateSet,
+    config: SelectorConfig,
+    names: Sequence[str],
+    nuisance_override: OracleNuisance | None = None,
+) -> list[SelectionResult]:
+    """Run the named built-in selectors on one dataset; results in ``names``
+    order.
+
+    Each split layout named is prepared once (one split, its nuisance fits
+    and one loss matrix), every selector on that layout runs its test on it,
+    and it is dropped before the next layout is prepared.
+    """
+    results: dict[str, SelectionResult] = {}
+    for groups in dict.fromkeys(TAILS[name][0] for name in names):
+        plan = _draw_plan(groups, dataset.n, config)
+        prepared = prepare(dataset, candidates, plan, nuisance_override)
+        for name in names:
+            layout, tail = TAILS[name]
+            if layout == groups and name not in results:
+                results[name] = tail(prepared, config)
+        del prepared  # one layout's loss matrix at a time
+    return [results[name] for name in names]
+
+
+def proposed_select(
+    dataset: Dataset,
+    candidates: CandidateSet,
+    config: SelectorConfig,
+    nuisance_override: OracleNuisance | None = None,
+) -> SelectionResult:
+    """Two-layer cross-fitted exponentially weighted selection.
+
+    Accepts candidate r when its studentized weighted score falls below the
+    one-sided normal critical value at level alpha.
+    """
+    return run_selectors(dataset, candidates, config, ["proposed"], nuisance_override)[0]
+
+
+def single_layer_ablation_select(
+    dataset: Dataset,
+    candidates: CandidateSet,
+    config: SelectorConfig,
+    nuisance_override: OracleNuisance | None = None,
+) -> SelectionResult:
+    """One-layer variant kept to demonstrate inflated error rates.
+
+    The proposed test on a one-fold plan: nuisances are fitted on the full
+    sample (every unit is scored in-sample) and the weight-learning folds
+    are drawn over all units with no major-fold separation.
+    """
+    return run_selectors(dataset, candidates, config, ["ablation"], nuisance_override)[0]
 
 
 def naive_select(
@@ -462,14 +540,7 @@ def naive_select(
     statistics does not exceed the bootstrap quantile drawn from N(0,
     sigma_m).
     """
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
-
-    def bootstrap_critical(m: int, sigma_m: np.ndarray) -> float:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NAIVE_STREAM, m]))
-        return naive_critical_value(sigma_m, config.alpha, config.bootstrap_draws, rng)
-
-    return _max_statistic_test("naive", config, tensor, bootstrap_critical)
+    return run_selectors(dataset, candidates, config, ["naive"], nuisance_override)[0]
 
 
 def bonferroni_select(
@@ -479,7 +550,4 @@ def bonferroni_select(
     nuisance_override: OracleNuisance | None = None,
 ) -> SelectionResult:
     """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1)."""
-    plan = two_way_split(dataset.n, config.inner_folds, config.seed)
-    tensor = _cross_fitted_tensor(dataset, candidates, plan, nuisance_override)
-    critical = _normal_quantile(1.0 - config.alpha / (candidates.p - 1))
-    return _max_statistic_test("bonferroni", config, tensor, lambda m, sigma_m: critical)
+    return run_selectors(dataset, candidates, config, ["bonferroni"], nuisance_override)[0]

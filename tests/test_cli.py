@@ -10,7 +10,15 @@ import pytest
 import cateselect
 from cateselect.cli import cli
 from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
-from cateselect.datagen import write_dataset_csv, write_predictions_csv
+from cateselect.datagen import ingest_dataset, ingest_predictions, write_dataset_csv, write_predictions_csv
+from cateselect.harness import strict_json
+from cateselect.selectors import (
+    SelectorConfig,
+    bonferroni_select,
+    naive_select,
+    proposed_select,
+    single_layer_ablation_select,
+)
 
 
 def _write_config(tmp_path, **overrides):
@@ -118,6 +126,28 @@ def test_select_multiple_selectors(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert [entry["selector"] for entry in payload] == ["proposed", "bonferroni"]
+
+
+def test_select_all_selectors_prints_each_selector_alone(tmp_path, capsys):
+    # select shares one preparation per split layout; the results must be
+    # exactly those of each selector called on its own
+    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
+    cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.1, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
+    write_dataset_csv(ds, tmp_path / "d.csv")
+    write_predictions_csv(cands, tmp_path / "p.csv")
+    code = cli([
+        "select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv"),
+        "--selectors", "proposed,naive,bonferroni,ablation", "--seed", "7",
+    ])
+    assert code == 0
+    config = SelectorConfig(seed=7)
+    ingested = ingest_dataset(tmp_path / "d.csv")
+    preds = ingest_predictions(tmp_path / "p.csv", ingested.n)
+    alone = [
+        select(ingested, preds, config).to_dict()
+        for select in (proposed_select, naive_select, bonferroni_select, single_layer_ablation_select)
+    ]
+    assert capsys.readouterr().out == strict_json(alone, indent=2) + "\n"
 
 
 def test_select_bad_csv_exits_1(tmp_path, capsys):
@@ -234,6 +264,19 @@ def test_select_path_imports_no_scipy(module):
     code = (
         f"import sys, {module}; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["cateselect.cli", "cateselect.harness"])
+def test_imports_leave_multiprocessing_unloaded(module):
+    # only a run with more than one worker needs the process pool
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures.process'))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

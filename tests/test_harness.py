@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 from pathlib import Path
@@ -163,12 +164,12 @@ def test_worker_count_does_not_change_results():
 def test_sweep_runs_every_point_on_one_pool(monkeypatch, axis, values):
     pools = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     config = _config(selectors=("proposed", "naive"), n=400, repetitions=3)
     serial = sweep(config, axis, values)
     assert pools == []

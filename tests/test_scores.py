@@ -13,7 +13,7 @@ from cateselect.scores import (
     pseudo_outcomes,
 )
 from cateselect import selectors
-from cateselect.selectors import _cross_fitted_tensor
+from cateselect.selectors import prepare
 
 
 def _constant_model(mu0, mu1, e_logit, d=1):
@@ -87,7 +87,7 @@ def _toy_tensor(n=400, p=4, seed=3):
     specs = [NoiseSpec(0.0, 0.1)] + [NoiseSpec(0.03, 0.1)] * (p - 1)
     cands = make_candidates(truth, specs, seed=seed + 1)
     plan = selectors.two_way_split(n, 5, seed + 2)
-    tensor = _cross_fitted_tensor(ds, cands, plan)
+    tensor = prepare(ds, cands, plan).tensor
     return tensor, ds, cands, plan
 
 
@@ -184,7 +184,7 @@ def test_cross_fitting_uses_opposite_fold_model(monkeypatch):
         return trained_on[fold]
 
     monkeypatch.setattr(selectors, "fit", stub_fit)
-    tensor = _cross_fitted_tensor(ds, cands, plan)
+    tensor = prepare(ds, cands, plan).tensor
     gamma_a = pseudo_outcomes(ds, _values(model_a, ds))
     gamma_b = pseudo_outcomes(ds, _values(model_b, ds))
     assert np.all(gamma_a != gamma_b)

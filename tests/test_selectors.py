@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from cateselect import selectors
-from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
-from cateselect.harness import _derived_seeds
+from cateselect.datagen import NEAR_TIED_SPECS, CandidateSet, NoiseSpec, generate_toy, make_candidates
+from cateselect.harness import ExperimentConfig, _derived_seeds, run_experiment
 from cateselect.nuisance import OracleNuisance
 from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
     SelectorConfig,
-    _cross_fitted_tensor,
+    Prepared,
     _weighted_test,
     bonferroni_select,
     cells,
@@ -22,6 +23,7 @@ from cateselect.selectors import (
     exp_weights,
     naive_critical_value,
     naive_select,
+    prepare,
     proposed_select,
     single_layer_ablation_select,
     single_layer_split,
@@ -147,7 +149,7 @@ def _proposed_statistics(ds, cands, config):
     the statistics it reports."""
     res = proposed_select(ds, cands, config)
     plan = two_way_split(ds.n, config.inner_folds, config.seed)
-    tensor = _cross_fitted_tensor(ds, cands, plan)
+    tensor = prepare(ds, cands, plan).tensor
     stats = exp_weighted_statistics(tensor, plan, config.resolve_lam(ds.n))
     for r in range(cands.p):
         assert res.stats[r].statistic == stats.z_scores[r]
@@ -432,12 +434,12 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     oracle = OracleNuisance.from_truth(truth)
     plan = two_way_split(ds.n, cfg.inner_folds, cfg.seed)
-    tensor = _cross_fitted_tensor(ds, cands, plan, oracle)
+    tensor = prepare(ds, cands, plan, oracle).tensor
     ra_own = single_layer_ablation_select(ds, cands, cfg, nuisance_override=oracle)
     own_plan = single_layer_split(ds.n, cfg.inner_folds, cfg.seed)
-    assert ra_own.stats == _weighted_test("ablation", cfg, tensor, own_plan).stats
+    assert ra_own.stats == _weighted_test("ablation", Prepared(own_plan, tensor), cfg).stats
     rp = proposed_select(ds, cands, cfg, nuisance_override=oracle)
-    ra = _weighted_test("ablation", cfg, tensor, plan)
+    ra = _weighted_test("ablation", Prepared(plan, tensor), cfg)
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
         assert a.statistic == b.statistic
@@ -517,3 +519,86 @@ def test_statistics_equivariant_under_candidate_relabeling(n, perm, seed):
     # each candidate's bootstrap stream is keyed to its index, not its predictions
     for select in (bonferroni_select, naive_select):
         npt.assert_array_equal(statistics(select, relabeled), statistics(select, cands)[list(perm)])
+
+
+# --- shared preparation -----------------------------------------------------
+
+
+def _count_work(monkeypatch):
+    counts = {"fit": 0, "build": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(selectors, "fit", counted("fit", selectors.fit))
+    monkeypatch.setattr(selectors, "build_score_tensor", counted("build", selectors.build_score_tensor))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "names, fits, builds",
+    [
+        (("proposed", "naive", "bonferroni"), 2, 1),
+        (("proposed", "naive", "bonferroni", "ablation"), 3, 2),
+        (("ablation", "naive"), 3, 2),
+    ],
+)
+def test_run_selectors_prepares_each_layout_once(monkeypatch, names, fits, builds):
+    ds, truth, cands, sel_seed = _toy_problem()
+    config = SelectorConfig(seed=sel_seed)
+    counts = _count_work(monkeypatch)
+    results = selectors.run_selectors(ds, cands, config, names)
+    assert counts == {"fit": fits, "build": builds}
+    assert [r.selector for r in results] == list(names)
+
+
+def test_run_selectors_matches_each_selector_alone():
+    ds, truth, cands, sel_seed = _toy_problem()
+    config = SelectorConfig(seed=sel_seed)
+    names = ("ablation", "bonferroni", "proposed", "naive")
+    alone = {
+        "proposed": proposed_select,
+        "naive": naive_select,
+        "bonferroni": bonferroni_select,
+        "ablation": single_layer_ablation_select,
+    }
+    shared = selectors.run_selectors(ds, cands, config, names)
+    assert shared == [alone[name](ds, cands, config) for name in names]
+
+
+def test_harness_repetition_still_prepares_per_selector(monkeypatch):
+    # the Monte Carlo harness calls each selector on its own: two two-layer
+    # selectors fit four nuisance models and build two loss matrices
+    config = ExperimentConfig(
+        n=400,
+        noise_specs=(NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)),
+        selectors=("naive", "proposed"),
+        repetitions=2,
+    )
+    counts = _count_work(monkeypatch)
+    run_experiment(config)
+    assert counts == {"fit": 4 * 2, "build": 2 * 2}
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    alphas=st.lists(st.floats(0.001, 0.9), min_size=2, max_size=5, unique=True),
+)
+@settings(max_examples=15, deadline=None)
+def test_accepted_sets_shrink_as_alpha_grows(seed, alphas):
+    # a larger alpha lowers every critical value on the same scores, so no
+    # selector accepts a candidate it rejected at a smaller alpha
+    ds, truth, cands, sel_seed = _toy_problem(n=400, specs=NEAR_TIED_SPECS, seed=seed)
+    config = SelectorConfig(seed=sel_seed)
+    for name, (groups, tail) in selectors.TAILS.items():
+        prepared = prepare(ds, cands, selectors._draw_plan(groups, ds.n, config))
+        accepted = [
+            set(tail(prepared, dataclasses.replace(config, alpha=alpha)).accepted)
+            for alpha in sorted(alphas)
+        ]
+        for smaller, larger in zip(accepted, accepted[1:]):
+            assert larger <= smaller, name
