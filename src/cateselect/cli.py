@@ -25,14 +25,13 @@ import csv
 import dataclasses
 import os
 import sys
-from collections.abc import Collection
 from pathlib import Path
 
 from .datagen import ingest_dataset, ingest_predictions
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    SELECTOR_FUNCS,
+    check_selector_names,
     clt_diagnostic,
     load_experiment_config,
     run_experiment,
@@ -111,7 +110,6 @@ def _build_parser() -> _Parser:
     p_sel.add_argument("--alpha", type=float, default=SelectorConfig.alpha)
     p_sel.add_argument("--lambda", dest="lam", type=float, default=SelectorConfig.lam)
     p_sel.add_argument("--inner-folds", type=int, default=SelectorConfig.inner_folds)
-    p_sel.add_argument("--bootstrap-draws", type=int, default=SelectorConfig.bootstrap_draws)
     p_sel.add_argument("--seed", type=int, default=SelectorConfig.seed)
     p_sel.add_argument("--selectors", default="proposed")
 
@@ -129,14 +127,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_selector_list(raw: str, known: Collection[str] = SELECTOR_FUNCS) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
-    if not names:
-        raise ConfigError("selector list is empty")
-    unknown = [s for s in names if s not in known]
-    if unknown:
-        raise ConfigError(f"unknown selectors: {', '.join(unknown)}")
-    return names
+def _parse_selector_list(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -207,13 +199,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     try:
-        selectors = _parse_selector_list(args.selectors, known=TAILS)
+        selectors = _parse_selector_list(args.selectors)
+        check_selector_names(selectors, TAILS)
         config = SelectorConfig(
-            alpha=args.alpha,
-            lam=args.lam,
-            inner_folds=args.inner_folds,
-            bootstrap_draws=args.bootstrap_draws,
-            seed=args.seed,
+            alpha=args.alpha, lam=args.lam, inner_folds=args.inner_folds, seed=args.seed
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

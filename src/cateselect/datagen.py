@@ -126,11 +126,6 @@ class NoiseSpec:
         return self.mean**2 + self.sd**2
 
 
-def population_relative_error(a: NoiseSpec, b: NoiseSpec) -> float:
-    """Population MSE gap between two noisy-oracle candidates."""
-    return a.population_mse - b.population_mse
-
-
 # Standard candidate suites used throughout the experiments: one with three
 # competitive candidates plus four clearly inferior ones, and one where every
 # non-winner sits just above the winner.

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +90,20 @@ def register_selector(name: str, fn: SelectorFunc) -> None:
     SELECTOR_FUNCS[name] = fn
 
 
+def check_selector_names(names: Sequence[str], known: Collection[str]) -> None:
+    """Raise unless ``names`` is a nonempty list of distinct names in ``known``."""
+    if isinstance(names, str) or not all(isinstance(s, str) for s in names):
+        raise ValueError(f"selectors must be a list of names, got {names!r}")
+    if not names:
+        raise ValueError("selector list is empty")
+    unknown = [s for s in names if s not in known]
+    if unknown:
+        raise ValueError(f"unknown selectors: {', '.join(unknown)}")
+    repeated = [s for s in dict.fromkeys(names) if names.count(s) > 1]
+    if repeated:
+        raise ValueError(f"duplicate selectors: {', '.join(repeated)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation study: data generating process, selectors, accounting."""
@@ -101,7 +115,6 @@ class ExperimentConfig:
     alpha: float = SelectorConfig.alpha
     lam: float | None = SelectorConfig.lam
     inner_folds: int = SelectorConfig.inner_folds
-    bootstrap_draws: int = SelectorConfig.bootstrap_draws
     repetitions: int = 100
     seed: int = 0
     oracle_nuisances: bool = False
@@ -115,6 +128,7 @@ class ExperimentConfig:
             "noise_specs",
             tuple(s if isinstance(s, NoiseSpec) else NoiseSpec(*s) for s in self.noise_specs),
         )
+        check_selector_names(self.selectors, SELECTOR_FUNCS)
         object.__setattr__(self, "selectors", tuple(self.selectors))
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
@@ -141,7 +155,6 @@ class ExperimentConfig:
             alpha=self.alpha,
             lam=self.lam,
             inner_folds=self.inner_folds,
-            bootstrap_draws=self.bootstrap_draws,
             seed=seed,
         )
 
@@ -226,14 +239,7 @@ class ExperimentReport:
         return {
             "config": experiment_config_to_dict(self.config),
             "selectors": {
-                name: {
-                    "fwer": s.fwer,
-                    "fwer_ci": list(s.fwer_ci),
-                    "anws": s.anws,
-                    "anws_ci": list(s.anws_ci),
-                    "reps": s.reps,
-                }
-                for name, s in sorted(self.summaries.items())
+                name: dataclasses.asdict(s) for name, s in sorted(self.summaries.items())
             },
             "failures": [[k, msg] for k, msg in self.failures],
             "metadata": dict(self.metadata),
@@ -272,14 +278,9 @@ def _single_rep(
     records: list[RepRecord] = []
     failures: list[str] = []
     for name in config.selectors:
-        try:
-            fn = SELECTOR_FUNCS[name]
-        except KeyError:
-            raise ConfigError(f"unknown selector: {name}") from None
+        fn = SELECTOR_FUNCS[name]
         try:
             result = fn(dataset, candidates, config.selector_config(sel_seed), nuisance_override=override)
-        except ConfigError:
-            raise
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -296,8 +297,6 @@ def _rep_worker(
     config, k, seeds = job
     try:
         return (k, *_single_rep(config, k, seeds))
-    except ConfigError:
-        raise
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # numerical failures are recorded, not fatal; programming errors such
         # as TypeError propagate instead of shrinking the metric denominators
@@ -498,14 +497,7 @@ class CltReport:
     skipped: list[tuple[int, int, int]]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "datasets": self.datasets,
-            "bootstrap_draws": self.bootstrap_draws,
-            "ks_level": self.ks_level,
-            "rejection_share": self.rejection_share,
-            "per_dataset": self.per_dataset,
-            "skipped": [list(item) for item in self.skipped],
-        }
+        return dataclasses.asdict(self)
 
 
 def clt_diagnostic(
@@ -587,14 +579,7 @@ class StabilityReport:
     probes_per_point: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_grid": list(self.n_grid),
-            "delta1": list(self.delta1),
-            "delta2": list(self.delta2),
-            "slope_delta1_sq": self.slope_delta1_sq,
-            "slope_delta2_sq": self.slope_delta2_sq,
-            "probes_per_point": self.probes_per_point,
-        }
+        return dataclasses.asdict(self)
 
 
 def stability_diagnostic(

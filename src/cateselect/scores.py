@@ -9,9 +9,9 @@ the shared ``gamma^2`` dropped, so the pairwise score
 one-step estimate of their MSE gap, is the difference of their losses.
 Where the nuisance values come from (truth, or models cross-fitted on
 other units) is the caller's business. Every selector consumes the p x n
-loss matrix and contrasts its rows: ``delta_hat`` and ``cov_hat`` return
-plain arrays, the mean gaps of one candidate against each rival and the
-covariance of those means.
+loss matrix and contrasts its rows; no p x p x n array of pairwise scores
+is ever stored. ``delta_hat`` and ``cov_hat`` return plain arrays, the mean
+gaps of one candidate against each rival and the covariance of those means.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .nuisance import OracleNuisance
 class ScoreTensor:
     """Per-unit candidate losses: ``losses[r, i] = tau_r[i]^2 - 2 tau_r[i] gamma[i]``.
 
-    The score of r against s on unit i is ``losses[r, i] - losses[s, i]``.
+    The loss matrix is the only form of the scores: the score of r against s
+    on unit i is ``losses[r, i] - losses[s, i]``, formed where it is used.
     Every loss must be finite, so no statistic built from them is NaN.
     """
 
@@ -42,12 +43,6 @@ class ScoreTensor:
         if not np.all(np.isfinite(losses)):
             raise ValueError("candidate losses must be finite")
         object.__setattr__(self, "losses", _readonly(losses))
-
-    @property
-    def values(self) -> np.ndarray:
-        """All pairwise scores, ``values[r, s, i]``: exactly antisymmetric in
-        (r, s) with a zero diagonal. Built on demand for inspection only."""
-        return _readonly(self.losses[:, None, :] - self.losses[None, :, :])
 
     @cached_property
     def centred(self) -> np.ndarray:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from statistics import NormalDist
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .nuisance import OracleNuisance, fit
 from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
 
 _NAIVE_STREAM = 0x5EED01
+_NAIVE_DRAWS = 2000  # Gaussian draws behind each naive critical value
 _ABLATION_STREAM = 0x5EED02
 
 _MIN_INNER_FOLD = 2
@@ -63,14 +64,13 @@ class SelectorConfig:
 
     ``lam`` is the exponential-weighting temperature; None resolves to
     ``n ** 0.4`` at selection time, which grows slower than sqrt(n) as the
-    weighting theory requires. ``bootstrap_draws`` only matters for the
-    naive selector; fewer than 1000 draws are rejected here.
+    weighting theory requires. ``seed`` fixes the split and the naive
+    selector's bootstrap draws.
     """
 
     alpha: float = 0.10
     lam: float | None = None
     inner_folds: int = 5
-    bootstrap_draws: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,8 +80,6 @@ class SelectorConfig:
             raise ValueError("lam must be nonnegative")
         if self.inner_folds < 2:
             raise ValueError("need at least two inner folds")
-        if self.bootstrap_draws < 1000:
-            raise ValueError("bootstrap_draws must be at least 1000")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -166,13 +164,6 @@ def exp_weights(delta: np.ndarray, lam: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-class Cell(NamedTuple):
-    """One weight-learning/evaluation cell of a fold layout."""
-
-    eval_idx: np.ndarray
-    weight_idx: np.ndarray
-
-
 def _cell_order(plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     """The units sorted by cell (major fold, then inner fold, ascending unit
     index within a cell) and the cell boundaries in that order.
@@ -188,29 +179,14 @@ def _cell_order(plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
-def cells(plan: SplitPlan) -> list[Cell]:
-    """Cells of a split, in the order of ``ProposedStatistics.weights``:
-    evaluate each inner fold with weights learned on the rest of its own
-    major fold."""
-    order, bounds = _cell_order(plan)
-    out = []
-    for fold in range(plan.groups):
-        first, last = fold * plan.inner_folds, (fold + 1) * plan.inner_folds
-        members = np.sort(order[bounds[first] : bounds[last]])
-        labels = plan.inner[members]
-        for v in range(plan.inner_folds):
-            eval_idx = order[bounds[first + v] : bounds[first + v + 1]]
-            out.append(Cell(eval_idx=eval_idx, weight_idx=members[labels != v]))
-    return out
-
-
 @dataclass(frozen=True)
 class ProposedStatistics:
     """Everything the exponentially weighted test computes.
 
     ``q_matrix[i, r]`` is unit i's weighted score against candidate r's
-    rivals; ``weights[c, r]`` is the simplex vector used in cell c. The test
-    statistic is ``score_sums / (sqrt(n) * sigmas)``.
+    rivals; ``weights[c, r]`` is the simplex vector used in cell c, the
+    cells ordered by major fold, then inner fold. The test statistic is
+    ``score_sums / (sqrt(n) * sigmas)``.
     """
 
     score_sums: np.ndarray
@@ -223,10 +199,11 @@ class ProposedStatistics:
 def exp_weighted_statistics(tensor: ScoreTensor, plan: SplitPlan, lam: float) -> ProposedStatistics:
     """Aggregate pairwise scores into one studentized statistic per candidate.
 
-    Cell c of ``cells(plan)`` scores its units with the softmax weights
-    learned on the rest of its major fold. One gather sorts the losses by
-    cell; a weight set's mean is its fold's sum minus the cell's own sum,
-    over the fold's size minus the cell's.
+    The cells are the inner folds, ordered by major fold, then inner fold;
+    each scores its units with the softmax weights learned on the rest of
+    its major fold. One gather sorts the losses by cell; a weight set's mean
+    is its fold's sum minus the cell's own sum, over the fold's size minus
+    the cell's.
     """
     p, n = tensor.p, tensor.n
     if plan.n != n:
@@ -444,7 +421,7 @@ def _naive_test(prepared: Prepared, config: SelectorConfig) -> SelectionResult:
 
     def bootstrap_critical(m: int, sigma_m: np.ndarray) -> float:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _NAIVE_STREAM, m]))
-        return naive_critical_value(sigma_m, config.alpha, config.bootstrap_draws, rng)
+        return naive_critical_value(sigma_m, config.alpha, _NAIVE_DRAWS, rng)
 
     return _max_statistic_test("naive", prepared, config, bootstrap_critical)
 

@@ -15,7 +15,6 @@ from cateselect.datagen import (
     NoiseSpec,
     generate_toy,
     make_candidates,
-    population_relative_error,
 )
 from cateselect.harness import (
     ExperimentConfig,
@@ -27,7 +26,7 @@ from cateselect.harness import (
     sweep,
 )
 from cateselect.nuisance import OracleNuisance
-from cateselect.scores import build_score_tensor, cov_hat, delta_hat
+from cateselect.scores import _rival_scores, build_score_tensor, cov_hat, delta_hat
 from cateselect.selectors import (
     SelectorConfig,
     exp_weights,
@@ -155,7 +154,7 @@ def test_criterion_5_proposed_flat_naive_increasing(power_sweep_points):
 
 def test_criterion_6_oracle_delta_agreement():
     specs = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1))
-    target = population_relative_error(specs[0], specs[1])
+    target = specs[0].population_mse - specs[1].population_mse
     hits = 0
     for k in range(100):
         data_seed, cand_seed, _ = _derived_seeds(SEED, 6, k)
@@ -175,7 +174,7 @@ def test_criterion_6_oracle_delta_agreement():
 def test_criterion_7_clt_calibration():
     # (a) standardized pair statistic over 500 replicates is Gaussian by KS
     specs = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1))
-    target = population_relative_error(specs[0], specs[1])
+    target = specs[0].population_mse - specs[1].population_mse
     zs = np.empty(500)
     for k in range(500):
         data_seed, cand_seed, _ = _derived_seeds(SEED, 7, k)
@@ -245,12 +244,15 @@ def test_criterion_10_exactness_properties():
             problems.append("softmax shift invariance violated")
             break
 
-    # score antisymmetry, exact
+    # score antisymmetry, exact, over every ordered pair of the scores the
+    # selectors use: s is row s - (s > r) of r's rival scores
     data_seed, cand_seed, sel_seed = _derived_seeds(SEED, 10, 0)
     ds, truth = generate_toy(500, (2, 2, 2, 2), data_seed)
     cands = make_candidates(truth, NEAR_TIED_SPECS, cand_seed)
     tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
-    if not np.array_equal(tensor.values, -tensor.values.transpose(1, 0, 2)):
+    rival = [_rival_scores(tensor, m) for m in range(tensor.p)]
+    pairs = [(r, s) for r in range(tensor.p) for s in range(tensor.p) if r != s]
+    if not all(np.array_equal(rival[r][s - (s > r)], -rival[s][r - (r > s)]) for r, s in pairs):
         problems.append("score antisymmetry violated")
 
     # seed determinism: data and selections

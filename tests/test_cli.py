@@ -85,6 +85,16 @@ def test_unknown_selector_exits_1(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_config_naming_bootstrap_draws_exits_1(tmp_path, capsys):
+    # the naive selector's draw count is fixed; the key is no longer a setting
+    config = _write_config(tmp_path, bootstrap_draws=2000)
+    out = tmp_path / "out"
+    assert cli(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys: bootstrap_draws" in err
+    assert not out.exists()
+
+
 def test_bad_config_values_exit_1(tmp_path, capsys):
     config = _write_config(tmp_path, repetitions=0)
     code = cli(["simulate", "--config", str(config)])
@@ -190,19 +200,25 @@ def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
     assert "RuntimeWarning" not in err
 
 
-def test_select_too_few_bootstrap_draws_blames_the_setting(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "selectors, message",
+    [(",", "selector list is empty"), ("naive,proposed,naive", "duplicate selectors: naive"),
+     ("proposed,nope", "unknown selectors: nope")],
+    ids=["empty", "duplicate", "unknown"],
+)
+def test_select_bad_selector_list_exits_1(tmp_path, capsys, selectors, message):
     ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
     cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
     write_dataset_csv(ds, tmp_path / "d.csv")
     write_predictions_csv(cands, tmp_path / "p.csv")
     code = cli([
         "select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv"),
-        "--selectors", "naive", "--bootstrap-draws", "500",
+        "--selectors", selectors,
     ])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "bootstrap" in err
-    assert str(tmp_path) not in err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -381,6 +397,7 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
     "overrides, command, message",
     [
         ({"n": 10}, ["simulate"], "n >= 20"),
+        ({"selectors": []}, ["simulate"], "selector list is empty"),
         ({"dims": [2, 2, 2, 0]}, ["simulate"], "dims must be four block sizes"),
         ({}, ["sweep", "--axis", "sample-fraction", "--values", "0.005"], "sample_fraction value 0.005"),
         ({}, ["sweep", "--axis", "candidate-count", "--values", "2,2"], "strictly increasing"),
@@ -393,7 +410,7 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
          ["sweep", "--axis", "sample-fraction", "--values", "0.03,1.0", "--inner-folds", "10"],
          "sample_fraction value 0.03: n=30 is too small for 10 inner folds"),
     ],
-    ids=["n_10", "empty_block", "tiny_fraction", "repeated_value", "n_30_for_10_folds",
+    ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_30_for_10_folds",
          "clt_n_30_for_10_folds", "fraction_to_n_30_for_10_folds"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):

@@ -240,12 +240,29 @@ def test_config_requires_unique_winner():
 
 
 @pytest.mark.parametrize(
-    "setting", [{"alpha": 1.5}, {"inner_folds": 1}, {"lam": -1.0}, {"bootstrap_draws": 500}]
+    "setting", [{"alpha": 1.5}, {"inner_folds": 1}, {"lam": -1.0}]
 )
 def test_config_rejects_invalid_selector_settings(setting):
     # caught when the config is built, not as a failure in every repetition
     with pytest.raises(ValueError):
         _config(**setting)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((), "selector list is empty"),
+        (("bonferroni", "accept_all", "bonferroni"), "duplicate selectors: bonferroni"),
+        (("accept_all", "nope"), "unknown selectors: nope"),
+        ("accept_all", "must be a list of names"),
+        ((["accept_all"],), "must be a list of names"),
+    ],
+    ids=["empty", "duplicate", "unknown", "bare_string", "nested_list"],
+)
+def test_config_rejects_bad_selector_lists(names, message):
+    # caught when the config is built, before any dataset is drawn
+    with pytest.raises(ValueError, match=message):
+        _config(selectors=names)
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, make_candidates
-from cateselect.datagen import population_relative_error
 from cateselect.nuisance import NuisanceModel, OracleNuisance
 from cateselect.scores import (
     ScoreTensor,
     build_score_tensor,
     cov_hat,
     delta_hat,
+    _rival_scores,
     pseudo_outcomes,
 )
 from cateselect import selectors
@@ -75,11 +75,11 @@ def test_pair_score_hand_values():
     model = _constant_model(mu0=0.0, mu1=1.0, e_logit=0.0)
     ds = _two_units(2.0, 0.0)  # the treated unit's proxy is 3
     cands = CandidateSet(np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
-    values = build_score_tensor(ds, cands, _values(model, ds)).values
-    assert values[0, 1, 0] == pytest.approx(-5.0, abs=1e-12)
-    assert values[2, 3, 0] == 0.0
+    losses = build_score_tensor(ds, cands, _values(model, ds)).losses
+    assert losses[0, 0] - losses[1, 0] == pytest.approx(-5.0, abs=1e-12)
+    assert losses[2, 0] - losses[3, 0] == 0.0
     # swapping the candidates flips the sign exactly
-    assert values[0, 1, 0] == -values[1, 0, 0]
+    assert losses[0, 0] - losses[1, 0] == -(losses[1, 0] - losses[0, 0])
 
 
 def _toy_tensor(n=400, p=4, seed=3):
@@ -92,10 +92,17 @@ def _toy_tensor(n=400, p=4, seed=3):
 
 
 def test_tensor_antisymmetry_and_zero_diagonal():
+    # the pair scores the selectors use: row j of _rival_scores(tensor, r) is
+    # r against its j-th rival, so s sits at row s - (s > r)
     tensor, *_ = _toy_tensor()
-    npt.assert_array_equal(tensor.values, -tensor.values.transpose(1, 0, 2))
+    rival = [_rival_scores(tensor, m) for m in range(tensor.p)]
     for r in range(tensor.p):
-        npt.assert_array_equal(tensor.values[r, r], np.zeros(tensor.n))
+        for s in range(tensor.p):
+            if s != r:
+                npt.assert_array_equal(rival[r][s - (s > r)], -rival[s][r - (r > s)])
+        # a candidate against an exact copy of itself scores zero
+        doubled = ScoreTensor(losses=np.vstack([tensor.losses, tensor.losses[r]]))
+        npt.assert_array_equal(_rival_scores(doubled, r)[-1], np.zeros(tensor.n))
 
 
 def test_identical_candidates_zero_tensor():
@@ -103,13 +110,13 @@ def test_identical_candidates_zero_tensor():
     row = truth.tau + 0.1
     cands = CandidateSet(np.vstack([row, row]))
     tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
-    npt.assert_array_equal(tensor.values, np.zeros_like(tensor.values))
+    npt.assert_array_equal(tensor.losses[0] - tensor.losses[1], np.zeros(tensor.n))
 
 
 def test_delta_hat_is_tensor_mean():
     tensor, *_ = _toy_tensor()
     delta = delta_hat(tensor, 2)
-    expected = tensor.values[2, [0, 1, 3], :].mean(axis=1)
+    expected = (tensor.losses[2] - tensor.losses[[0, 1, 3]]).mean(axis=1)
     npt.assert_array_equal(delta, expected)
 
 
@@ -123,7 +130,7 @@ def test_delta_antisymmetry():
 def test_cov_hat_diagonal_is_variance_over_n():
     tensor, *_ = _toy_tensor()
     cov = cov_hat(tensor, 0)
-    rows = tensor.values[0, [1, 2, 3], :]
+    rows = tensor.losses[0] - tensor.losses[[1, 2, 3]]
     for j in range(3):
         npt.assert_allclose(cov[j, j], np.var(rows[j], ddof=1) / tensor.n, rtol=1e-12)
     # PSD within tolerance
@@ -163,7 +170,7 @@ def test_delta_matches_population_value_with_oracle():
     tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
     delta = delta_hat(tensor, 0)
     cov = cov_hat(tensor, 0)
-    target = population_relative_error(specs[0], specs[1])
+    target = specs[0].population_mse - specs[1].population_mse
     assert abs(delta[0] - target) < 4 * np.sqrt(cov[0, 0])
 
 
@@ -190,4 +197,4 @@ def test_cross_fitting_uses_opposite_fold_model(monkeypatch):
     assert np.all(gamma_a != gamma_b)
     # score for pair (0, 1) is -1 + 2 * gamma, gamma from the other fold's model
     expected = np.where(plan.major == 0, gamma_b, gamma_a)
-    npt.assert_allclose(tensor.values[0, 1], -1.0 + 2.0 * expected, rtol=1e-12)
+    npt.assert_allclose(tensor.losses[0] - tensor.losses[1], -1.0 + 2.0 * expected, rtol=1e-12)

@@ -16,9 +16,9 @@ from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
     SelectorConfig,
     Prepared,
+    _cell_order,
     _weighted_test,
     bonferroni_select,
-    cells,
     exp_weighted_statistics,
     exp_weights,
     naive_critical_value,
@@ -57,22 +57,23 @@ def test_split_partition_property(n, v, seed):
         return
     two_way, flat = two_way_split(n, v, seed), single_layer_split(n, v, seed)
     for plan in (two_way, flat):
-        layout = cells(plan)
-        seen = np.concatenate([c.eval_idx for c in layout])
+        layout = _mask_cells(plan)
+        seen = np.concatenate([eval_idx for eval_idx, _ in layout])
         npt.assert_array_equal(np.sort(seen), np.arange(n))
-        for cell in layout:
-            assert cell.eval_idx.size >= 2
-            assert np.intersect1d(cell.eval_idx, cell.weight_idx).size == 0
+        for eval_idx, weight_idx in layout:
+            assert eval_idx.size >= 2
+            assert np.intersect1d(eval_idx, weight_idx).size == 0
             # weights are learned on the rest of the cell's own major fold
-            major = np.flatnonzero(plan.major == plan.major[cell.eval_idx[0]])
-            npt.assert_array_equal(cell.weight_idx, np.setdiff1d(major, cell.eval_idx))
+            major = np.flatnonzero(plan.major == plan.major[eval_idx[0]])
+            npt.assert_array_equal(weight_idx, np.setdiff1d(major, eval_idx))
     # the one-layer split's only major fold is the whole sample
-    for cell in cells(flat):
-        npt.assert_array_equal(cell.weight_idx, np.setdiff1d(np.arange(n), cell.eval_idx))
+    for eval_idx, weight_idx in _mask_cells(flat):
+        npt.assert_array_equal(weight_idx, np.setdiff1d(np.arange(n), eval_idx))
 
 
 def _mask_cells(plan):
-    """The three-masks-per-cell construction ``cells`` replaced."""
+    """Each cell's (eval units, weight units), major fold then inner fold,
+    built from three masks per cell."""
     indices = np.arange(plan.n)
     out = []
     for fold in range(plan.groups):
@@ -182,11 +183,11 @@ def _reference_statistics(tensor, layout, lam):
     p, n = tensor.p, tensor.n
     q = np.zeros((n, p))
     weights = np.zeros((len(layout), p, p - 1))
-    for c, cell in enumerate(layout):
+    for c, (eval_idx, weight_idx) in enumerate(layout):
         for r in range(p):
-            rows = tensor.values[r, [s for s in range(p) if s != r]]
-            weights[c, r] = exp_weights(rows[:, cell.weight_idx].mean(axis=1), lam)
-            q[cell.eval_idx, r] = weights[c, r] @ rows[:, cell.eval_idx]
+            rows = tensor.losses[r] - tensor.losses[[s for s in range(p) if s != r]]
+            weights[c, r] = exp_weights(rows[:, weight_idx].mean(axis=1), lam)
+            q[eval_idx, r] = weights[c, r] @ rows[:, eval_idx]
     z = q.sum(axis=0) / (np.sqrt(n) * q.std(axis=0, ddof=1))
     return q, weights, z
 
@@ -197,7 +198,7 @@ def test_proposed_matches_pairwise_weighted_average(lam):
     plan, tensor, stats = _proposed_statistics(
         ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed)
     )
-    q, weights, z = _reference_statistics(tensor, cells(plan), lam)
+    q, weights, z = _reference_statistics(tensor, _mask_cells(plan), lam)
     if lam == 0.0:
         # uniform weights: the plain average of the pairwise scores
         npt.assert_allclose(stats.q_matrix, q, rtol=1e-12)
@@ -219,11 +220,12 @@ def test_proposed_matches_pairwise_weighted_average(lam):
 def test_weighted_statistics_match_reference_property(p, n, v, two_way, lam, seed):
     assume((n // (2 if two_way else 1)) // v >= 2)
     plan = (two_way_split if two_way else single_layer_split)(n, v, seed)
-    layout = cells(plan)
-    for cell, (eval_idx, weight_idx) in zip(layout, _mask_cells(plan), strict=True):
-        for got, want in ((cell.eval_idx, eval_idx), (cell.weight_idx, weight_idx)):
-            assert got.dtype == want.dtype
-            npt.assert_array_equal(got, want)
+    layout = _mask_cells(plan)
+    # the statistic's cell order: cell c's units in ascending order
+    order, bounds = _cell_order(plan)
+    assert len(bounds) == len(layout) + 1
+    for c, (eval_idx, _) in enumerate(layout):
+        npt.assert_array_equal(order[bounds[c] : bounds[c + 1]], eval_idx)
     rng = np.random.default_rng(seed)
     losses = rng.normal(rng.normal(size=(p, 1)), rng.uniform(0.1, 2.0, size=(p, 1)), size=(p, n))
     tensor = ScoreTensor(losses=losses)
@@ -296,12 +298,6 @@ def test_naive_critical_identity_matches_max_gaussian():
     c = naive_critical_value(np.eye(6), 0.10, 100_000, np.random.default_rng(1))
     mc = np.random.default_rng(2).standard_normal((100_000, 6)).max(axis=1)
     assert c == pytest.approx(np.quantile(mc, 0.9), abs=0.05)
-
-
-def test_naive_requires_enough_draws():
-    ds, truth, cands, sel_seed = _toy_problem()
-    with pytest.raises(ValueError, match="1000"):
-        naive_select(ds, cands, SelectorConfig(alpha=0.1, bootstrap_draws=500, seed=sel_seed))
 
 
 def test_naive_degenerate_covariance_errors():
