@@ -9,13 +9,17 @@ Subcommands:
 * ``select``: one-shot selection on an ingested dataset/prediction pair,
   printing the selection result as JSON. Selectors that share a split
   layout share its split, nuisance fits and loss matrix.
-* ``diagnose``: normality (``clt``) or perturbation-stability
-  (``stability``) diagnostics, written as JSON plus CSV.
+* ``diagnose clt`` and ``diagnose stability``: normality and
+  perturbation-stability diagnostics, written as JSON plus CSV. Both score
+  on the config's split layout: the two-way split when any selector uses
+  it, the one-fold split for an ablation-only config.
 
-Every JSON output is strict: a non-finite float is written as ``null``.
-Exit codes: 0 on success, 1 on configuration, usage or input errors
-(including inputs a selector cannot score), 2 on runtime failures and,
-with nothing printed, when the reader of stdout closes it early.
+Each command declares exactly the flags it reads; every config override
+flag comes from one table, ``_SETTINGS``. Every JSON output is strict: a
+non-finite float is written as ``null``. Exit codes: 0 on success, 1 on
+configuration, usage or input errors (including inputs a selector cannot
+score), 2 on runtime failures and, with nothing printed, when the reader
+of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .datagen import ingest_dataset, ingest_predictions
 from .harness import (
@@ -38,6 +43,7 @@ from .harness import (
     stability_diagnostic,
     strict_json,
     sweep,
+    write_json,
     write_per_rep_csv,
 )
 from .selectors import TAILS, SelectorConfig, run_selectors
@@ -58,97 +64,86 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
-    """Config overrides every config-driven command reads."""
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _parse_selector_list(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+# Every setting a command can take from its flags: the config field it sets
+# (on ``ExperimentConfig``, or ``SelectorConfig`` for ``select``), how its
+# value parses, and its help. A flag left out keeps the config's value.
+_SETTINGS: dict[str, tuple[str, Callable[[str], Any], str]] = {
+    "--seed": ("seed", int, "random seed, at least 0"),
+    "--inner-folds": ("inner_folds", int, "inner fold count"),
+    "--lambda": ("lam", float, "exponential weighting temperature (default n^0.4)"),
+    "--alpha": ("alpha", float, "significance level"),
+    "--selectors": ("selectors", _parse_selector_list, "comma-separated selector names"),
+    "--reps": ("repetitions", int, "number of repetitions"),
+}
+
+
+def _add_settings(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        field, parse, help_text = _SETTINGS[flag]
+        parser.add_argument(flag, dest=field, type=parse, default=None, help=help_text)
+
+
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The settings the command line gives, by config field."""
+    fields = [field for field, _, _ in _SETTINGS.values()]
+    return {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
+
+
+def _config_command(
+    sub: Any, name: str, help_text: str, run: Callable[[argparse.Namespace], int], *flags: str
+) -> argparse.ArgumentParser:
+    """A subcommand that runs a JSON experiment config, with the settings
+    ``flags`` as overrides."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=None,
-        help="exponential weighting temperature (default n^0.4)",
-    )
-    parser.add_argument("--inner-folds", type=int, default=None, help="inner fold count")
-
-
-def _add_experiment_overrides(parser: argparse.ArgumentParser) -> None:
-    """The common overrides plus those only ``simulate`` and ``sweep`` read."""
-    _add_common_overrides(parser)
-    parser.add_argument(
-        "--selectors",
-        default=None,
-        help="comma-separated selector names (naive,bonferroni,proposed,ablation)",
-    )
-    parser.add_argument("--alpha", type=float, default=None, help="significance level")
-    parser.add_argument("--reps", type=int, default=None, help="number of repetitions")
+    _add_settings(parser, *flags)
+    parser.set_defaults(run=run)
+    return parser
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cateselect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    p_sim.add_argument("--config", required=True, help="JSON experiment config")
-    _add_experiment_overrides(p_sim)
+    _config_command(sub, "simulate", "run a Monte Carlo experiment", _cmd_simulate, *_SETTINGS)
 
-    p_sweep = sub.add_parser("sweep", help="run an experiment along an axis")
-    p_sweep.add_argument("--config", required=True, help="JSON experiment config")
-    p_sweep.add_argument(
-        "--axis",
-        required=True,
-        choices=["candidate-count", "sample-fraction"],
+    p_sweep = _config_command(
+        sub, "sweep", "run an experiment along an axis", _cmd_sweep, *_SETTINGS
     )
-    p_sweep.add_argument(
-        "--values", required=True, help="comma-separated axis values, strictly increasing"
-    )
-    _add_experiment_overrides(p_sweep)
+    p_sweep.add_argument("--axis", required=True, choices=["candidate-count", "sample-fraction"])
+    p_sweep.add_argument("--values", required=True, help="comma-separated, strictly increasing")
 
     p_sel = sub.add_parser("select", help="one-shot selection on CSV inputs")
     p_sel.add_argument("--data", required=True, help="dataset CSV (x_0,...,t,y)")
     p_sel.add_argument("--preds", required=True, help="predictions CSV (tau_0,...)")
-    p_sel.add_argument("--alpha", type=float, default=SelectorConfig.alpha)
-    p_sel.add_argument("--lambda", dest="lam", type=float, default=SelectorConfig.lam)
-    p_sel.add_argument("--inner-folds", type=int, default=SelectorConfig.inner_folds)
-    p_sel.add_argument("--seed", type=int, default=SelectorConfig.seed)
-    p_sel.add_argument("--selectors", default="proposed")
+    _add_settings(p_sel, "--alpha", "--lambda", "--inner-folds", "--seed", "--selectors")
+    p_sel.set_defaults(run=_cmd_select, selectors=("proposed",))
 
     p_diag = sub.add_parser("diagnose", help="run CLT or stability diagnostics")
-    p_diag.add_argument("kind", choices=["clt", "stability"])
-    p_diag.add_argument("--config", required=True, help="JSON experiment config")
-    p_diag.add_argument("--datasets", type=int, default=100, help="clt: dataset replicates")
-    p_diag.add_argument("--bootstrap", type=int, default=500, help="clt: bootstrap draws")
-    p_diag.add_argument(
-        "--grid", default="500,1000,2000,4000", help="stability: comma-separated sizes"
+    kinds = p_diag.add_subparsers(dest="kind", required=True)
+    p_clt = _config_command(
+        kinds, "clt", "normality scan of the pair statistics", _cmd_clt, "--seed", "--inner-folds"
     )
-    p_diag.add_argument("--probes", type=int, default=50, help="stability: probes per size")
-    _add_common_overrides(p_diag)
+    p_clt.add_argument("--datasets", type=int, default=100, help="dataset replicates")
+    p_clt.add_argument("--bootstrap", type=int, default=500, help="bootstrap draws")
+    p_stab = _config_command(
+        kinds, "stability", "perturbation-stability scan", _cmd_stability,
+        "--seed", "--inner-folds", "--lambda",
+    )
+    p_stab.add_argument("--grid", default="500,1000,2000,4000", help="comma-separated sizes")
+    p_stab.add_argument("--probes", type=int, default=50, help="probes per size")
 
     return parser
 
 
-def _parse_selector_list(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
-
-
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "selectors", None) is not None:
-        updates["selectors"] = _parse_selector_list(args.selectors)
-    if getattr(args, "alpha", None) is not None:
-        updates["alpha"] = args.alpha
-    if args.lam is not None:
-        updates["lam"] = args.lam
-    if args.inner_folds is not None:
-        updates["inner_folds"] = args.inner_folds
-    if getattr(args, "reps", None) is not None:
-        updates["repetitions"] = args.reps
-    if not updates:
-        return config
     try:
-        return dataclasses.replace(config, **updates)
+        return dataclasses.replace(config, **_settings(args))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -182,13 +177,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot parse sweep values {args.values!r}: {exc}") from exc
     points = sweep(config, axis, values)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "axis": axis,
         "values": [p.value for p in points],
         "reports": [p.report.to_dict() for p in points],
     }
-    (out / "sweep.json").write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out / "sweep.json", payload)
     for point in points:
         write_per_rep_csv(point.report.records, out / f"per_rep_{point.value}.csv")
         print(f"--- {axis} = {point.value}")
@@ -198,12 +192,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    selectors = settings.pop("selectors")
     try:
-        selectors = _parse_selector_list(args.selectors)
         check_selector_names(selectors, TAILS)
-        config = SelectorConfig(
-            alpha=args.alpha, lam=args.lam, inner_folds=args.inner_folds, seed=args.seed
-        )
+        config = SelectorConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -223,43 +216,43 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
+def _cmd_clt(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_experiment_config(args.config), args)
+    report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
     out = Path(args.out)
-    if args.kind == "clt":
-        report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "clt.json").write_text(strict_json(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        with open(out / "clt_pairs.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "r", "s", "ks_p", "adjusted_p"])
-            for entry in report.per_dataset:
-                for pair in entry["pairs"]:
-                    writer.writerow(
-                        [entry["dataset"], pair["r"], pair["s"], pair["ks_p"], pair["adjusted_p"]]
-                    )
-        print(f"clt rejection share: {report.rejection_share:.3f} over {report.datasets} datasets")
-        print(f"wrote {out / 'clt.json'}")
-    else:
-        try:
-            grid = [int(v) for v in args.grid.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse stability grid {args.grid!r}") from exc
-        report = stability_diagnostic(grid, config, probes=args.probes)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "stability.json").write_text(
-            strict_json(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        with open(out / "stability.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "delta1", "delta2"])
-            for n, d1, d2 in zip(report.n_grid, report.delta1, report.delta2):
-                writer.writerow([n, d1, d2])
-        print(
-            f"stability slopes: first-order {report.slope_delta1_sq:.3f}, "
-            f"second-order {report.slope_delta2_sq:.3f}"
-        )
-        print(f"wrote {out / 'stability.json'}")
+    write_json(out / "clt.json", report.to_dict())
+    with open(out / "clt_pairs.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dataset", "r", "s", "ks_p", "adjusted_p"])
+        for entry in report.per_dataset:
+            for pair in entry["pairs"]:
+                writer.writerow(
+                    [entry["dataset"], pair["r"], pair["s"], pair["ks_p"], pair["adjusted_p"]]
+                )
+    print(f"clt rejection share: {report.rejection_share:.3f} over {report.datasets} datasets")
+    print(f"wrote {out / 'clt.json'}")
+    return EXIT_OK
+
+
+def _cmd_stability(args: argparse.Namespace) -> int:
+    config = _apply_overrides(load_experiment_config(args.config), args)
+    try:
+        grid = [int(v) for v in args.grid.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse stability grid {args.grid!r}") from exc
+    report = stability_diagnostic(grid, config, probes=args.probes)
+    out = Path(args.out)
+    write_json(out / "stability.json", report.to_dict())
+    with open(out / "stability.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "delta1", "delta2"])
+        for n, d1, d2 in zip(report.n_grid, report.delta1, report.delta2):
+            writer.writerow([n, d1, d2])
+    print(
+        f"stability slopes: first-order {report.slope_delta1_sq:.3f}, "
+        f"second-order {report.slope_delta2_sq:.3f}"
+    )
+    print(f"wrote {out / 'stability.json'}")
     return EXIT_OK
 
 
@@ -275,14 +268,8 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    handlers = {
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "select": _cmd_select,
-        "diagnose": _cmd_diagnose,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -40,8 +40,8 @@ from .selectors import (
     prepare,
     proposed_select,
     single_layer_ablation_select,
-    two_way_split,
     _check_split,
+    _draw_plan,
 )
 
 _STREAM_REP = 1
@@ -73,6 +73,14 @@ def strict_json(payload: Any, **kwargs: Any) -> str:
     """``json.dumps`` that writes every non-finite float as ``null``, so the
     text stays valid JSON (no ``NaN`` or ``Infinity`` tokens)."""
     return json.dumps(_finite_or_null(payload), allow_nan=False, **kwargs)
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write ``payload`` to ``path`` as strict JSON (indent 2, sorted keys,
+    UTF-8, trailing newline), creating the directory if it is missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(strict_json(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 SelectorFunc = Callable[..., SelectionResult]
@@ -121,6 +129,14 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # a float or bool where an integer belongs fails, or is truncated, at run time
+        for name in ("n", "repetitions", "inner_folds", "workers", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.oracle_nuisances) is not bool:
+            raise ValueError(f"oracle_nuisances must be true or false, got {self.oracle_nuisances!r}")
+        if any(type(m) is not int for m in self.dims):
+            raise ValueError(f"dims must be four integer block sizes, got {self.dims!r}")
         # a design generate_toy rejects would fail every repetition
         object.__setattr__(self, "dims", _check_toy_design(self.n, self.dims))
         object.__setattr__(
@@ -141,9 +157,13 @@ class ExperimentConfig:
         if sum(1 for v in mses if v == best) != 1:
             raise ValueError("candidate specs must identify a unique winner (smallest mean^2 + sd^2)")
         self.selector_config(self.seed)  # raises on invalid selector settings
-        # the ablation splits all n units; every other built-in selector, n // 2
-        groups = max((TAILS[name][0] for name in self.selectors if name in TAILS), default=1)
-        _check_split(self.n, self.inner_folds, groups)
+        _check_split(self.n, self.inner_folds, self.layout)
+
+    @property
+    def layout(self) -> int:
+        """Major-fold count of the split the study and its diagnostics use: 2
+        when any selector uses the two-way split, 1 for an ablation-only study."""
+        return max((TAILS[name][0] for name in self.selectors if name in TAILS), default=1)
 
     @property
     def winner_index(self) -> int:
@@ -246,12 +266,8 @@ class ExperimentReport:
         }
 
     def write(self, out_dir: str) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            strict_json(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        write_per_rep_csv(self.records, out / "per_rep.csv")
+        write_json(Path(out_dir) / "report.json", self.to_dict())
+        write_per_rep_csv(self.records, Path(out_dir) / "per_rep.csv")
 
 
 def write_per_rep_csv(records: list[RepRecord], path: str | Path) -> None:
@@ -507,7 +523,8 @@ def clt_diagnostic(
 ) -> CltReport:
     """Bootstrap each candidate pair's standardized mean and KS-test it.
 
-    Per simulated dataset: resample the per-unit pairwise scores, recenter
+    Per simulated dataset, scored on the study's split layout
+    (``config.layout``): resample the per-unit pairwise scores, recenter
     and studentize, test the draws against N(0, 1), Bonferroni-adjust the
     p-values across pairs, and flag the dataset when any adjusted p-value
     falls below ``KS_LEVEL``. Pairs with constant scores are skipped and
@@ -517,11 +534,6 @@ def clt_diagnostic(
         raise ConfigError(f"datasets must be at least 1, got {datasets}")
     if bootstrap_draws < 1:
         raise ConfigError(f"bootstrap draws must be at least 1, got {bootstrap_draws}")
-    try:
-        # the diagnostic scores on the two-way split, even for an ablation-only config
-        _check_split(config.n, config.inner_folds, 2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     per_dataset = []
     skipped: list[tuple[int, int, int]] = []
     flags = np.zeros(datasets, dtype=bool)
@@ -530,7 +542,7 @@ def clt_diagnostic(
         dataset, truth = generate_toy(config.n, config.dims, data_seed)
         candidates = make_candidates(truth, config.noise_specs, cand_seed)
         override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
-        plan = two_way_split(config.n, config.inner_folds, sel_seed)
+        plan = _draw_plan(config.layout, config.n, config.selector_config(sel_seed))
         tensor = prepare(dataset, candidates, plan, override).tensor
         boot_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_CLT_BOOT, d])
@@ -590,18 +602,18 @@ def stability_diagnostic(
     """Measure how much one (or two) replaced units move the weighted scores.
 
     For each probe a unit is swapped for a fresh draw from the same design
-    and the full pipeline (nuisance fits, scores, weights) is recomputed;
-    the per-unit weighted scores of all other units are compared before and
-    after. Second-order probes replace two units separately and jointly and
-    take the mixed difference.
+    and the full pipeline (nuisance fits, scores, weights) is recomputed on
+    the study's split layout (``config.layout``); the per-unit weighted
+    scores of all other units are compared before and after. Second-order
+    probes replace two units separately and jointly and take the mixed
+    difference.
     """
     if len(n_grid) < 3:
         raise ConfigError("stability grid needs at least three sizes")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigError("stability grid must be strictly increasing")
     try:
-        _check_toy_design(n_grid[0], config.dims)  # the smallest size
-        _check_split(n_grid[0], config.inner_folds, 2)
+        dataclasses.replace(config, n=n_grid[0])  # the smallest size
     except ValueError as exc:
         raise ConfigError(f"stability grid size {n_grid[0]}: {exc}") from exc
     if probes < 1:
@@ -615,8 +627,8 @@ def stability_diagnostic(
         preds_full = make_candidates(truth_full, config.noise_specs, cand_seed).predictions
         lam = config.selector_config(sel_seed).resolve_lam(n)
 
-        # the split depends only on n, inner_folds and the seed: every refit shares it
-        plan = two_way_split(n, config.inner_folds, sel_seed)
+        # the split depends only on n, the layout, inner_folds and the seed: every refit shares it
+        plan = _draw_plan(config.layout, n, config.selector_config(sel_seed))
 
         def q_with(replacements: dict[int, int]) -> np.ndarray:
             rows = np.arange(n)

@@ -363,11 +363,26 @@ def test_select_into_closed_pipe_exits_2_silently(tmp_path):
     assert proc.stderr == b""
 
 
-@pytest.mark.parametrize("flag, value", [("--reps", "999"), ("--selectors", "ablation"), ("--alpha", "0.5")])
-def test_diagnose_rejects_experiment_only_flags(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("clt", "--reps", "999"),
+        ("clt", "--selectors", "ablation"),
+        ("clt", "--alpha", "0.5"),
+        # each kind takes only its own flags
+        ("clt", "--grid", "1,2"),
+        ("clt", "--probes", "0"),
+        ("clt", "--lambda", "5"),
+        ("stability", "--datasets", "0"),
+        ("stability", "--bootstrap", "0"),
+    ],
+    ids=["--reps-999", "--selectors-ablation", "--alpha-0.5", "clt---grid", "clt---probes",
+         "clt---lambda", "stability---datasets", "stability---bootstrap"],
+)
+def test_diagnose_rejects_experiment_only_flags(tmp_path, capsys, kind, flag, value):
     config = _write_config(tmp_path)
     out = tmp_path / "diag"
-    code = cli(["diagnose", "clt", "--config", str(config), "--out", str(out), flag, value])
+    code = cli(["diagnose", kind, "--config", str(config), "--out", str(out), flag, value])
     assert code == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
@@ -409,14 +424,26 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"n": 1000},
          ["sweep", "--axis", "sample-fraction", "--values", "0.03,1.0", "--inner-folds", "10"],
          "sample_fraction value 0.03: n=30 is too small for 10 inner folds"),
+        # a config value of the wrong JSON type
+        ({"n": 400.0}, ["simulate"], "n must be an integer, got 400.0"),
+        ({"repetitions": 2.5}, ["simulate"], "repetitions must be an integer, got 2.5"),
+        ({"repetitions": True}, ["simulate"], "repetitions must be an integer, got True"),
+        ({"inner_folds": 2.5}, ["simulate"], "inner_folds must be an integer, got 2.5"),
+        ({"workers": 2.0}, ["simulate"], "workers must be an integer, got 2.0"),
+        ({"seed": 1.5}, ["simulate"], "seed must be an integer, got 1.5"),
+        ({"oracle_nuisances": "false"}, ["simulate"], "oracle_nuisances must be true or false"),
+        ({"dims": [2.7, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
     ],
     ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_30_for_10_folds",
-         "clt_n_30_for_10_folds", "fraction_to_n_30_for_10_folds"],
+         "clt_n_30_for_10_folds", "fraction_to_n_30_for_10_folds", "float_n", "float_reps", "bool_reps",
+         "float_inner_folds", "float_workers", "float_seed", "string_oracle", "float_dims"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)
     out = tmp_path / "out"
-    assert cli([command[0], "--config", str(config), "--out", str(out), *command[1:]]) == 1
+    # the command, and for diagnose its kind, come before the options
+    head = 2 if command[0] == "diagnose" else 1
+    assert cli([*command[:head], "--config", str(config), "--out", str(out), *command[head:]]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -19,7 +19,6 @@ from cateselect.harness import (
     experiment_config_to_dict,
     ks_pair_pvalues,
     load_experiment_config,
-    register_selector,
     run_experiment,
     stability_diagnostic,
     sweep,
@@ -49,22 +48,25 @@ def _fixed_selector(name, accept_fn):
     return select
 
 
-register_selector("accept_all", _fixed_selector("accept_all", lambda r: True))
-register_selector("reject_all", _fixed_selector("reject_all", lambda r: False))
-
-
 def _raising_selector(dataset, candidates, config, nuisance_override=None):
     raise RuntimeError("synthetic failure")
-
-
-register_selector("always_fails", _raising_selector)
 
 
 def _broken_selector(dataset, candidates, config, nuisance_override=None):
     raise TypeError("synthetic programming error")
 
 
-register_selector("broken", _broken_selector)
+@pytest.fixture(autouse=True)
+def _test_selectors(monkeypatch):
+    """Registers this module's test selectors for one test at a time, so no
+    other test module sees them."""
+    for name, fn in {
+        "accept_all": _fixed_selector("accept_all", lambda r: True),
+        "reject_all": _fixed_selector("reject_all", lambda r: False),
+        "always_fails": _raising_selector,
+        "broken": _broken_selector,
+    }.items():
+        monkeypatch.setitem(harness.SELECTOR_FUNCS, name, fn)
 
 
 SPECS = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.3, 0.1))
@@ -303,14 +305,14 @@ def test_sweep_rejects_points_that_cannot_run(axis, values, message):
         sweep(_config(), axis, values)
 
 
-def test_sweep_validates_every_value_before_running():
+def test_sweep_validates_every_value_before_running(monkeypatch):
     calls = []
 
     def counting(dataset, candidates, config, nuisance_override=None):
         calls.append(config.seed)
         return _fixed_selector("counting", lambda r: True)(dataset, candidates, config)
 
-    register_selector("counting", counting)
+    monkeypatch.setitem(harness.SELECTOR_FUNCS, "counting", counting)
     with pytest.raises(ConfigError, match="candidate_count value 9"):
         sweep(_config(selectors=("counting",)), "candidate_count", [2, 9])
     assert calls == []
@@ -437,17 +439,36 @@ def test_stability_report_shapes():
     assert report.probes_per_point == 3
 
 
-def test_stability_draws_one_split_per_grid_size(monkeypatch):
+# a study's selectors and the major-fold count of its split
+LAYOUTS = [(("proposed",), 2), (("ablation",), 1)]
+
+
+def _count_split_draws(monkeypatch):
+    """Record the size and major-fold count of every split drawn."""
     draws = []
     split = selectors._split
 
-    def counting_split(n, *args):
-        draws.append(n)
-        return split(n, *args)
+    def counting_split(n, inner_folds, groups, rng):
+        draws.append((n, groups))
+        return split(n, inner_folds, groups, rng)
 
     monkeypatch.setattr(selectors, "_split", counting_split)
-    stability_diagnostic([200, 300, 400], _config(selectors=("proposed",)), probes=2)
-    assert draws == [200, 300, 400]
+    return draws
+
+
+@pytest.mark.parametrize("names, groups", LAYOUTS, ids=["proposed", "ablation"])
+def test_stability_draws_one_split_per_grid_size(monkeypatch, names, groups):
+    # the diagnostic uses the study's own layout: one-fold for an ablation-only study
+    draws = _count_split_draws(monkeypatch)
+    stability_diagnostic([200, 300, 400], _config(selectors=names), probes=2)
+    assert draws == [(200, groups), (300, groups), (400, groups)]
+
+
+@pytest.mark.parametrize("names, groups", LAYOUTS, ids=["proposed", "ablation"])
+def test_clt_draws_one_split_per_dataset(monkeypatch, names, groups):
+    draws = _count_split_draws(monkeypatch)
+    clt_diagnostic(_config(selectors=names), datasets=2, bootstrap_draws=20)
+    assert draws == [(200, groups), (200, groups)]
 
 
 @pytest.mark.parametrize(
