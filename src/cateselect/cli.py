@@ -25,7 +25,6 @@ of stdout closes it early.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -43,6 +42,7 @@ from .harness import (
     stability_diagnostic,
     strict_json,
     sweep,
+    write_csv,
     write_json,
     write_per_rep_csv,
 )
@@ -73,7 +73,6 @@ def _parse_selector_list(raw: str) -> tuple[str, ...]:
 # value parses, and its help. A flag left out keeps the config's value.
 _SETTINGS: dict[str, tuple[str, Callable[[str], Any], str]] = {
     "--seed": ("seed", int, "random seed, at least 0"),
-    "--inner-folds": ("inner_folds", int, "inner fold count"),
     "--lambda": ("lam", float, "exponential weighting temperature (default n^0.4)"),
     "--alpha": ("alpha", float, "significance level"),
     "--selectors": ("selectors", _parse_selector_list, "comma-separated selector names"),
@@ -121,19 +120,16 @@ def _build_parser() -> _Parser:
     p_sel = sub.add_parser("select", help="one-shot selection on CSV inputs")
     p_sel.add_argument("--data", required=True, help="dataset CSV (x_0,...,t,y)")
     p_sel.add_argument("--preds", required=True, help="predictions CSV (tau_0,...)")
-    _add_settings(p_sel, "--alpha", "--lambda", "--inner-folds", "--seed", "--selectors")
+    _add_settings(p_sel, "--alpha", "--lambda", "--seed", "--selectors")
     p_sel.set_defaults(run=_cmd_select, selectors=("proposed",))
 
     p_diag = sub.add_parser("diagnose", help="run CLT or stability diagnostics")
     kinds = p_diag.add_subparsers(dest="kind", required=True)
-    p_clt = _config_command(
-        kinds, "clt", "normality scan of the pair statistics", _cmd_clt, "--seed", "--inner-folds"
-    )
+    p_clt = _config_command(kinds, "clt", "normality scan of the pair statistics", _cmd_clt, "--seed")
     p_clt.add_argument("--datasets", type=int, default=100, help="dataset replicates")
     p_clt.add_argument("--bootstrap", type=int, default=500, help="bootstrap draws")
     p_stab = _config_command(
-        kinds, "stability", "perturbation-stability scan", _cmd_stability,
-        "--seed", "--inner-folds", "--lambda",
+        kinds, "stability", "perturbation-stability scan", _cmd_stability, "--seed", "--lambda"
     )
     p_stab.add_argument("--grid", default="500,1000,2000,4000", help="comma-separated sizes")
     p_stab.add_argument("--probes", type=int, default=50, help="probes per size")
@@ -221,14 +217,15 @@ def _cmd_clt(args: argparse.Namespace) -> int:
     report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
     out = Path(args.out)
     write_json(out / "clt.json", report.to_dict())
-    with open(out / "clt_pairs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "r", "s", "ks_p", "adjusted_p"])
-        for entry in report.per_dataset:
-            for pair in entry["pairs"]:
-                writer.writerow(
-                    [entry["dataset"], pair["r"], pair["s"], pair["ks_p"], pair["adjusted_p"]]
-                )
+    write_csv(
+        out / "clt_pairs.csv",
+        ["dataset", "r", "s", "ks_p", "adjusted_p"],
+        (
+            [entry["dataset"], pair["r"], pair["s"], pair["ks_p"], pair["adjusted_p"]]
+            for entry in report.per_dataset
+            for pair in entry["pairs"]
+        ),
+    )
     print(f"clt rejection share: {report.rejection_share:.3f} over {report.datasets} datasets")
     print(f"wrote {out / 'clt.json'}")
     return EXIT_OK
@@ -243,11 +240,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     report = stability_diagnostic(grid, config, probes=args.probes)
     out = Path(args.out)
     write_json(out / "stability.json", report.to_dict())
-    with open(out / "stability.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "delta1", "delta2"])
-        for n, d1, d2 in zip(report.n_grid, report.delta1, report.delta2):
-            writer.writerow([n, d1, d2])
+    write_csv(
+        out / "stability.csv", ["n", "delta1", "delta2"], zip(report.n_grid, report.delta1, report.delta2)
+    )
     print(
         f"stability slopes: first-order {report.slope_delta1_sq:.3f}, "
         f"second-order {report.slope_delta2_sq:.3f}"

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -177,6 +178,9 @@ def _check_toy_design(n: int, dims: tuple[int, ...]) -> tuple[int, ...]:
     """Validate a toy design's size and block sizes; returns the blocks as ints."""
     if n < 20:
         raise ValueError("toy designs need n >= 20")
+    # numpy integers count; a float would be truncated, and a bool read as 0 or 1
+    if any(isinstance(m, bool) or not isinstance(m, Integral) for m in dims):
+        raise ValueError(f"dims must be four integer block sizes, got {tuple(dims)!r}")
     blocks = tuple(int(m) for m in dims)
     if len(blocks) != 4 or min(blocks) < 1:
         raise ValueError("dims must be four block sizes, each >= 1")
@@ -277,6 +281,8 @@ def _parse_float(field: str, line_no: int, column: str) -> float:
         raise ValueError(f"line {line_no}: cannot parse {column}={field!r} as a number") from exc
     if not np.isfinite(value):
         raise ValueError(f"line {line_no}: {column} must be finite, got {field!r}")
+    if column == "t" and value not in (0.0, 1.0):
+        raise ValueError(f"line {line_no}: treatment must be 0 or 1, got {field!r}")
     return value
 
 
@@ -311,13 +317,17 @@ def _numeric_body(path: str, width: int) -> np.ndarray | None:
     return body
 
 
-def ingest_dataset(path: str) -> Dataset:
-    """Load a dataset from CSV with header ``x_0,...,x_{d-1},t,y``.
+def _read_table(
+    path: str,
+    check_header: Callable[[list[str]], None],
+    usable: Callable[[np.ndarray], bool],
+) -> np.ndarray:
+    """The (rows, columns) float body of a CSV file below a header that
+    ``check_header`` accepts.
 
-    The numeric body is parsed by numpy. A file numpy rejects, or one with
-    a non-binary treatment or a single arm, is re-read row by row, so
-    malformed rows raise ``ValueError`` naming the offending line and
-    non-binary treatments and single-arm files are rejected.
+    numpy parses the body. A body numpy rejects, or one that is not
+    ``usable``, is re-read row by row, so errors name the offending line;
+    that parser skips blank rows and takes only 0 or 1 in a column ``t``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         records = _csv_rows(fh, path)
@@ -325,74 +335,59 @@ def ingest_dataset(path: str) -> Dataset:
         if header is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        if len(header) < 3 or header[-2:] != ["t", "y"]:
-            raise ValueError(f"{path}: header must be x_0,...,x_{{d-1}},t,y")
-        d = len(header) - 2
-        expected = [f"x_{j}" for j in range(d)] + ["t", "y"]
-        if header != expected:
-            raise ValueError(f"{path}: header must be {','.join(expected)}")
+        check_header(header)
+        width = len(header)
 
-        body = _numeric_body(path, d + 2)
-        if body is not None:
-            t = body[:, d]
-            if np.all((t == 0.0) | (t == 1.0)) and t.min() != t.max():
-                return Dataset(x=body[:, :d], t=t.astype(np.int64), y=body[:, d + 1])
-
-        xs, ts, ys = [], [], []
-        for line_no, row in enumerate(records, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ValueError(f"line {line_no}: expected {d + 2} fields, got {len(row)}")
-            xs.append([_parse_float(v, line_no, f"x_{j}") for j, v in enumerate(row[:d])])
-            t_val = _parse_float(row[d], line_no, "t")
-            if t_val not in (0.0, 1.0):
-                raise ValueError(f"line {line_no}: treatment must be 0 or 1, got {row[d]!r}")
-            ts.append(int(t_val))
-            ys.append(_parse_float(row[d + 1], line_no, "y"))
-
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
-    t = np.asarray(ts)
-    if t.min() == t.max():
-        raise ValueError(f"{path}: only treatment arm {int(t[0])} present; both arms required")
-    return Dataset(x=np.asarray(xs), t=t, y=np.asarray(ys))
-
-
-def ingest_predictions(path: str, n: int) -> CandidateSet:
-    """Load candidate predictions from CSV with header ``tau_0,...,tau_{p-1}``.
-
-    The file must contain exactly ``n`` rows, one per dataset unit. The
-    numeric body is parsed by numpy; a file numpy rejects, or one with the
-    wrong row count, is re-read row by row, so errors name the offending
-    line.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = _csv_rows(fh, path)
-        header = next(records, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        p = len(header)
-        expected = [f"tau_{r}" for r in range(p)]
-        if header != expected:
-            raise ValueError(f"{path}: header must be tau_0,...,tau_{{p-1}}")
-
-        body = _numeric_body(path, p)
-        if body is not None and body.shape[0] == n:
-            return CandidateSet(body.T)
+        body = _numeric_body(path, width)
+        if body is not None and usable(body):
+            return body
 
         rows = []
         for line_no, row in enumerate(records, start=2):
             if not row:
                 continue
-            if len(row) != p:
-                raise ValueError(f"line {line_no}: expected {p} fields, got {len(row)}")
-            rows.append([_parse_float(v, line_no, f"tau_{r}") for r, v in enumerate(row)])
+            if len(row) != width:
+                raise ValueError(f"line {line_no}: expected {width} fields, got {len(row)}")
+            rows.append([_parse_float(v, line_no, column) for v, column in zip(row, header)])
+    return np.array(rows, dtype=float).reshape(-1, width)
 
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} prediction rows, found {len(rows)}")
-    return CandidateSet(np.asarray(rows).T)
+
+def ingest_dataset(path: str) -> Dataset:
+    """Load a dataset from CSV with header ``x_0,...,x_{d-1},t,y``; malformed
+    rows, non-binary treatments and single-arm files raise ``ValueError``."""
+
+    def check_header(header: list[str]) -> None:
+        if len(header) < 3 or header[-2:] != ["t", "y"]:
+            raise ValueError(f"{path}: header must be x_0,...,x_{{d-1}},t,y")
+        expected = [f"x_{j}" for j in range(len(header) - 2)] + ["t", "y"]
+        if header != expected:
+            raise ValueError(f"{path}: header must be {','.join(expected)}")
+
+    def binary_both_arms(body: np.ndarray) -> bool:
+        t = body[:, -2]
+        return bool(np.all((t == 0.0) | (t == 1.0)) and t.min() != t.max())
+
+    body = _read_table(path, check_header, binary_both_arms)
+    if body.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    t = body[:, -2].astype(np.int64)
+    if t.min() == t.max():
+        raise ValueError(f"{path}: only treatment arm {int(t[0])} present; both arms required")
+    return Dataset(x=body[:, :-2], t=t, y=body[:, -1])
+
+
+def ingest_predictions(path: str, n: int) -> CandidateSet:
+    """Load candidate predictions from CSV with header ``tau_0,...,tau_{p-1}``
+    and exactly ``n`` rows, one per dataset unit."""
+
+    def check_header(header: list[str]) -> None:
+        if header != [f"tau_{r}" for r in range(len(header))]:
+            raise ValueError(f"{path}: header must be tau_0,...,tau_{{p-1}}")
+
+    body = _read_table(path, check_header, lambda body: body.shape[0] == n)
+    if body.shape[0] != n:
+        raise ValueError(f"{path}: expected {n} prediction rows, found {body.shape[0]}")
+    return CandidateSet(body.T)
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

@@ -10,6 +10,7 @@ per-repetition records that make both metrics recomputable offline.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime
 import itertools
@@ -17,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Collection, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .selectors import (
     prepare,
     proposed_select,
     single_layer_ablation_select,
-    _check_split,
     _draw_plan,
 )
 
@@ -83,6 +83,15 @@ def write_json(path: str | Path, payload: Any) -> None:
     path.write_text(strict_json(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a CSV table with ``\\n`` line ends; a float is written as its
+    repr, so it reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 SelectorFunc = Callable[..., SelectionResult]
 
 SELECTOR_FUNCS: dict[str, SelectorFunc] = {
@@ -122,7 +131,6 @@ class ExperimentConfig:
     selectors: tuple[str, ...] = ("naive", "bonferroni", "proposed")
     alpha: float = SelectorConfig.alpha
     lam: float | None = SelectorConfig.lam
-    inner_folds: int = SelectorConfig.inner_folds
     repetitions: int = 100
     seed: int = 0
     oracle_nuisances: bool = False
@@ -130,14 +138,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # a float or bool where an integer belongs fails, or is truncated, at run time
-        for name in ("n", "repetitions", "inner_folds", "workers", "seed"):
+        for name in ("n", "repetitions", "workers", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if type(self.oracle_nuisances) is not bool:
             raise ValueError(f"oracle_nuisances must be true or false, got {self.oracle_nuisances!r}")
-        if any(type(m) is not int for m in self.dims):
-            raise ValueError(f"dims must be four integer block sizes, got {self.dims!r}")
-        # a design generate_toy rejects would fail every repetition
+        # a design generate_toy rejects would fail every repetition; n >= 20
+        # also gives each of the split's inner folds at least two units
         object.__setattr__(self, "dims", _check_toy_design(self.n, self.dims))
         object.__setattr__(
             self,
@@ -157,7 +164,6 @@ class ExperimentConfig:
         if sum(1 for v in mses if v == best) != 1:
             raise ValueError("candidate specs must identify a unique winner (smallest mean^2 + sd^2)")
         self.selector_config(self.seed)  # raises on invalid selector settings
-        _check_split(self.n, self.inner_folds, self.layout)
 
     @property
     def layout(self) -> int:
@@ -171,12 +177,7 @@ class ExperimentConfig:
         return int(np.argmin(mses))
 
     def selector_config(self, seed: int) -> SelectorConfig:
-        return SelectorConfig(
-            alpha=self.alpha,
-            lam=self.lam,
-            inner_folds=self.inner_folds,
-            seed=seed,
-        )
+        return SelectorConfig(alpha=self.alpha, lam=self.lam, seed=seed)
 
 
 # JSON spells the weighting temperature "lambda", a Python keyword.
@@ -271,12 +272,7 @@ class ExperimentReport:
 
 
 def write_per_rep_csv(records: list[RepRecord], path: str | Path) -> None:
-    lines = ["rep,selector,candidate,statistic,critical,accepted"]
-    for r in records:
-        lines.append(
-            f"{r.rep},{r.selector},{r.candidate},{r.statistic!r},{r.critical!r},{int(r.accepted)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, RepRecord._fields, ((*r[:-1], int(r.accepted)) for r in records))
 
 
 def _derived_seeds(*entropy: int) -> tuple[int, int, int]:
@@ -627,7 +623,7 @@ def stability_diagnostic(
         preds_full = make_candidates(truth_full, config.noise_specs, cand_seed).predictions
         lam = config.selector_config(sel_seed).resolve_lam(n)
 
-        # the split depends only on n, the layout, inner_folds and the seed: every refit shares it
+        # the split depends only on n, the layout and the seed: every refit shares it
         plan = _draw_plan(config.layout, n, config.selector_config(sel_seed))
 
         def q_with(replacements: dict[int, int]) -> np.ndarray:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from numbers import Real
 from statistics import NormalDist
 from typing import Any, Callable, Sequence
 
@@ -47,6 +48,7 @@ from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
 
 _NAIVE_STREAM = 0x5EED01
 _NAIVE_DRAWS = 2000  # Gaussian draws behind each naive critical value
+_INNER_FOLDS = 5  # weight-learning folds per major fold
 _ABLATION_STREAM = 0x5EED02
 
 _MIN_INNER_FOLD = 2
@@ -70,16 +72,17 @@ class SelectorConfig:
 
     alpha: float = 0.10
     lam: float | None = None
-    inner_folds: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.inner_folds < 2:
-            raise ValueError("need at least two inner folds")
+        if self.lam is not None:
+            # Python counts a bool as a number, which would run at temperature 0 or 1
+            if isinstance(self.lam, bool) or not isinstance(self.lam, Real):
+                raise ValueError(f"lam must be a number, got {self.lam!r}")
+            if self.lam < 0:
+                raise ValueError("lam must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -91,11 +94,10 @@ class SelectorConfig:
 class SplitPlan:
     """Fold assignment of a sample split: ``groups`` major folds (2 for the
     two-way split, 1 for the ablation's one-layer split), each cut into
-    inner folds 0..V-1."""
+    ``_INNER_FOLDS`` inner folds."""
 
     major: np.ndarray
     inner: np.ndarray
-    inner_folds: int
     groups: int
 
     @property
@@ -103,45 +105,38 @@ class SplitPlan:
         return self.major.shape[0]
 
 
-def _check_split(n: int, inner_folds: int, groups: int) -> None:
-    """Raise unless every inner fold of a ``groups``-fold split of n units
-    holds at least two units."""
-    if inner_folds < 2:
-        raise ValueError("need at least two inner folds")
-    if (n // groups) // inner_folds < _MIN_INNER_FOLD:
-        raise ValueError(
-            f"n={n} is too small for {inner_folds} inner folds of at least "
-            f"{_MIN_INNER_FOLD} units per major fold"
-        )
-
-
-def _split(n: int, inner_folds: int, groups: int, rng: np.random.Generator) -> SplitPlan:
+def _split(n: int, groups: int, rng: np.random.Generator) -> SplitPlan:
     """Uniformly random balanced split: major fold g holds permuted units
     ``g*n//groups`` up to ``(g+1)*n//groups``, and within each major fold the
-    inner fold sizes differ by at most one."""
-    _check_split(n, inner_folds, groups)
+    inner fold sizes differ by at most one. Every inner fold needs two
+    units, which any n >= 20 gives."""
+    if (n // groups) // _INNER_FOLDS < _MIN_INNER_FOLD:
+        raise ValueError(
+            f"n={n} is too small for {_INNER_FOLDS} inner folds of at least "
+            f"{_MIN_INNER_FOLD} units per major fold"
+        )
     perm = rng.permutation(n)
     major = np.empty(n, dtype=np.int8)
     inner = np.empty(n, dtype=np.int64)
     for fold in range(groups):
         members = perm[fold * n // groups : (fold + 1) * n // groups]
         major[members] = fold
-        inner[members] = np.arange(members.size) % inner_folds
-    return SplitPlan(_readonly(major), _readonly(inner), inner_folds, groups)
+        inner[members] = np.arange(members.size) % _INNER_FOLDS
+    return SplitPlan(_readonly(major), _readonly(inner), groups)
 
 
-def two_way_split(n: int, inner_folds: int, seed: int) -> SplitPlan:
+def two_way_split(n: int, seed: int) -> SplitPlan:
     """The two-layer split, deterministic in the seed: major folds of sizes
-    floor(n/2) and ceil(n/2), each cut into ``inner_folds`` inner folds of at
-    least two units."""
-    return _split(n, inner_folds, 2, np.random.default_rng(seed))
+    floor(n/2) and ceil(n/2), each cut into ``_INNER_FOLDS`` inner folds of
+    at least two units."""
+    return _split(n, 2, np.random.default_rng(seed))
 
 
-def single_layer_split(n: int, inner_folds: int, seed: int) -> SplitPlan:
+def single_layer_split(n: int, seed: int) -> SplitPlan:
     """The ablation's one-layer split: one major fold of all n units, cut into
-    ``inner_folds`` inner folds of at least two units."""
+    ``_INNER_FOLDS`` inner folds of at least two units."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _ABLATION_STREAM]))
-    return _split(n, inner_folds, 1, rng)
+    return _split(n, 1, rng)
 
 
 def exp_weights(delta: np.ndarray, lam: float) -> np.ndarray:
@@ -168,12 +163,11 @@ def _cell_order(plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     """The units sorted by cell (major fold, then inner fold, ascending unit
     index within a cell) and the cell boundaries in that order.
 
-    One stable sort on the cell label; a label that fits in 16 bits, as every
-    practical fold count does, gets numpy's radix sort.
+    One stable sort on the cell label, a byte, which gets numpy's radix sort.
     """
-    count = plan.groups * plan.inner_folds
-    label = plan.major.astype(np.int64) * plan.inner_folds + plan.inner
-    order = np.argsort(label.astype(np.min_scalar_type(count - 1)), kind="stable")
+    count = plan.groups * _INNER_FOLDS
+    label = (plan.major * _INNER_FOLDS + plan.inner).astype(np.uint8)
+    order = np.argsort(label, kind="stable")
     bounds = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(label, minlength=count), out=bounds[1:])
     return order, bounds
@@ -210,7 +204,7 @@ def exp_weighted_statistics(tensor: ScoreTensor, plan: SplitPlan, lam: float) ->
         raise ValueError("the split must cover every unit")
     order, bounds = _cell_order(plan)
     by_cell = tensor.losses[:, order]
-    shape = (plan.groups, plan.inner_folds)
+    shape = (plan.groups, _INNER_FOLDS)
     sums = np.add.reduceat(by_cell, bounds[:-1], axis=1).reshape(p, *shape)
     sizes = np.diff(bounds).reshape(shape)
     means = (sums.sum(axis=2, keepdims=True) - sums) / (sizes.sum(axis=1, keepdims=True) - sizes)
@@ -257,7 +251,6 @@ class SelectionResult:
     selector: str
     alpha: float
     lam: float
-    inner_folds: int
     seed: int
     accepted: tuple[int, ...]
     stats: tuple[CandidateDecision, ...]
@@ -267,7 +260,6 @@ class SelectionResult:
             "selector": self.selector,
             "alpha": self.alpha,
             "lambda": self.lam,
-            "inner_folds": self.inner_folds,
             "seed": self.seed,
             "accepted": list(self.accepted),
             "stats": [
@@ -337,7 +329,6 @@ def _build_result(
         selector=selector,
         alpha=config.alpha,
         lam=lam,
-        inner_folds=config.inner_folds,
         seed=config.seed,
         accepted=accepted,
         stats=tuple(stats),
@@ -446,8 +437,8 @@ def _draw_plan(groups: int, n: int, config: SelectorConfig) -> SplitPlan:
     """The seeded split of a layout: the two-way split for two major folds,
     the ablation's one-layer split for one."""
     if groups == 2:
-        return two_way_split(n, config.inner_folds, config.seed)
-    return single_layer_split(n, config.inner_folds, config.seed)
+        return two_way_split(n, config.seed)
+    return single_layer_split(n, config.seed)
 
 
 def run_selectors(

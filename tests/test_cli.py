@@ -103,7 +103,7 @@ def test_bad_config_values_exit_1(tmp_path, capsys):
     assert cli(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert "alpha" in capsys.readouterr().err
     config = _write_config(tmp_path)
-    for flag, value in (("--alpha", "1.5"), ("--inner-folds", "1")):
+    for flag, value in (("--alpha", "1.5"), ("--lambda", "-1")):
         argv = ["simulate", "--config", str(config), flag, value, "--out", str(tmp_path / "out")]
         assert cli(argv) == 1
     assert not (tmp_path / "out").exists()
@@ -246,7 +246,10 @@ def test_diagnose_clt_cli(tmp_path):
     assert code == 0
     payload = json.loads((out / "clt.json").read_text())
     assert payload["datasets"] == 2
-    assert (out / "clt_pairs.csv").exists()
+    table = (out / "clt_pairs.csv").read_bytes()
+    # 3 candidates give 3 pairs per dataset; every table ends its lines with \n alone
+    assert table.startswith(b"dataset,r,s,ks_p,adjusted_p\n")
+    assert b"\r" not in table and table.count(b"\n") == 1 + 2 * 3
 
 
 def test_diagnose_stability_cli(tmp_path):
@@ -259,7 +262,27 @@ def test_diagnose_stability_cli(tmp_path):
     assert code == 0
     payload = json.loads((out / "stability.json").read_text())
     assert payload["n_grid"] == [200, 300, 400]
-    assert (out / "stability.csv").exists()
+    table = (out / "stability.csv").read_bytes()
+    assert table.startswith(b"n,delta1,delta2\n")
+    assert b"\r" not in table and table.count(b"\n") == 1 + 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "select", "clt", "stability"])
+def test_inner_folds_flag_is_a_usage_error(tmp_path, capsys, command):
+    # the inner fold count is fixed at 5, not a setting
+    config = str(_write_config(tmp_path))
+    out = str(tmp_path / "out")
+    argv = {
+        "simulate": ["simulate", "--config", config, "--out", out],
+        "sweep": ["sweep", "--config", config, "--axis", "candidate-count", "--values", "2,3",
+                  "--out", out],
+        "select": ["select", *_write_select_inputs(tmp_path)],
+        "clt": ["diagnose", "clt", "--config", config, "--out", out],
+        "stability": ["diagnose", "stability", "--config", config, "--out", out],
+    }[command]
+    assert cli([*argv, "--inner-folds", "5"]) == 1
+    assert "--inner-folds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_help_exits_zero(capsys):
@@ -416,27 +439,28 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"dims": [2, 2, 2, 0]}, ["simulate"], "dims must be four block sizes"),
         ({}, ["sweep", "--axis", "sample-fraction", "--values", "0.005"], "sample_fraction value 0.005"),
         ({}, ["sweep", "--axis", "candidate-count", "--values", "2,2"], "strictly increasing"),
-        ({"n": 30, "inner_folds": 10, "selectors": ["proposed", "naive"]}, ["simulate"],
-         "n=30 is too small for 10 inner folds"),
-        ({"n": 30, "inner_folds": 10, "selectors": ["proposed", "naive"]},
-         ["diagnose", "clt", "--datasets", "2", "--bootstrap", "60"],
-         "n=30 is too small for 10 inner folds"),
-        ({"n": 1000},
-         ["sweep", "--axis", "sample-fraction", "--values", "0.03,1.0", "--inner-folds", "10"],
-         "sample_fraction value 0.03: n=30 is too small for 10 inner folds"),
+        # n >= 20 is the one size rule, for configs, sweeps and diagnostics alike
+        ({"n": 19, "selectors": ["proposed", "naive"]}, ["simulate"], "toy designs need n >= 20"),
+        ({"n": 19, "selectors": ["proposed", "naive"]},
+         ["diagnose", "clt", "--datasets", "2", "--bootstrap", "60"], "toy designs need n >= 20"),
+        ({"n": 1000}, ["sweep", "--axis", "sample-fraction", "--values", "0.019,1.0"],
+         "sample_fraction value 0.019: toy designs need n >= 20"),
         # a config value of the wrong JSON type
         ({"n": 400.0}, ["simulate"], "n must be an integer, got 400.0"),
         ({"repetitions": 2.5}, ["simulate"], "repetitions must be an integer, got 2.5"),
         ({"repetitions": True}, ["simulate"], "repetitions must be an integer, got True"),
-        ({"inner_folds": 2.5}, ["simulate"], "inner_folds must be an integer, got 2.5"),
+        ({"inner_folds": 5}, ["simulate"], "unknown config keys: inner_folds"),
         ({"workers": 2.0}, ["simulate"], "workers must be an integer, got 2.0"),
         ({"seed": 1.5}, ["simulate"], "seed must be an integer, got 1.5"),
         ({"oracle_nuisances": "false"}, ["simulate"], "oracle_nuisances must be true or false"),
         ({"dims": [2.7, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
+        ({"dims": [True, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
+        ({"lambda": True}, ["simulate"], "lam must be a number, got True"),
     ],
-    ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_30_for_10_folds",
-         "clt_n_30_for_10_folds", "fraction_to_n_30_for_10_folds", "float_n", "float_reps", "bool_reps",
-         "float_inner_folds", "float_workers", "float_seed", "string_oracle", "float_dims"],
+    ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_19",
+         "clt_n_19", "fraction_to_n_19", "float_n", "float_reps", "bool_reps",
+         "inner_folds_key", "float_workers", "float_seed", "string_oracle", "float_dims", "bool_dims",
+         "bool_lambda"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)
@@ -457,11 +481,10 @@ def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, 
         ("stability", ["--probes", "0"], "probes must be at least 1"),
         ("stability", ["--probes", "-1"], "probes must be at least 1"),
         ("stability", ["--grid", "10,20,30"], "grid size 10"),
-        ("stability", ["--grid", "20,30,40", "--inner-folds", "10"],
-         "grid size 20: n=20 is too small for 10 inner folds"),
+        ("stability", ["--grid", "19,30,40"], "grid size 19: toy designs need n >= 20"),
     ],
     ids=["datasets_-1", "datasets_0", "bootstrap_0", "probes_0", "probes_-1", "grid_from_10",
-         "grid_from_20_for_10_folds"],
+         "grid_from_19"],
 )
 def test_diagnose_rejects_empty_counts(tmp_path, capsys, kind, flags, message):
     config = _write_config(tmp_path)

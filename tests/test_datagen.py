@@ -65,6 +65,17 @@ def test_generate_toy_preconditions():
         generate_toy(10, (2, 2, 2, 2), seed=0)
     with pytest.raises(ValueError):
         generate_toy(100, (0, 2, 2, 2), seed=0)
+    # a float block would be truncated and a bool read as 0 or 1
+    for dims in [(2.7, 2, 2, 2), (2.0, 2, 2, 2), (True, 2, 2, 2), ("2", 2, 2, 2)]:
+        with pytest.raises(ValueError, match="dims must be four integer block sizes"):
+            generate_toy(400, dims, seed=0)
+
+
+def test_generate_toy_takes_numpy_integer_blocks():
+    want, _ = generate_toy(40, (1, 2, 1, 1), seed=3)
+    got, _ = generate_toy(40, tuple(np.array([1, 2, 1, 1], dtype=np.int32)), seed=3)
+    npt.assert_array_equal(got.x, want.x)
+    npt.assert_array_equal(got.y, want.y)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -39,7 +39,6 @@ def _fixed_selector(name, accept_fn):
             selector=name,
             alpha=config.alpha,
             lam=0.0,
-            inner_folds=config.inner_folds,
             seed=config.seed,
             accepted=tuple(s.candidate for s in stats if s.accepted),
             stats=stats,
@@ -242,7 +241,7 @@ def test_config_requires_unique_winner():
 
 
 @pytest.mark.parametrize(
-    "setting", [{"alpha": 1.5}, {"inner_folds": 1}, {"lam": -1.0}]
+    "setting", [{"alpha": 1.5}, {"lam": True}, {"lam": -1.0}]
 )
 def test_config_rejects_invalid_selector_settings(setting):
     # caught when the config is built, not as a failure in every repetition
@@ -284,11 +283,16 @@ def test_config_rejects_negative_seed():
 
 
 def test_config_applies_the_split_rule_of_its_selectors():
-    # 10 inner folds of 2 units fit into n=30 once (the ablation) but not twice
-    with pytest.raises(ValueError, match="n=30 is too small for 10 inner folds"):
-        _config(n=30, inner_folds=10, selectors=("proposed", "ablation"))
-    report = run_experiment(_config(n=30, inner_folds=10, selectors=("ablation",), repetitions=2))
-    assert report.failures == [] and report.summaries["ablation"].reps == 2
+    # n >= 20 is the one size rule: the smallest design leaves every inner fold
+    # of both split layouts two units, so no repetition fails on the split (the
+    # oracle nuisances: a fit on 10 units lacks training units in one arm)
+    with pytest.raises(ValueError, match="toy designs need n >= 20"):
+        _config(n=19, selectors=("proposed", "ablation"))
+    report = run_experiment(
+        _config(n=20, selectors=("proposed", "ablation"), repetitions=2, oracle_nuisances=True)
+    )
+    assert report.failures == []
+    assert [report.summaries[name].reps for name in ("proposed", "ablation")] == [2, 2]
 
 
 @pytest.mark.parametrize(
@@ -448,9 +452,9 @@ def _count_split_draws(monkeypatch):
     draws = []
     split = selectors._split
 
-    def counting_split(n, inner_folds, groups, rng):
+    def counting_split(n, groups, rng):
         draws.append((n, groups))
-        return split(n, inner_folds, groups, rng)
+        return split(n, groups, rng)
 
     monkeypatch.setattr(selectors, "_split", counting_split)
     return draws

@@ -86,7 +86,7 @@ def _toy_tensor(n=400, p=4, seed=3):
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=seed)
     specs = [NoiseSpec(0.0, 0.1)] + [NoiseSpec(0.03, 0.1)] * (p - 1)
     cands = make_candidates(truth, specs, seed=seed + 1)
-    plan = selectors.two_way_split(n, 5, seed + 2)
+    plan = selectors.two_way_split(n, seed + 2)
     tensor = prepare(ds, cands, plan).tensor
     return tensor, ds, cands, plan
 
@@ -180,7 +180,7 @@ def test_cross_fitting_uses_opposite_fold_model(monkeypatch):
     n = 60
     ds, _ = generate_toy(n, (1, 1, 1, 1), seed=9)
     cands = CandidateSet(np.vstack([np.zeros(n), np.ones(n)]))
-    plan = selectors.two_way_split(n, 5, 10)
+    plan = selectors.two_way_split(n, 10)
     model_a = _constant_model(mu0=0.0, mu1=0.0, e_logit=0.0, d=4)
     model_b = _constant_model(mu0=5.0, mu1=5.0, e_logit=0.0, d=4)
     trained_on = {0: model_a, 1: model_b}

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -16,6 +16,7 @@ from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
     SelectorConfig,
     Prepared,
+    _INNER_FOLDS,
     _cell_order,
     _weighted_test,
     bonferroni_select,
@@ -35,7 +36,7 @@ from cateselect.selectors import (
 
 
 def test_split_balanced_cells():
-    plan = two_way_split(100, 5, seed=1)
+    plan = two_way_split(100, seed=1)
     for fold in (0, 1):
         mask = plan.major == fold
         assert mask.sum() == 50
@@ -44,18 +45,16 @@ def test_split_balanced_cells():
 
 
 def test_split_deterministic():
-    p1 = two_way_split(123, 5, seed=9)
-    p2 = two_way_split(123, 5, seed=9)
+    p1 = two_way_split(123, seed=9)
+    p2 = two_way_split(123, seed=9)
     npt.assert_array_equal(p1.major, p2.major)
     npt.assert_array_equal(p1.inner, p2.inner)
 
 
-@given(n=st.integers(40, 300), v=st.integers(2, 5), seed=st.integers(0, 1000))
+@given(n=st.integers(20, 300), seed=st.integers(0, 1000))
 @settings(max_examples=30, deadline=None)
-def test_split_partition_property(n, v, seed):
-    if (n // 2) // v < 2:
-        return
-    two_way, flat = two_way_split(n, v, seed), single_layer_split(n, v, seed)
+def test_split_partition_property(n, seed):
+    two_way, flat = two_way_split(n, seed), single_layer_split(n, seed)
     for plan in (two_way, flat):
         layout = _mask_cells(plan)
         seen = np.concatenate([eval_idx for eval_idx, _ in layout])
@@ -78,15 +77,19 @@ def _mask_cells(plan):
     out = []
     for fold in range(plan.groups):
         in_major = plan.major == fold
-        for v in range(plan.inner_folds):
+        for v in range(_INNER_FOLDS):
             in_cell = in_major & (plan.inner == v)
             out.append((indices[in_cell], indices[in_major & ~in_cell]))
     return out
 
 
 def test_split_too_small_rejected():
-    with pytest.raises(ValueError):
-        two_way_split(15, 5, seed=0)
+    # n >= 20, the toy design's own rule, gives every inner fold two units
+    assert two_way_split(20, seed=0).n == 20
+    with pytest.raises(ValueError, match="n=19 is too small for 5 inner folds"):
+        two_way_split(19, seed=0)
+    with pytest.raises(ValueError, match="n=9 is too small for 5 inner folds"):
+        single_layer_split(9, seed=0)
 
 
 # --- exponential weights ---------------------------------------------------
@@ -149,7 +152,7 @@ def _proposed_statistics(ds, cands, config):
     """The weighted-test statistics behind ``proposed_select``, checked against
     the statistics it reports."""
     res = proposed_select(ds, cands, config)
-    plan = two_way_split(ds.n, config.inner_folds, config.seed)
+    plan = two_way_split(ds.n, config.seed)
     tensor = prepare(ds, cands, plan).tensor
     stats = exp_weighted_statistics(tensor, plan, config.resolve_lam(ds.n))
     for r in range(cands.p):
@@ -210,16 +213,14 @@ def test_proposed_matches_pairwise_weighted_average(lam):
 
 @given(
     p=st.integers(2, 7),
-    n=st.integers(8, 400),
-    v=st.integers(2, 5),
+    n=st.integers(20, 400),
     two_way=st.booleans(),
     lam=st.floats(0.0, 1000.0),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_weighted_statistics_match_reference_property(p, n, v, two_way, lam, seed):
-    assume((n // (2 if two_way else 1)) // v >= 2)
-    plan = (two_way_split if two_way else single_layer_split)(n, v, seed)
+def test_weighted_statistics_match_reference_property(p, n, two_way, lam, seed):
+    plan = (two_way_split if two_way else single_layer_split)(n, seed)
     layout = _mask_cells(plan)
     # the statistic's cell order: cell c's units in ascending order
     order, bounds = _cell_order(plan)
@@ -429,10 +430,10 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     oracle = OracleNuisance.from_truth(truth)
-    plan = two_way_split(ds.n, cfg.inner_folds, cfg.seed)
+    plan = two_way_split(ds.n, cfg.seed)
     tensor = prepare(ds, cands, plan, oracle).tensor
     ra_own = single_layer_ablation_select(ds, cands, cfg, nuisance_override=oracle)
-    own_plan = single_layer_split(ds.n, cfg.inner_folds, cfg.seed)
+    own_plan = single_layer_split(ds.n, cfg.seed)
     assert ra_own.stats == _weighted_test("ablation", Prepared(own_plan, tensor), cfg).stats
     rp = proposed_select(ds, cands, cfg, nuisance_override=oracle)
     ra = _weighted_test("ablation", Prepared(plan, tensor), cfg)
@@ -468,6 +469,7 @@ def test_selection_result_json_schema():
     ds, truth, cands, sel_seed = _toy_problem()
     res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
     payload = json.loads(json.dumps(res.to_dict()))
+    assert set(payload) == {"selector", "alpha", "lambda", "seed", "accepted", "stats"}
     assert payload["selector"] == "proposed"
     assert payload["alpha"] == 0.1
     assert isinstance(payload["lambda"], float)
@@ -482,8 +484,10 @@ def test_selector_config_validation():
         SelectorConfig(alpha=1.5)
     with pytest.raises(ValueError):
         SelectorConfig(lam=-1.0)
-    with pytest.raises(ValueError):
-        SelectorConfig(inner_folds=1)
+    for lam in (True, "1.0"):
+        with pytest.raises(ValueError, match="lam must be a number"):
+            SelectorConfig(lam=lam)
+    assert SelectorConfig(lam=np.float32(2.0)).resolve_lam(10_000) == 2.0
     assert SelectorConfig(lam=None).resolve_lam(10_000) == pytest.approx(10_000**0.4)
     assert SelectorConfig(lam=3.5).resolve_lam(10_000) == 3.5
 
