@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from .datagen import ingest_dataset, ingest_predictions
+from .datagen import ingest_dataset, ingest_predictions, write_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -42,7 +42,6 @@ from .harness import (
     stability_diagnostic,
     strict_json,
     sweep,
-    write_csv,
     write_json,
     write_per_rep_csv,
 )
@@ -101,7 +100,7 @@ def _config_command(
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
     _add_settings(parser, *flags)
-    parser.set_defaults(run=run)
+    parser.set_defaults(run=run, command_parser=parser)
     return parser
 
 
@@ -121,7 +120,7 @@ def _build_parser() -> _Parser:
     p_sel.add_argument("--data", required=True, help="dataset CSV (x_0,...,t,y)")
     p_sel.add_argument("--preds", required=True, help="predictions CSV (tau_0,...)")
     _add_settings(p_sel, "--alpha", "--lambda", "--seed", "--selectors")
-    p_sel.set_defaults(run=_cmd_select, selectors=("proposed",))
+    p_sel.set_defaults(run=_cmd_select, command_parser=p_sel, selectors=("proposed",))
 
     p_diag = sub.add_parser("diagnose", help="run CLT or stability diagnostics")
     kinds = p_diag.add_subparsers(dest="kind", required=True)
@@ -255,7 +254,9 @@ def cli(argv: list[str] | None = None) -> int:
     """Entry point returning a process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported by the command's own parser, whose usage line names it
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

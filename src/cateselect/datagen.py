@@ -1,4 +1,4 @@
-"""Synthetic data generation, noisy-oracle candidates, and CSV ingestion.
+"""Synthetic data generation, noisy-oracle candidates, and CSV input and output.
 
 The toy generator draws latent Gaussian covariates split into four blocks:
 instruments (treatment assignment only), confounders (treatment and
@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Integral
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -91,23 +93,24 @@ class ToyGroundTruth:
     difference, and ``e`` the realized propensity after clipping.
     """
 
-    tau: np.ndarray
     mu0: np.ndarray
     mu1: np.ndarray
     e: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("tau", "mu0", "mu1", "e"):
+        for name in ("mu0", "mu1", "e"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        if not np.array_equal(self.tau, self.mu1 - self.mu0):
-            raise ValueError("tau must equal mu1 - mu0 elementwise")
         lo, hi = PROPENSITY_CLIP
         if self.e.min() < lo or self.e.max() > hi:
             raise ValueError(f"propensities must lie in [{lo}, {hi}]")
 
     @property
+    def tau(self) -> np.ndarray:
+        return self.mu1 - self.mu0
+
+    @property
     def n(self) -> int:
-        return self.tau.shape[0]
+        return self.mu0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ def generate_toy(
     y = np.where(t == 1, mu1 + noise1, mu0 + noise0)
 
     dataset = Dataset(x=x, t=t, y=y)
-    truth = ToyGroundTruth(tau=mu1 - mu0, mu0=mu0, mu1=mu1, e=e)
+    truth = ToyGroundTruth(mu0=mu0, mu1=mu1, e=e)
     return dataset, truth
 
 
@@ -267,10 +270,11 @@ def make_candidates(
     if len(specs) < 2:
         raise ValueError("need at least two noise specs to form a candidate set")
     children = np.random.SeedSequence(seed).spawn(len(specs))
+    tau = truth.tau
     rows = []
     for spec, child in zip(specs, children):
         rng = np.random.default_rng(child)
-        rows.append(truth.tau + rng.normal(spec.mean, spec.sd, truth.n))
+        rows.append(tau + rng.normal(spec.mean, spec.sd, truth.n))
     return CandidateSet(np.vstack(rows))
 
 
@@ -390,22 +394,22 @@ def ingest_predictions(path: str, n: int) -> CandidateSet:
     return CandidateSet(body.T)
 
 
-def write_dataset_csv(dataset: Dataset, path: str) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a CSV table with ``\\n`` line ends; a float is written as its
+    repr, so it reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the ``x_0,...,x_{d-1},t,y`` format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{j}" for j in range(dataset.d)] + ["t", "y"])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.x[i]]
-                + [int(dataset.t[i]), repr(float(dataset.y[i]))]
-            )
+    header = [f"x_{j}" for j in range(dataset.d)] + ["t", "y"]
+    rows = zip(dataset.x.tolist(), dataset.t.tolist(), dataset.y.tolist())
+    write_csv(path, header, (x + [t, y] for x, t, y in rows))
 
 
-def write_predictions_csv(candidates: CandidateSet, path: str) -> None:
+def write_predictions_csv(candidates: CandidateSet, path: str | Path) -> None:
     """Write candidate predictions in the ``tau_0,...,tau_{p-1}`` format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"tau_{r}" for r in range(candidates.p)])
-        for i in range(candidates.n):
-            writer.writerow([repr(float(v)) for v in candidates.predictions[:, i]])
+    write_csv(path, [f"tau_{r}" for r in range(candidates.p)], candidates.predictions.T.tolist())

@@ -10,7 +10,6 @@ per-repetition records that make both metrics recomputable offline.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime
 import itertools
@@ -18,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +28,9 @@ from .datagen import (
     _check_toy_design,
     generate_toy,
     make_candidates,
+    write_csv,
 )
-from .nuisance import OracleNuisance
+from .nuisance import min_arm_units
 from .selectors import (
     TAILS,
     SelectorConfig,
@@ -83,15 +83,6 @@ def write_json(path: str | Path, payload: Any) -> None:
     path.write_text(strict_json(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write a CSV table with ``\\n`` line ends; a float is written as its
-    repr, so it reads back exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 SelectorFunc = Callable[..., SelectionResult]
 
 SELECTOR_FUNCS: dict[str, SelectorFunc] = {
@@ -133,7 +124,6 @@ class ExperimentConfig:
     lam: float | None = SelectorConfig.lam
     repetitions: int = 100
     seed: int = 0
-    oracle_nuisances: bool = False
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -141,10 +131,7 @@ class ExperimentConfig:
         for name in ("n", "repetitions", "workers", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if type(self.oracle_nuisances) is not bool:
-            raise ValueError(f"oracle_nuisances must be true or false, got {self.oracle_nuisances!r}")
-        # a design generate_toy rejects would fail every repetition; n >= 20
-        # also gives each of the split's inner folds at least two units
+        # a design generate_toy rejects would fail every repetition
         object.__setattr__(self, "dims", _check_toy_design(self.n, self.dims))
         object.__setattr__(
             self,
@@ -153,6 +140,15 @@ class ExperimentConfig:
         )
         check_selector_names(self.selectors, SELECTOR_FUNCS)
         object.__setattr__(self, "selectors", tuple(self.selectors))
+        # so would a major fold in which no draw gives both treatment arms the
+        # nuisance fit's minimum; as d >= 4, this also leaves every inner fold
+        # of the split two units
+        need = 2 * min_arm_units(sum(self.dims))
+        if self.n // self.layout < need:
+            raise ValueError(
+                f"n={self.n} is too small for d={sum(self.dims)}: each major fold needs "
+                f"{need} units for both treatment arms to reach the nuisance fit's minimum"
+            )
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if len(self.noise_specs) < 2:
@@ -286,13 +282,12 @@ def _single_rep(
     data_seed, cand_seed, sel_seed = seeds
     dataset, truth = generate_toy(config.n, config.dims, data_seed)
     candidates = make_candidates(truth, config.noise_specs, cand_seed)
-    override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
     records: list[RepRecord] = []
     failures: list[str] = []
     for name in config.selectors:
         fn = SELECTOR_FUNCS[name]
         try:
-            result = fn(dataset, candidates, config.selector_config(sel_seed), nuisance_override=override)
+            result = fn(dataset, candidates, config.selector_config(sel_seed))
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -537,9 +532,8 @@ def clt_diagnostic(
         data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_CLT, d)
         dataset, truth = generate_toy(config.n, config.dims, data_seed)
         candidates = make_candidates(truth, config.noise_specs, cand_seed)
-        override = OracleNuisance.from_truth(truth) if config.oracle_nuisances else None
         plan = _draw_plan(config.layout, config.n, config.selector_config(sel_seed))
-        tensor = prepare(dataset, candidates, plan, override).tensor
+        tensor = prepare(dataset, candidates, plan).tensor
         boot_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_CLT_BOOT, d])
         )
@@ -633,13 +627,8 @@ def stability_diagnostic(
             dataset = Dataset(
                 x=dataset_full.x[rows], t=dataset_full.t[rows], y=dataset_full.y[rows]
             )
-            override = None
-            if config.oracle_nuisances:
-                override = OracleNuisance(
-                    mu0=truth_full.mu0[rows], mu1=truth_full.mu1[rows], e=truth_full.e[rows]
-                )
             candidates = CandidateSet(preds_full[:, rows])
-            tensor = prepare(dataset, candidates, plan, override).tensor
+            tensor = prepare(dataset, candidates, plan).tensor
             return exp_weighted_statistics(tensor, plan, lam).q_matrix
 
         q_base = q_with({})

@@ -23,33 +23,38 @@ _MAX_ITER = 100
 _TOL = 1e-10
 
 
+def min_arm_units(d: int) -> int:
+    """Fewest training units per treatment arm that ``fit`` accepts on ``d``
+    covariates: the arm's ridge system, ``d + 1`` unknowns, stays
+    overdetermined."""
+    return d + 2
+
+
 @dataclass(frozen=True)
 class NuisanceModel:
-    """Fitted linear outcome heads and logistic propensity with clipping."""
+    """Fitted linear outcome heads and logistic propensity with clipping; each
+    coefficient vector is intercept first, as the solvers return it."""
 
-    mu0_coef: np.ndarray
-    mu0_intercept: float
-    mu1_coef: np.ndarray
-    mu1_intercept: float
-    prop_coef: np.ndarray
-    prop_intercept: float
+    mu0: np.ndarray
+    mu1: np.ndarray
+    prop: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("mu0_coef", "mu1_coef", "prop_coef"):
+        for name in ("mu0", "mu1", "prop"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def d(self) -> int:
-        return self.mu0_coef.shape[0]
+        return self.mu0.shape[0] - 1
 
     def predict_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized predictions ``(mu0, mu1, e)`` for a (n, d) matrix."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ValueError(f"expected covariates with dimension {self.d}")
-        mu0 = x @ self.mu0_coef + self.mu0_intercept
-        mu1 = x @ self.mu1_coef + self.mu1_intercept
-        raw = _sigmoid(x @ self.prop_coef + self.prop_intercept)
+        mu0 = x @ self.mu0[1:] + self.mu0[0]
+        mu1 = x @ self.mu1[1:] + self.mu1[0]
+        raw = _sigmoid(x @ self.prop[1:] + self.prop[0])
         e = np.clip(raw, _CLIP_ETA, 1.0 - _CLIP_ETA)
         return mu0, mu1, e
 
@@ -58,10 +63,11 @@ class NuisanceModel:
 class OracleNuisance:
     """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a dataset.
 
-    The values are either true (``from_truth``, to isolate the effect of
-    nuisance estimation error in simulation studies) or cross-fitted: each
-    unit's predictions from a model trained without it. Scores read only
-    these arrays, never the models behind them.
+    The values are cross-fitted, each unit's predictions from a model
+    trained without it, or true (``from_truth``): studies always fit their
+    nuisances, and true values are for library callers and tests that need
+    an exact reference. Scores read only these arrays, never the models
+    behind them.
     """
 
     mu0: np.ndarray
@@ -86,12 +92,18 @@ class OracleNuisance:
         return self.mu0.shape[0]
 
 
+def _design(x: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """The intercept-first design of ``x`` and its L2 penalty matrix, which
+    leaves the intercept unpenalized."""
+    design = np.column_stack([np.ones(x.shape[0]), x])
+    reg = penalty * np.eye(design.shape[1])
+    reg[0, 0] = 0.0
+    return design, reg
+
+
 def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
     """Least squares with an L2 penalty on slopes (intercept unpenalized)."""
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    k = design.shape[1]
-    reg = penalty * np.eye(k)
-    reg[0, 0] = 0.0
+    design, reg = _design(x, penalty)
     gram = design.T @ design + reg
     try:
         beta = np.linalg.solve(gram, design.T @ y)
@@ -119,11 +131,8 @@ def _logistic_solve(x: np.ndarray, t: np.ndarray, penalty: float) -> np.ndarray:
     anyway. Raises if the step norm stays above ``_TOL`` for ``_MAX_ITER``
     iterations.
     """
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    k = design.shape[1]
-    reg = penalty * np.eye(k)
-    reg[0, 0] = 0.0
-    beta = np.zeros(k)
+    design, reg = _design(x, penalty)
+    beta = np.zeros(design.shape[1])
     eta = design @ beta
     loss = _penalized_logloss(eta, t, beta, penalty)
     for _ in range(_MAX_ITER):
@@ -158,8 +167,8 @@ def _logistic_solve(x: np.ndarray, t: np.ndarray, penalty: float) -> np.ndarray:
 def fit(dataset: Dataset, indices: np.ndarray) -> NuisanceModel:
     """Fit outcome ridges per arm and a logistic propensity on ``indices``.
 
-    Requires at least ``d + 2`` units in each treatment arm of the training
-    subset so both ridge systems are overdetermined.
+    Requires ``min_arm_units(d)`` units in each treatment arm of the
+    training subset so both ridge systems are overdetermined.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
@@ -167,26 +176,15 @@ def fit(dataset: Dataset, indices: np.ndarray) -> NuisanceModel:
     x = dataset.x[idx]
     t = dataset.t[idx]
     y = dataset.y[idx]
-    d = dataset.d
+    need = min_arm_units(dataset.d)
 
-    arm_betas = {}
+    arm_betas = []
     for arm in (0, 1):
         mask = t == arm
         n_arm = int(mask.sum())
-        if n_arm < d + 2:
-            raise ValueError(
-                f"treatment arm {arm} has {n_arm} training units; need at least {d + 2}"
-            )
-        arm_betas[arm] = _ridge_solve(x[mask], y[mask], _PENALTY_RATE * n_arm)
+        if n_arm < need:
+            raise ValueError(f"treatment arm {arm} has {n_arm} training units; need at least {need}")
+        arm_betas.append(_ridge_solve(x[mask], y[mask], _PENALTY_RATE * n_arm))
 
     prop_beta = _logistic_solve(x, t.astype(float), _PENALTY_RATE * idx.size)
-
-    return NuisanceModel(
-        mu0_coef=arm_betas[0][1:],
-        mu0_intercept=float(arm_betas[0][0]),
-        mu1_coef=arm_betas[1][1:],
-        mu1_intercept=float(arm_betas[1][0]),
-        prop_coef=prop_beta[1:],
-        prop_intercept=float(prop_beta[0]),
-    )
-
+    return NuisanceModel(*arm_betas, prop_beta)

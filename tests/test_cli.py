@@ -12,6 +12,8 @@ from cateselect.cli import cli
 from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
 from cateselect.datagen import ingest_dataset, ingest_predictions, write_dataset_csv, write_predictions_csv
 from cateselect.harness import strict_json
+from cateselect.nuisance import NuisanceModel
+from cateselect import selectors
 from cateselect.selectors import (
     SelectorConfig,
     bonferroni_select,
@@ -72,10 +74,19 @@ def test_missing_config_exits_1_naming_path(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_1_with_usage(capsys):
-    code = cli(["simulate", "--config", "x.json", "--bogus"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "usage" in err.lower()
+    # an unknown flag is reported with the usage line of the command given,
+    # as a bad value is, not the top-level one
+    for argv, usage in (
+        (["simulate", "--config", "x.json", "--bogus"], "usage: cateselect simulate "),
+        (["simulate", "--config", "x.json", "--bogus", "5"], "usage: cateselect simulate "),
+        (["simulate", "--config", "x.json", "--reps", "x"], "usage: cateselect simulate "),
+        (["diagnose", "clt", "--config", "x.json", "--grid", "1"], "usage: cateselect diagnose clt "),
+        (["select", "--data", "d.csv", "--preds", "p.csv", "--reps", "3"], "usage: cateselect select "),
+    ):
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(usage), err
+        assert "{simulate,sweep,select,diagnose}" not in err
 
 
 def test_unknown_selector_exits_1(tmp_path, capsys):
@@ -353,10 +364,13 @@ def test_select_infinite_critical_value_is_null(tmp_path, capsys):
         assert [s["critical"] for s in result["stats"]] == [None, None]
 
 
-def test_diagnose_stability_undefined_slopes_are_null(tmp_path):
-    # oracle nuisances and uniform weights: no probe moves the other units'
+def test_diagnose_stability_undefined_slopes_are_null(tmp_path, monkeypatch):
+    # constant nuisances and uniform weights: no probe moves the other units'
     # scores, so the log-log slopes of the zero perturbations are undefined
-    config = _write_config(tmp_path, oracle_nuisances=True, **{"lambda": 0.0})
+    monkeypatch.setattr(
+        selectors, "fit", lambda dataset, indices: NuisanceModel(*np.zeros((3, dataset.d + 1)))
+    )
+    config = _write_config(tmp_path, **{"lambda": 0.0})
     out = tmp_path / "diag"
     code = cli([
         "diagnose", "stability", "--config", str(config), "--out", str(out),
@@ -445,6 +459,11 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
          ["diagnose", "clt", "--datasets", "2", "--bootstrap", "60"], "toy designs need n >= 20"),
         ({"n": 1000}, ["sweep", "--axis", "sample-fraction", "--values", "0.019,1.0"],
          "sample_fraction value 0.019: toy designs need n >= 20"),
+        # each major fold needs 2 * (d + 2) units for the nuisance fit: n >= 40 at d = 8
+        ({"n": 39}, ["simulate"], "n=39 is too small for d=8"),
+        ({"n": 39}, ["diagnose", "clt", "--datasets", "2", "--bootstrap", "60"], "n=39 is too small"),
+        ({"n": 1000}, ["sweep", "--axis", "sample-fraction", "--values", "0.039,1.0"],
+         "sample_fraction value 0.039: n=39 is too small"),
         # a config value of the wrong JSON type
         ({"n": 400.0}, ["simulate"], "n must be an integer, got 400.0"),
         ({"repetitions": 2.5}, ["simulate"], "repetitions must be an integer, got 2.5"),
@@ -452,15 +471,16 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"inner_folds": 5}, ["simulate"], "unknown config keys: inner_folds"),
         ({"workers": 2.0}, ["simulate"], "workers must be an integer, got 2.0"),
         ({"seed": 1.5}, ["simulate"], "seed must be an integer, got 1.5"),
-        ({"oracle_nuisances": "false"}, ["simulate"], "oracle_nuisances must be true or false"),
+        # studies always fit their nuisances
+        ({"oracle_nuisances": False}, ["simulate"], "unknown config keys: oracle_nuisances"),
         ({"dims": [2.7, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
         ({"dims": [True, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
         ({"lambda": True}, ["simulate"], "lam must be a number, got True"),
     ],
     ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_19",
-         "clt_n_19", "fraction_to_n_19", "float_n", "float_reps", "bool_reps",
-         "inner_folds_key", "float_workers", "float_seed", "string_oracle", "float_dims", "bool_dims",
-         "bool_lambda"],
+         "clt_n_19", "fraction_to_n_19", "n_39", "clt_n_39", "fraction_to_n_39", "float_n",
+         "float_reps", "bool_reps", "inner_folds_key", "float_workers", "float_seed",
+         "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)
@@ -482,9 +502,10 @@ def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, 
         ("stability", ["--probes", "-1"], "probes must be at least 1"),
         ("stability", ["--grid", "10,20,30"], "grid size 10"),
         ("stability", ["--grid", "19,30,40"], "grid size 19: toy designs need n >= 20"),
+        ("stability", ["--grid", "39,50,60"], "grid size 39: n=39 is too small for d=8"),
     ],
     ids=["datasets_-1", "datasets_0", "bootstrap_0", "probes_0", "probes_-1", "grid_from_10",
-         "grid_from_19"],
+         "grid_from_19", "grid_from_39"],
 )
 def test_diagnose_rejects_empty_counts(tmp_path, capsys, kind, flags, message):
     config = _write_config(tmp_path)

@@ -148,6 +148,8 @@ def test_dataset_csv_roundtrip(tmp_path):
     ds, _ = generate_toy(40, (1, 1, 1, 1), seed=13)
     path = tmp_path / "d.csv"
     write_dataset_csv(ds, path)
+    text = path.read_bytes()
+    assert b"\r" not in text and text.count(b"\n") == 1 + ds.n
     loaded = ingest_dataset(str(path))
     npt.assert_array_equal(loaded.x, ds.x)
     npt.assert_array_equal(loaded.t, ds.t)
@@ -194,6 +196,8 @@ def test_predictions_csv_roundtrip(tmp_path):
     cands = make_candidates(truth, [NoiseSpec(0, 0.1)] * 7, seed=6)
     path = tmp_path / "p.csv"
     write_predictions_csv(cands, path)
+    text = path.read_bytes()
+    assert b"\r" not in text and text.count(b"\n") == 1 + 25
     loaded = ingest_predictions(str(path), 25)
     assert loaded.p == 7
     npt.assert_array_equal(loaded.predictions, cands.predictions)

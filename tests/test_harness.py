@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from cateselect.datagen import NEAR_TIED_SPECS, NoiseSpec
+from cateselect.datagen import NEAR_TIED_SPECS, NoiseSpec, generate_toy
 from cateselect.harness import (
     _CONFIG_JSON_KEYS,
     ConfigError,
@@ -24,9 +26,10 @@ from cateselect.harness import (
     sweep,
     write_per_rep_csv,
 )
+from cateselect.nuisance import NuisanceModel, fit, min_arm_units
 from cateselect.scores import ScoreTensor
 from cateselect import harness, selectors
-from cateselect.selectors import CandidateDecision, SelectionResult
+from cateselect.selectors import CandidateDecision, SelectionResult, two_way_split
 
 
 def _fixed_selector(name, accept_fn):
@@ -283,16 +286,32 @@ def test_config_rejects_negative_seed():
 
 
 def test_config_applies_the_split_rule_of_its_selectors():
-    # n >= 20 is the one size rule: the smallest design leaves every inner fold
-    # of both split layouts two units, so no repetition fails on the split (the
-    # oracle nuisances: a fit on 10 units lacks training units in one arm)
+    # each major fold needs 2 * (d + 2) units, or one treatment arm always falls
+    # short of the nuisance fit's d + 2: at d = 8, n >= 40 for the two-way split
+    with pytest.raises(ValueError, match="n=39 is too small for d=8: each major fold needs 20"):
+        _config(n=39, selectors=("proposed", "ablation"))
+    _config(n=40, selectors=("proposed", "ablation"))
+    # the ablation's one fold needs 20, the toy design's own floor
     with pytest.raises(ValueError, match="toy designs need n >= 20"):
-        _config(n=19, selectors=("proposed", "ablation"))
-    report = run_experiment(
-        _config(n=20, selectors=("proposed", "ablation"), repetitions=2, oracle_nuisances=True)
-    )
-    assert report.failures == []
-    assert [report.summaries[name].reps for name in ("proposed", "ablation")] == [2, 2]
+        _config(n=19, selectors=("ablation",))
+    _config(n=20, selectors=("ablation",))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+def test_split_rule_is_the_fit_minimum(d, seed):
+    # at the largest n the rule rejects, the smaller major fold of the
+    # two-way split has 2 * (d + 2) - 1 units: one arm is short for any data
+    n = 2 * 2 * min_arm_units(d) - 1
+    dims = (1, 1, 1, d - 3)
+    with pytest.raises(ValueError, match=f"n={n} is too small"):
+        _config(n=n, dims=dims, selectors=("proposed",))
+    _config(n=n + 1, dims=dims, selectors=("proposed",))
+    dataset, _ = generate_toy(n, dims, seed)
+    plan = two_way_split(n, seed)
+    smaller = min((np.flatnonzero(plan.major == g) for g in (0, 1)), key=len)
+    with pytest.raises(ValueError, match="training units; need at least"):
+        fit(dataset, smaller)
 
 
 @pytest.mark.parametrize(
@@ -413,14 +432,19 @@ def test_clt_diagnostic_rejects_empty_counts(counts):
 # --- stability diagnostics ----------------------------------------------------
 
 
-def test_stability_zero_with_uniform_weights_and_oracle():
+def test_stability_zero_with_uniform_weights_and_constant_nuisances(monkeypatch):
+    # uniform weights, and nuisance fits that predict constants, so a unit's
+    # scores depend on that unit alone: no probe moves the other units' scores,
+    # so both perturbations are zero and the slopes undefined
+    monkeypatch.setattr(
+        selectors, "fit", lambda dataset, indices: NuisanceModel(*np.zeros((3, dataset.d + 1)))
+    )
     config = ExperimentConfig(
-        n=500, noise_specs=NEAR_TIED_SPECS, selectors=("proposed",),
-        seed=7, lam=0.0, oracle_nuisances=True,
+        n=500, noise_specs=NEAR_TIED_SPECS, selectors=("proposed",), seed=7, lam=0.0,
     )
     report = stability_diagnostic([500, 600, 700], config, probes=3)
-    assert report.delta1 == (0.0, 0.0, 0.0)
-    assert np.isnan(report.slope_delta1_sq)
+    assert report.delta1 == (0.0, 0.0, 0.0) and report.delta2 == (0.0, 0.0, 0.0)
+    assert np.isnan(report.slope_delta1_sq) and np.isnan(report.slope_delta2_sq)
 
 
 def test_stability_diagnostic_validates_grid():

@@ -41,27 +41,14 @@ def test_noiseless_slope_recovered_exactly():
 
 
 def test_zero_coefficient_model_predicts_intercepts():
-    model = NuisanceModel(
-        mu0_coef=np.zeros(2),
-        mu0_intercept=-0.5,
-        mu1_coef=np.zeros(2),
-        mu1_intercept=1.5,
-        prop_coef=np.zeros(2),
-        prop_intercept=0.0,
-    )
+    # intercept first, as the solvers return the coefficients
+    model = NuisanceModel(mu0=[-0.5, 0.0, 0.0], mu1=[1.5, 0.0, 0.0], prop=np.zeros(3))
     mu0, mu1, e = model.predict_rows(np.array([[10.0, -3.0]]))
     assert (mu0[0], mu1[0], e[0]) == (-0.5, 1.5, 0.5)
 
 
 def test_propensity_clipping():
-    model = NuisanceModel(
-        mu0_coef=np.zeros(1),
-        mu0_intercept=0.0,
-        mu1_coef=np.zeros(1),
-        mu1_intercept=0.0,
-        prop_coef=np.zeros(1),
-        prop_intercept=6.9,  # sigmoid ~ 0.999
-    )
+    model = NuisanceModel(mu0=np.zeros(2), mu1=np.zeros(2), prop=[6.9, 0.0])  # sigmoid ~ 0.999
     _, _, e = model.predict_rows(np.array([[0.0]]))
     assert e[0] == 0.95
 
@@ -87,8 +74,8 @@ def test_fit_deterministic():
     ds, truth = generate_toy(800, (2, 2, 2, 2), seed=8)
     m1 = fit(ds, np.arange(ds.n))
     m2 = fit(ds, np.arange(ds.n))
-    npt.assert_array_equal(m1.mu0_coef, m2.mu0_coef)
-    npt.assert_array_equal(m1.prop_coef, m2.prop_coef)
+    npt.assert_array_equal(m1.mu0, m2.mu0)
+    npt.assert_array_equal(m1.prop, m2.prop)
 
 
 def test_outcome_error_shrinks_with_n():
@@ -192,7 +179,7 @@ def test_logistic_fit_matches_reevaluating_loop(case, monkeypatch):
     if logistic_l2 is None:
         # the toy cases go through fit, at its penalty of 1e-3 per training row
         model = fit(ds, np.arange(ds.n))
-        coef = np.r_[model.prop_intercept, model.prop_coef]
+        coef = model.prop
     else:
         coef = nuisance._logistic_solve(ds.x, ds.t.astype(float), logistic_l2)
     assert np.array_equal(coef, expected)

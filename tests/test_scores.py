@@ -17,14 +17,8 @@ from cateselect.selectors import prepare
 
 
 def _constant_model(mu0, mu1, e_logit, d=1):
-    return NuisanceModel(
-        mu0_coef=np.zeros(d),
-        mu0_intercept=mu0,
-        mu1_coef=np.zeros(d),
-        mu1_intercept=mu1,
-        prop_coef=np.zeros(d),
-        prop_intercept=e_logit,
-    )
+    slopes = np.zeros(d)
+    return NuisanceModel(mu0=np.r_[mu0, slopes], mu1=np.r_[mu1, slopes], prop=np.r_[e_logit, slopes])
 
 
 def _values(model, ds):
