@@ -14,8 +14,9 @@ Subcommands:
   on the config's split layout: the two-way split when any selector uses
   it, the one-fold split for an ablation-only config.
 
-Each command declares exactly the flags it reads; every config override
-flag comes from one table, ``_SETTINGS``. Every JSON output is strict: a
+A study's settings live in its config file: the study commands' flags only
+name it, place its output and size the run, and ``select``, which has no
+config file, declares its selector settings. Every JSON output is strict: a
 non-finite float is written as ``null``. Exit codes: 0 on success, 1 on
 configuration, usage or input errors (including inputs a selector cannot
 score), 2 on runtime failures and, with nothing printed, when the reader
@@ -67,39 +68,11 @@ def _parse_selector_list(raw: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-# Every setting a command can take from its flags: the config field it sets
-# (on ``ExperimentConfig``, or ``SelectorConfig`` for ``select``), how its
-# value parses, and its help. A flag left out keeps the config's value.
-_SETTINGS: dict[str, tuple[str, Callable[[str], Any], str]] = {
-    "--seed": ("seed", int, "random seed, at least 0"),
-    "--lambda": ("lam", float, "exponential weighting temperature (default n^0.4)"),
-    "--alpha": ("alpha", float, "significance level"),
-    "--selectors": ("selectors", _parse_selector_list, "comma-separated selector names"),
-    "--reps": ("repetitions", int, "number of repetitions"),
-}
-
-
-def _add_settings(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        field, parse, help_text = _SETTINGS[flag]
-        parser.add_argument(flag, dest=field, type=parse, default=None, help=help_text)
-
-
-def _settings(args: argparse.Namespace) -> dict[str, Any]:
-    """The settings the command line gives, by config field."""
-    fields = [field for field, _, _ in _SETTINGS.values()]
-    return {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
-
-
-def _config_command(
-    sub: Any, name: str, help_text: str, run: Callable[[argparse.Namespace], int], *flags: str
-) -> argparse.ArgumentParser:
-    """A subcommand that runs a JSON experiment config, with the settings
-    ``flags`` as overrides."""
+def _config_command(sub: Any, name: str, help_text: str, run: Callable) -> argparse.ArgumentParser:
+    """A subcommand that runs a JSON experiment config."""
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
-    _add_settings(parser, *flags)
     parser.set_defaults(run=run, command_parser=parser)
     return parser
 
@@ -108,37 +81,46 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cateselect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _config_command(sub, "simulate", "run a Monte Carlo experiment", _cmd_simulate, *_SETTINGS)
-
-    p_sweep = _config_command(
-        sub, "sweep", "run an experiment along an axis", _cmd_sweep, *_SETTINGS
-    )
+    p_sim = _config_command(sub, "simulate", "run a Monte Carlo experiment", _cmd_simulate)
+    p_sweep = _config_command(sub, "sweep", "run an experiment along an axis", _cmd_sweep)
+    for p in (p_sim, p_sweep):
+        p.add_argument("--reps", type=int, help="number of repetitions (default: the config's)")
     p_sweep.add_argument("--axis", required=True, choices=["candidate-count", "sample-fraction"])
     p_sweep.add_argument("--values", required=True, help="comma-separated, strictly increasing")
 
     p_sel = sub.add_parser("select", help="one-shot selection on CSV inputs")
     p_sel.add_argument("--data", required=True, help="dataset CSV (x_0,...,t,y)")
     p_sel.add_argument("--preds", required=True, help="predictions CSV (tau_0,...)")
-    _add_settings(p_sel, "--alpha", "--lambda", "--seed", "--selectors")
-    p_sel.set_defaults(run=_cmd_select, command_parser=p_sel, selectors=("proposed",))
+    p_sel.add_argument("--alpha", type=float, default=SelectorConfig.alpha, help="significance level")
+    p_sel.add_argument(
+        "--lambda", dest="lam", type=float, default=SelectorConfig.lam,
+        help="exponential weighting temperature (default n^0.4)",
+    )
+    p_sel.add_argument("--seed", type=int, default=SelectorConfig.seed, help="random seed, at least 0")
+    p_sel.add_argument(
+        "--selectors", type=_parse_selector_list, default=("proposed",),
+        help="comma-separated selector names",
+    )
+    p_sel.set_defaults(run=_cmd_select, command_parser=p_sel)
 
     p_diag = sub.add_parser("diagnose", help="run CLT or stability diagnostics")
     kinds = p_diag.add_subparsers(dest="kind", required=True)
-    p_clt = _config_command(kinds, "clt", "normality scan of the pair statistics", _cmd_clt, "--seed")
+    p_clt = _config_command(kinds, "clt", "normality scan of the pair statistics", _cmd_clt)
     p_clt.add_argument("--datasets", type=int, default=100, help="dataset replicates")
     p_clt.add_argument("--bootstrap", type=int, default=500, help="bootstrap draws")
-    p_stab = _config_command(
-        kinds, "stability", "perturbation-stability scan", _cmd_stability, "--seed", "--lambda"
-    )
+    p_stab = _config_command(kinds, "stability", "perturbation-stability scan", _cmd_stability)
     p_stab.add_argument("--grid", default="500,1000,2000,4000", help="comma-separated sizes")
     p_stab.add_argument("--probes", type=int, default=50, help="probes per size")
 
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+def _load_study(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's study, at ``--reps`` repetitions when that is given."""
+    config = load_experiment_config(args.config)
+    reps = config.repetitions if args.reps is None else args.reps
     try:
-        return dataclasses.replace(config, **_settings(args))
+        return dataclasses.replace(config, repetitions=reps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -147,13 +129,16 @@ def _print_summary(report) -> None:
     for name, s in sorted(report.summaries.items()):
         print(
             f"{name}: fwer={s.fwer:.4f} [{s.fwer_ci[0]:.4f}, {s.fwer_ci[1]:.4f}] "
-            f"anws={s.anws:.4f} [{s.anws_ci[0]:.4f}, {s.anws_ci[1]:.4f}] reps={s.reps}"
+            f"anws={s.anws:.4f} [{s.anws_ci[0]:.4f}, {s.anws_ci[1]:.4f}] reps={s.reps} "
+            f"failed={report.config.repetitions - s.reps}"
         )
+    if report.failures:
+        (rep, message), count = report.failures[0], len(report.failures)
+        print(f"{count} selector runs failed; the first, in rep {rep}: {message}", file=sys.stderr)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_experiment_config(args.config), args)
-    report = run_experiment(config)
+    report = run_experiment(_load_study(args))
     report.write(args.out)
     _print_summary(report)
     print(f"wrote {Path(args.out) / 'report.json'} and per_rep.csv")
@@ -161,7 +146,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_experiment_config(args.config), args)
+    config = _load_study(args)
     axis = args.axis.replace("-", "_")
     try:
         if axis == "candidate_count":
@@ -187,11 +172,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    selectors = settings.pop("selectors")
     try:
-        check_selector_names(selectors, TAILS)
-        config = SelectorConfig(**settings)
+        check_selector_names(args.selectors, TAILS)
+        config = SelectorConfig(alpha=args.alpha, lam=args.lam, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -200,7 +183,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        results = run_selectors(dataset, candidates, config, selectors)
+        results = run_selectors(dataset, candidates, config, args.selectors)
     except ValueError as exc:
         # inputs a selector cannot score, e.g. overflowing losses; RuntimeError stays exit 2
         raise ConfigError(f"cannot select on --data {args.data} and --preds {args.preds}: {exc}") from exc
@@ -212,7 +195,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_experiment_config(args.config), args)
+    config = load_experiment_config(args.config)
     report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
     out = Path(args.out)
     write_json(out / "clt.json", report.to_dict())
@@ -231,7 +214,7 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_experiment_config(args.config), args)
+    config = load_experiment_config(args.config)
     try:
         grid = [int(v) for v in args.grid.split(",") if v.strip()]
     except ValueError as exc:

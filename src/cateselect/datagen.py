@@ -121,8 +121,8 @@ class NoiseSpec:
     sd: float
 
     def __post_init__(self) -> None:
-        if self.sd < 0:
-            raise ValueError("noise sd must be nonnegative")
+        if not (np.isfinite(self.mean) and 0 <= self.sd < np.inf):
+            raise ValueError(f"noise spec ({self.mean}, {self.sd}) needs a finite mean and sd >= 0")
 
     @property
     def population_mse(self) -> float:

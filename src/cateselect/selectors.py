@@ -81,8 +81,8 @@ class SelectorConfig:
             # Python counts a bool as a number, which would run at temperature 0 or 1
             if isinstance(self.lam, bool) or not isinstance(self.lam, Real):
                 raise ValueError(f"lam must be a number, got {self.lam!r}")
-            if self.lam < 0:
-                raise ValueError("lam must be nonnegative")
+            if not 0 <= self.lam < math.inf:
+                raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -152,8 +152,8 @@ def exp_weights(delta: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError("delta must have a nonempty last axis")
     if not np.all(np.isfinite(delta)):
         raise ValueError("delta entries must be finite")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     shifted = delta - delta.max(axis=-1, keepdims=True)
     w = np.exp(lam * shifted)
     return w / w.sum(axis=-1, keepdims=True)

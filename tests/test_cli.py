@@ -52,18 +52,30 @@ def test_simulate_writes_report_and_per_rep(tmp_path, capsys):
 
 
 def test_simulate_overrides(tmp_path):
-    config = _write_config(tmp_path)
+    # the config file sets the study; --reps only sizes the run
+    config = _write_config(tmp_path, selectors=["bonferroni"], alpha=0.2, seed=9)
     out = tmp_path / "out"
-    code = cli([
-        "simulate", "--config", str(config), "--out", str(out),
-        "--reps", "2", "--selectors", "bonferroni", "--alpha", "0.2", "--seed", "9",
-    ])
+    code = cli(["simulate", "--config", str(config), "--out", str(out), "--reps", "2"])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert list(report["selectors"]) == ["bonferroni"]
     assert report["config"]["alpha"] == 0.2
     assert report["config"]["repetitions"] == 2
     assert report["config"]["seed"] == 9
+
+
+def test_simulate_reports_failed_repetitions(tmp_path, capsys):
+    # just above the size rule, most repetitions fail in the nuisance fit: the
+    # console says how many, and why the first did
+    config = _write_config(tmp_path, n=40, repetitions=20, seed=0)
+    out = tmp_path / "out"
+    assert cli(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    failures = json.loads((out / "report.json").read_text())["failures"]
+    assert failures
+    assert f"reps={20 - len(failures)} failed={len(failures)}\n" in captured.out
+    rep, message = failures[0]
+    assert captured.err == f"{len(failures)} selector runs failed; the first, in rep {rep}: {message}\n"
 
 
 def test_missing_config_exits_1_naming_path(tmp_path, capsys):
@@ -73,27 +85,12 @@ def test_missing_config_exits_1_naming_path(tmp_path, capsys):
     assert "absent.json" in err
 
 
-def test_unknown_flag_exits_1_with_usage(capsys):
-    # an unknown flag is reported with the usage line of the command given,
-    # as a bad value is, not the top-level one
-    for argv, usage in (
-        (["simulate", "--config", "x.json", "--bogus"], "usage: cateselect simulate "),
-        (["simulate", "--config", "x.json", "--bogus", "5"], "usage: cateselect simulate "),
-        (["simulate", "--config", "x.json", "--reps", "x"], "usage: cateselect simulate "),
-        (["diagnose", "clt", "--config", "x.json", "--grid", "1"], "usage: cateselect diagnose clt "),
-        (["select", "--data", "d.csv", "--preds", "p.csv", "--reps", "3"], "usage: cateselect select "),
-    ):
-        assert cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(usage), err
-        assert "{simulate,sweep,select,diagnose}" not in err
-
-
 def test_unknown_selector_exits_1(tmp_path, capsys):
-    config = _write_config(tmp_path)
-    code = cli(["simulate", "--config", str(config), "--selectors", "nope"])
-    assert code == 1
-    assert "nope" in capsys.readouterr().err
+    config = _write_config(tmp_path, selectors=["nope"])
+    out = tmp_path / "out"
+    assert cli(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "unknown selectors: nope" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_naming_bootstrap_draws_exits_1(tmp_path, capsys):
@@ -107,16 +104,14 @@ def test_config_naming_bootstrap_draws_exits_1(tmp_path, capsys):
 
 
 def test_bad_config_values_exit_1(tmp_path, capsys):
-    config = _write_config(tmp_path, repetitions=0)
-    code = cli(["simulate", "--config", str(config)])
-    assert code == 1
-    config = _write_config(tmp_path, alpha=1.5)
-    assert cli(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert "alpha" in capsys.readouterr().err
-    config = _write_config(tmp_path)
-    for flag, value in (("--alpha", "1.5"), ("--lambda", "-1")):
-        argv = ["simulate", "--config", str(config), flag, value, "--out", str(tmp_path / "out")]
-        assert cli(argv) == 1
+    for key, value, message in (
+        ("repetitions", 0, "repetitions must be at least 1"),
+        ("alpha", 1.5, "alpha must lie in (0, 1)"),
+        ("lambda", -1, "lam must be finite and nonnegative, got -1"),
+    ):
+        config = _write_config(tmp_path, **{key: value})
+        assert cli(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -212,20 +207,17 @@ def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "selectors, message",
-    [(",", "selector list is empty"), ("naive,proposed,naive", "duplicate selectors: naive"),
-     ("proposed,nope", "unknown selectors: nope")],
-    ids=["empty", "duplicate", "unknown"],
+    "flags, message",
+    [(["--selectors", ","], "selector list is empty"),
+     (["--selectors", "naive,proposed,naive"], "duplicate selectors: naive"),
+     (["--selectors", "proposed,nope"], "unknown selectors: nope"),
+     # a temperature that is not finite would drop every candidate, the winner too
+     (["--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
+     (["--lambda", "inf"], "lam must be finite and nonnegative, got inf")],
+    ids=["empty", "duplicate", "unknown", "nan_lambda", "inf_lambda"],
 )
-def test_select_bad_selector_list_exits_1(tmp_path, capsys, selectors, message):
-    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
-    cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
-    write_dataset_csv(ds, tmp_path / "d.csv")
-    write_predictions_csv(cands, tmp_path / "p.csv")
-    code = cli([
-        "select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv"),
-        "--selectors", selectors,
-    ])
+def test_select_bad_selector_list_exits_1(tmp_path, capsys, flags, message):
+    code = cli(["select", *_write_select_inputs(tmp_path), *flags])
     assert code == 1
     captured = capsys.readouterr()
     assert message in captured.err
@@ -278,24 +270,6 @@ def test_diagnose_stability_cli(tmp_path):
     assert b"\r" not in table and table.count(b"\n") == 1 + 3
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "select", "clt", "stability"])
-def test_inner_folds_flag_is_a_usage_error(tmp_path, capsys, command):
-    # the inner fold count is fixed at 5, not a setting
-    config = str(_write_config(tmp_path))
-    out = str(tmp_path / "out")
-    argv = {
-        "simulate": ["simulate", "--config", config, "--out", out],
-        "sweep": ["sweep", "--config", config, "--axis", "candidate-count", "--values", "2,3",
-                  "--out", out],
-        "select": ["select", *_write_select_inputs(tmp_path)],
-        "clt": ["diagnose", "clt", "--config", config, "--out", out],
-        "stability": ["diagnose", "stability", "--config", config, "--out", out],
-    }[command]
-    assert cli([*argv, "--inner-folds", "5"]) == 1
-    assert "--inner-folds" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_help_exits_zero(capsys):
     assert cli(["--help"]) == 0
 
@@ -333,7 +307,7 @@ def test_imports_leave_multiprocessing_unloaded(module):
     assert out.stdout.strip() == "[]"
 
 
-# --- strict JSON, closed pipes, experiment-only flags ---------------------------
+# --- strict JSON, closed pipes, flags a command does not take ------------------
 
 
 def _strict_loads(text):
@@ -400,47 +374,71 @@ def test_select_into_closed_pipe_exits_2_silently(tmp_path):
     assert proc.stderr == b""
 
 
+def _command_argv(tmp_path, command, out, **config):
+    """A small run of ``command`` (``clt`` and ``stability`` are diagnose
+    kinds) writing to ``out``, on a test config changed by ``config``."""
+    if command == "select":
+        return ["select", *_write_select_inputs(tmp_path)]
+    path = str(_write_config(tmp_path, **config))
+    return {
+        "simulate": ["simulate"],
+        "sweep": ["sweep", "--axis", "candidate-count", "--values", "2,3"],
+        "clt": ["diagnose", "clt", "--datasets", "2", "--bootstrap", "60"],
+        "stability": ["diagnose", "stability", "--grid", "200,300,400", "--probes", "2"],
+    }[command] + ["--config", path, "--out", str(out)]
+
+
+_FOREIGN_FLAGS = [
+    # unknown flags, and a bad value for a known one
+    ("simulate", ["--bogus"]),
+    ("simulate", ["--bogus", "5"]),
+    ("simulate", ["--reps", "x"]),
+    # the inner fold count is fixed at 5, not a setting
+    *((command, ["--inner-folds", "5"]) for command in ("simulate", "sweep", "select", "clt", "stability")),
+    # a study's settings live in its config file
+    *(
+        (command, [flag, value])
+        for command in ("simulate", "sweep", "clt", "stability")
+        for flag, value in (("--seed", "3"), ("--lambda", "5"), ("--alpha", "0.5"), ("--selectors", "ablation"))
+    ),
+    # each command takes only its own run sizes
+    ("clt", ["--reps", "999"]),
+    ("clt", ["--grid", "1,2"]),
+    ("clt", ["--probes", "0"]),
+    ("stability", ["--datasets", "0"]),
+    ("stability", ["--bootstrap", "0"]),
+    ("select", ["--reps", "3"]),
+]
+
+
 @pytest.mark.parametrize(
-    "kind, flag, value",
-    [
-        ("clt", "--reps", "999"),
-        ("clt", "--selectors", "ablation"),
-        ("clt", "--alpha", "0.5"),
-        # each kind takes only its own flags
-        ("clt", "--grid", "1,2"),
-        ("clt", "--probes", "0"),
-        ("clt", "--lambda", "5"),
-        ("stability", "--datasets", "0"),
-        ("stability", "--bootstrap", "0"),
-    ],
-    ids=["--reps-999", "--selectors-ablation", "--alpha-0.5", "clt---grid", "clt---probes",
-         "clt---lambda", "stability---datasets", "stability---bootstrap"],
+    "command, flags", _FOREIGN_FLAGS, ids=["-".join([command, *flags]) for command, flags in _FOREIGN_FLAGS]
 )
-def test_diagnose_rejects_experiment_only_flags(tmp_path, capsys, kind, flag, value):
-    config = _write_config(tmp_path)
-    out = tmp_path / "diag"
-    code = cli(["diagnose", kind, "--config", str(config), "--out", str(out), flag, value])
-    assert code == 1
-    assert flag in capsys.readouterr().err
+def test_flags_a_command_does_not_take_exit_1_with_its_usage(tmp_path, capsys, command, flags):
+    # reported before any work, with the usage line of the command given, not the top-level one
+    out = tmp_path / "out"
+    argv = _command_argv(tmp_path, command, out)
+    usage = " ".join(argv[: 2 if argv[0] == "diagnose" else 1])
+    assert cli([*argv, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cateselect {usage} "), err
+    assert flags[0] in err
     assert not out.exists()
 
 
 # --- settings that would fail every repetition exit 1 before any work ---------
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "diagnose", "select"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "sweep", "clt", "select"], ids=["simulate", "sweep", "diagnose", "select"]
+)
 def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
-    config = str(_write_config(tmp_path))
+    # a study's seed is a key of its config; select takes it as a flag
     out = tmp_path / "out"
-    argv = {
-        "simulate": ["simulate", "--config", config, "--out", str(out)],
-        "sweep": ["sweep", "--config", config, "--axis", "candidate-count", "--values", "2,3",
-                  "--out", str(out)],
-        "diagnose": ["diagnose", "clt", "--config", config, "--datasets", "2", "--bootstrap", "60",
-                     "--out", str(out)],
-        "select": ["select", *_write_select_inputs(tmp_path)],
-    }[command]
-    assert cli([*argv, "--seed", "-1"]) == 1
+    argv = _command_argv(tmp_path, command, out, seed=-1)
+    if command == "select":
+        argv += ["--seed", "-1"]
+    assert cli(argv) == 1
     assert "seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
@@ -476,11 +474,16 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"dims": [2.7, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
         ({"dims": [True, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
         ({"lambda": True}, ["simulate"], "lam must be a number, got True"),
+        # JSON's NaN and Infinity tokens: a temperature or noise that is not finite
+        ({"lambda": float("nan")}, ["simulate"], "lam must be finite and nonnegative, got nan"),
+        ({"noise_specs": [[0.0, 0.1], [float("nan"), 0.1]]}, ["simulate"], "noise spec (nan, 0.1)"),
+        ({"noise_specs": [[0.0, 0.1], [0.3, float("inf")]]}, ["simulate"], "noise spec (0.3, inf)"),
     ],
     ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_19",
          "clt_n_19", "fraction_to_n_19", "n_39", "clt_n_39", "fraction_to_n_39", "float_n",
          "float_reps", "bool_reps", "inner_folds_key", "float_workers", "float_seed",
-         "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda"],
+         "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda", "nan_lambda",
+         "nan_noise_mean", "inf_noise_sd"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)

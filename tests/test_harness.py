@@ -244,7 +244,8 @@ def test_config_requires_unique_winner():
 
 
 @pytest.mark.parametrize(
-    "setting", [{"alpha": 1.5}, {"lam": True}, {"lam": -1.0}]
+    "setting",
+    [{"alpha": 1.5}, {"lam": True}, {"lam": -1.0}, {"lam": float("nan")}, {"lam": float("inf")}],
 )
 def test_config_rejects_invalid_selector_settings(setting):
     # caught when the config is built, not as a failure in every repetition

@@ -133,8 +133,9 @@ def test_exp_weights_simplex_property(vals, lam):
 def test_exp_weights_validation():
     with pytest.raises(ValueError):
         exp_weights(np.array([np.inf, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        exp_weights(np.array([1.0]), -0.5)
+    for lam in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            exp_weights(np.array([1.0]), lam)
 
 
 # --- proposed selector -----------------------------------------------------
