@@ -2,10 +2,12 @@
 
 Every repetition derives its own seeds from ``(experiment seed, repetition
 index)``, generates one dataset plus candidate set, and hands the identical
-data to every configured selector. Reports carry the familywise error rate
-(winner excluded) and the average number of wrong selections (non-winners
-retained), each with percentile bootstrap confidence intervals, plus flat
-per-repetition records that make both metrics recomputable offline.
+data to every configured selector. The points of a candidate-count sweep
+share that draw: each repetition is drawn once, at the largest count.
+Reports carry the familywise error rate (winner excluded) and the average
+number of wrong selections (non-winners retained), each with percentile
+bootstrap confidence intervals, plus flat per-repetition records that make
+both metrics recomputable offline.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Any, Callable, Collection, NamedTuple, Sequence
 
@@ -277,11 +280,8 @@ def _derived_seeds(*entropy: int) -> tuple[int, int, int]:
 
 
 def _single_rep(
-    config: ExperimentConfig, k: int, seeds: tuple[int, int, int]
+    config: ExperimentConfig, k: int, sel_seed: int, dataset: Dataset, candidates: CandidateSet
 ) -> tuple[list[RepRecord], list[str]]:
-    data_seed, cand_seed, sel_seed = seeds
-    dataset, truth = generate_toy(config.n, config.dims, data_seed)
-    candidates = make_candidates(truth, config.noise_specs, cand_seed)
     records: list[RepRecord] = []
     failures: list[str] = []
     for name in config.selectors:
@@ -299,15 +299,26 @@ def _single_rep(
 
 
 def _rep_worker(
-    job: tuple[ExperimentConfig, int, tuple[int, int, int]]
-) -> tuple[int, list[RepRecord], list[str]]:
-    config, k, seeds = job
+    job: tuple[list[ExperimentConfig], int, tuple[int, int, int]]
+) -> tuple[int, list[tuple[list[RepRecord], list[str]]]]:
+    """Repetition ``k`` of every config in one group (see ``_groups``): one
+    dataset and one candidate draw at the largest candidate count, whose first
+    p rows are bitwise the candidates of the point with p specs."""
+    group, k, (data_seed, cand_seed, sel_seed) = job
+    largest = group[-1]
     try:
-        return (k, *_single_rep(config, k, seeds))
+        dataset, truth = generate_toy(largest.n, largest.dims, data_seed)
+        drawn = make_candidates(truth, largest.noise_specs, cand_seed)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # numerical failures are recorded, not fatal; programming errors such
         # as TypeError propagate instead of shrinking the metric denominators
-        return k, [], [f"{type(exc).__name__}: {exc}"]
+        return k, [([], [f"{type(exc).__name__}: {exc}"]) for _ in group]
+    outcomes = []
+    for config in group:
+        p = len(config.noise_specs)
+        candidates = drawn if p == drawn.p else CandidateSet(drawn.predictions[:p])
+        outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates))
+    return k, outcomes
 
 
 def percentile_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
@@ -358,40 +369,63 @@ def summarize_records(
     return summaries
 
 
+def _groups(configs: list[ExperimentConfig]) -> list[list[ExperimentConfig]]:
+    """Runs of consecutive configs that differ only in ``noise_specs``, each
+    one's specs starting with the previous one's: they draw the same data."""
+    groups: list[list[ExperimentConfig]] = []
+    for config in configs:
+        last = groups[-1][-1] if groups else None
+        if (
+            last is not None
+            and config.noise_specs[: len(last.noise_specs)] == last.noise_specs
+            and config == dataclasses.replace(last, noise_specs=config.noise_specs)
+        ):
+            groups[-1].append(config)
+        else:
+            groups.append([config])
+    return groups
+
+
 def _run(configs: list[ExperimentConfig], workers: int) -> list[ExperimentReport]:
-    """Run every repetition of every config, on one pool of ``workers``
-    processes when there is more than one; one report per config, in order."""
+    """Run every repetition of every config, on one pool of up to ``workers``
+    processes; one report per config, in order. Repetition k of a group of
+    configs is one job, drawing its data once for all of them."""
+    groups = _groups(configs)
     # Deriving the seeds here loads numpy.random, which numpy imports lazily,
     # before the fork: every worker inherits it instead of importing it.
     jobs = [
-        (config, k, _derived_seeds(config.seed, _STREAM_REP, k))
-        for config in configs
-        for k in range(config.repetitions)
+        (group, k, _derived_seeds(group[0].seed, _STREAM_REP, k))
+        for group in groups
+        for k in range(group[0].repetitions)
     ]
-    if workers > 1:
+    processes = min(workers, len(jobs))
+    if processes > 1:
         # imported here: multiprocessing is slow to load, and one worker never needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             outcomes = list(pool.map(_rep_worker, jobs))
     else:
         outcomes = [_rep_worker(job) for job in jobs]
     pending = iter(outcomes)
     reports = []
-    for config in configs:
-        records: list[RepRecord] = []
-        failures: list[tuple[int, str]] = []
-        for k, recs, errs in itertools.islice(pending, config.repetitions):
-            records.extend(recs)
-            failures.extend((k, err) for err in errs)
-        report = ExperimentReport(
-            config=config,
-            summaries=summarize_records(config, records),
-            records=records,
-            failures=failures,
-        )
-        report.metadata["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        reports.append(report)
+    for group in groups:
+        per_rep = list(itertools.islice(pending, group[0].repetitions))
+        for i, config in enumerate(group):
+            records: list[RepRecord] = []
+            failures: list[tuple[int, str]] = []
+            for k, points in per_rep:
+                recs, errs = points[i]
+                records.extend(recs)
+                failures.extend((k, err) for err in errs)
+            report = ExperimentReport(
+                config=config,
+                summaries=summarize_records(config, records),
+                records=records,
+                failures=failures,
+            )
+            report.metadata["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            reports.append(report)
     return reports
 
 
@@ -437,6 +471,9 @@ def sweep(
     ranked = _specs_sorted_by_quality(config.noise_specs)
     for value in values:
         if axis == "candidate_count":
+            # a float would be truncated, and a bool read as 0 or 1, under its own label
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"candidate_count value {value!r} must be an integer")
             p = int(value)
             if not 2 <= p <= len(ranked):
                 raise ConfigError(f"candidate_count value {p} out of range [2, {len(ranked)}]")

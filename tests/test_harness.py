@@ -185,6 +185,87 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch, axis, values):
         assert a.report.summaries == b.report.summaries
 
 
+def test_pool_size_is_capped_by_the_job_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the jobs in this process; records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = _config(repetitions=3, workers=4)
+    run_experiment(config)
+    assert sizes == [3]
+    sweep(config, "candidate_count", [2, 3])  # one job per repetition for both points
+    assert sizes == [3, 3]
+    sweep(dataclasses.replace(config, repetitions=1), "sample_fraction", [0.5, 1.0])
+    assert sizes == [3, 3, 2]
+    run_experiment(dataclasses.replace(config, repetitions=1))  # one job runs in this process
+    assert sizes == [3, 3, 2]
+
+
+SWEEP_SPECS = SPECS[:2] + (NoiseSpec(0.05, 0.1), NoiseSpec(0.3, 0.2), SPECS[2])
+
+
+def _assert_points_run_alone(points):
+    for point in points:
+        alone = run_experiment(dataclasses.replace(point.report.config, workers=1))
+        assert point.report.records == alone.records
+        assert point.report.summaries == alone.summaries
+        assert point.report.failures == alone.failures
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.sets(st.integers(2, len(SWEEP_SPECS)), min_size=1).map(sorted),
+)
+def test_candidate_count_points_equal_their_standalone_runs(seed, counts):
+    # the sweep draws each repetition once, at the largest count
+    config = _config(
+        n=400, noise_specs=SWEEP_SPECS, selectors=("proposed", "naive"), repetitions=2, seed=seed
+    )
+    _assert_points_run_alone(sweep(config, "candidate_count", counts))
+
+
+def test_candidate_count_points_equal_their_standalone_runs_on_a_pool():
+    config = _config(
+        n=400, noise_specs=SWEEP_SPECS, selectors=("proposed", "naive"), repetitions=3, workers=2
+    )
+    _assert_points_run_alone(sweep(config, "candidate_count", [2, 4, 5]))
+
+
+def test_failed_draw_is_recorded_at_every_point(monkeypatch):
+    config = _config(repetitions=3)
+    bad_seed = harness._derived_seeds(config.seed, harness._STREAM_REP, 1)[0]
+    draws = []
+
+    def failing_draw(n, dims, seed):
+        draws.append(seed)
+        if seed == bad_seed:
+            raise RuntimeError("synthetic draw failure")
+        return generate_toy(n, dims, seed)
+
+    monkeypatch.setattr(harness, "generate_toy", failing_draw)
+    points = sweep(config, "candidate_count", [2, 3])
+    assert len(draws) == config.repetitions  # both points share each draw
+    for point in points:
+        assert point.report.failures == [(1, "RuntimeError: synthetic draw failure")]
+        assert {r.rep for r in point.report.records} == {0, 2}
+    _assert_points_run_alone(points)
+
+
 def test_single_value_sweep_equals_run_experiment():
     config = _config(selectors=("proposed",), n=400, repetitions=3)
     points = sweep(config, "candidate_count", [len(SPECS)])
@@ -321,8 +402,13 @@ def test_split_rule_is_the_fit_minimum(d, seed):
         ("sample_fraction", [0.05], "sample_fraction value 0.05"),  # n = 10
         ("sample_fraction", [0.5, 0.5], "strictly increasing"),
         ("candidate_count", [2, 2], "strictly increasing"),
+        # int() would run p = 2 and p = 3 under the labels 2.5 and 3.9
+        ("candidate_count", [2.5, 3.9], "candidate_count value 2.5 must be an integer"),
+        ("candidate_count", [2, 3.0], "candidate_count value 3.0 must be an integer"),
+        ("candidate_count", [True, 3], "candidate_count value True must be an integer"),
     ],
-    ids=["fraction_0.05", "repeated_fraction", "repeated_count"],
+    ids=["fraction_0.05", "repeated_fraction", "repeated_count", "fractional_count",
+         "float_count", "bool_count"],
 )
 def test_sweep_rejects_points_that_cannot_run(axis, values, message):
     with pytest.raises(ConfigError, match=message):
