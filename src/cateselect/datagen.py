@@ -123,6 +123,10 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mean) and 0 <= self.sd < np.inf):
             raise ValueError(f"noise spec ({self.mean}, {self.sd}) needs a finite mean and sd >= 0")
+        # products of floats overflow to inf, where population_mse's powers raise
+        mean, sd = float(self.mean), float(self.sd)
+        if not np.isfinite(mean * mean + sd * sd):
+            raise ValueError(f"noise spec ({self.mean}, {self.sd}): mean^2 + sd^2 overflows")
 
     @property
     def population_mse(self) -> float:

@@ -3,7 +3,10 @@
 Every repetition derives its own seeds from ``(experiment seed, repetition
 index)``, generates one dataset plus candidate set, and hands the identical
 data to every configured selector. The points of a candidate-count sweep
-share that draw: each repetition is drawn once, at the largest count.
+share that draw: each repetition is drawn once, at the largest count. They
+share each built-in selector's nuisance cross-fit too, which depends only on
+the data and the split: it is made once per repetition and handed to every
+point as the selector's ``nuisance_override``.
 Reports carry the familywise error rate (winner excluded) and the average
 number of wrong selections (non-winners retained), each with percentile
 bootstrap confidence intervals, plus flat per-repetition records that make
@@ -33,12 +36,13 @@ from .datagen import (
     make_candidates,
     write_csv,
 )
-from .nuisance import min_arm_units
+from .nuisance import OracleNuisance, min_arm_units
 from .selectors import (
     TAILS,
     SelectorConfig,
     SelectionResult,
     bonferroni_select,
+    cross_fit,
     exp_weighted_statistics,
     naive_select,
     prepare,
@@ -97,7 +101,13 @@ SELECTOR_FUNCS: dict[str, SelectorFunc] = {
 
 
 def register_selector(name: str, fn: SelectorFunc) -> None:
-    """Add a selector to the registry (mainly for tests and extensions)."""
+    """Add a selector to the registry (mainly for tests and extensions).
+
+    The harness calls ``fn(dataset, candidates, config,
+    nuisance_override=...)``, with a ``SelectorConfig`` and, for a name in
+    ``selectors.TAILS``, the nuisances cross-fitted on that selector's split
+    (``None`` for any other name), and records the returned
+    ``SelectionResult``."""
     SELECTOR_FUNCS[name] = fn
 
 
@@ -280,14 +290,24 @@ def _derived_seeds(*entropy: int) -> tuple[int, int, int]:
 
 
 def _single_rep(
-    config: ExperimentConfig, k: int, sel_seed: int, dataset: Dataset, candidates: CandidateSet
+    config: ExperimentConfig,
+    k: int,
+    sel_seed: int,
+    dataset: Dataset,
+    candidates: CandidateSet,
+    fits: dict[str, OracleNuisance | Exception],
 ) -> tuple[list[RepRecord], list[str]]:
     records: list[RepRecord] = []
     failures: list[str] = []
+    selector_config = config.selector_config(sel_seed)
     for name in config.selectors:
-        fn = SELECTOR_FUNCS[name]
+        nuisances = fits.get(name)
         try:
-            result = fn(dataset, candidates, config.selector_config(sel_seed))
+            if isinstance(nuisances, Exception):
+                raise nuisances
+            result = SELECTOR_FUNCS[name](
+                dataset, candidates, selector_config, nuisance_override=nuisances
+            )
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -303,7 +323,10 @@ def _rep_worker(
 ) -> tuple[int, list[tuple[list[RepRecord], list[str]]]]:
     """Repetition ``k`` of every config in one group (see ``_groups``): one
     dataset and one candidate draw at the largest candidate count, whose first
-    p rows are bitwise the candidates of the point with p specs."""
+    p rows are bitwise the candidates of the point with p specs, and one
+    nuisance cross-fit per built-in selector, which depends only on the data
+    and the split and so serves every point. A fit that fails numerically is
+    kept, and recorded against its selector at every point."""
     group, k, (data_seed, cand_seed, sel_seed) = job
     largest = group[-1]
     try:
@@ -313,11 +336,20 @@ def _rep_worker(
         # numerical failures are recorded, not fatal; programming errors such
         # as TypeError propagate instead of shrinking the metric denominators
         return k, [([], [f"{type(exc).__name__}: {exc}"]) for _ in group]
+    selector_config = largest.selector_config(sel_seed)
+    fits: dict[str, OracleNuisance | Exception] = {}
+    for name in largest.selectors:
+        if name in TAILS:
+            try:
+                plan = _draw_plan(TAILS[name][0], largest.n, selector_config)
+                fits[name] = cross_fit(dataset, plan)
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                fits[name] = exc
     outcomes = []
     for config in group:
         p = len(config.noise_specs)
         candidates = drawn if p == drawn.p else CandidateSet(drawn.predictions[:p])
-        outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates))
+        outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates, fits))
     return k, outcomes
 
 

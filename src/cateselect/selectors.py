@@ -4,9 +4,10 @@ This module owns the sample split and the cross-fitting. Every selector
 tests the same thing, the cross-fitted doubly robust scores of one
 ``SplitPlan`` (two major folds, or one for the ablation, each cut into
 inner folds); only the statistic on top of them differs. ``prepare`` builds
-that problem once per plan: one nuisance fit per major fold whose
-predictions fill the other fold's units (unless true values are supplied),
-then the p x n per-unit loss matrix from ``scores.build_score_tensor``.
+that problem once per plan: ``cross_fit``'s one nuisance fit per major fold,
+whose predictions fill the other fold's units (unless nuisances are
+supplied), then the p x n per-unit loss matrix from
+``scores.build_score_tensor``.
 Each selector is a tail over the resulting ``Prepared`` (``TAILS``), and
 ``run_selectors`` prepares each split layout it is asked for once and runs
 every named selector on that layout before preparing the next.
@@ -293,28 +294,28 @@ class Prepared:
         return [(delta_m, cov_hat(self.tensor, m)) for m, delta_m in enumerate(deltas)]
 
 
+def cross_fit(dataset: Dataset, plan: SplitPlan) -> OracleNuisance:
+    """The nuisances cross-fitted over the plan's major folds: each major
+    fold's units get the predictions of the model fitted on the other fold;
+    a one-fold plan's units get those of the model fitted on themselves."""
+    values = np.empty((3, dataset.n))
+    folds = [np.flatnonzero(plan.major == g) for g in range(plan.groups)]
+    for train in range(plan.groups):
+        model = fit(dataset, folds[train])
+        rows = folds[(train + 1) % plan.groups]
+        values[:, rows] = model.predict_rows(dataset.x[rows])
+    return OracleNuisance(*values)
+
+
 def prepare(
     dataset: Dataset,
     candidates: CandidateSet,
     plan: SplitPlan,
     override: OracleNuisance | None = None,
 ) -> Prepared:
-    """Cross-fit the nuisances over the plan's major folds and score every
-    candidate on every unit.
-
-    Each major fold's units get the predictions of the model fitted on the
-    other fold; a one-fold plan's units get those of the model fitted on
-    themselves. ``override`` supplies the nuisances instead.
-    """
-    nuisances = override
-    if nuisances is None:
-        values = np.empty((3, dataset.n))
-        folds = [np.flatnonzero(plan.major == g) for g in range(plan.groups)]
-        for train in range(plan.groups):
-            model = fit(dataset, folds[train])
-            rows = folds[(train + 1) % plan.groups]
-            values[:, rows] = model.predict_rows(dataset.x[rows])
-        nuisances = OracleNuisance(*values)
+    """Score every candidate on every unit with the nuisances ``cross_fit``
+    gives on the plan, or with ``override`` instead."""
+    nuisances = cross_fit(dataset, plan) if override is None else override
     return Prepared(plan, build_score_tensor(dataset, candidates, nuisances))
 
 

@@ -478,12 +478,15 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"lambda": float("nan")}, ["simulate"], "lam must be finite and nonnegative, got nan"),
         ({"noise_specs": [[0.0, 0.1], [float("nan"), 0.1]]}, ["simulate"], "noise spec (nan, 0.1)"),
         ({"noise_specs": [[0.0, 0.1], [0.3, float("inf")]]}, ["simulate"], "noise spec (0.3, inf)"),
+        # finite, but too large to square: the winner could not be chosen
+        ({"noise_specs": [[0.0, 0.1], [1e200, 0.1]]}, ["simulate"],
+         "noise spec (1e+200, 0.1): mean^2 + sd^2 overflows"),
     ],
     ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_19",
          "clt_n_19", "fraction_to_n_19", "n_39", "clt_n_39", "fraction_to_n_39", "float_n",
          "float_reps", "bool_reps", "inner_folds_key", "float_workers", "float_seed",
          "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda", "nan_lambda",
-         "nan_noise_mean", "inf_noise_sd"],
+         "nan_noise_mean", "inf_noise_sd", "overflowing_noise_mean"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)

@@ -127,6 +127,14 @@ def test_noise_spec_validation():
         NoiseSpec(0.0, -0.1)
 
 
+@pytest.mark.parametrize("mean, sd", [(1e200, 0.1), (0.0, 1e155), (1e154, 1e154)])
+def test_noise_spec_rejects_an_overflowing_mse(mean, sd):
+    # a winner chosen by population_mse needs every mean^2 + sd^2 finite
+    with pytest.raises(ValueError, match=re.escape(f"noise spec ({mean}, {sd}): mean^2 + sd^2 overflows")):
+        NoiseSpec(mean, sd)
+    assert np.isfinite(NoiseSpec(1e150, 1e150).population_mse)
+
+
 def test_candidate_set_needs_two_rows():
     with pytest.raises(ValueError):
         CandidateSet(np.zeros((1, 10)))

@@ -266,6 +266,56 @@ def test_failed_draw_is_recorded_at_every_point(monkeypatch):
     _assert_points_run_alone(points)
 
 
+def _count_fits(monkeypatch):
+    """Record every nuisance fit made through ``selectors.fit``."""
+    fits = []
+    original = selectors.fit
+
+    def counting_fit(dataset, indices):
+        fits.append(len(indices))
+        return original(dataset, indices)
+
+    monkeypatch.setattr(selectors, "fit", counting_fit)
+    return fits
+
+
+def test_sweep_points_share_each_selectors_nuisance_fits(monkeypatch):
+    # the fits depend only on the data and the split, both shared by the points
+    fits = _count_fits(monkeypatch)
+    config = _config(
+        n=400, noise_specs=SWEEP_SPECS, selectors=("naive", "proposed"), repetitions=2
+    )
+    sweep(config, "candidate_count", [2, 3, 4, 5])
+    assert len(fits) == 2 * 2 * 2  # per repetition, two major folds per selector
+    fits.clear()
+    run_experiment(config)
+    assert len(fits) == 4 * config.repetitions
+
+
+def test_failed_fits_are_recorded_at_every_point():
+    # at n = 40 and d = 8 a major fold's treatment arms are often one unit short
+    config = _config(
+        n=40, noise_specs=SWEEP_SPECS, selectors=("naive", "accept_all", "proposed"),
+        repetitions=6, seed=0,
+    )
+    points = sweep(config, "candidate_count", [2, 3, 5])
+    failures = points[0].report.failures
+    assert any("need at least" in msg for _, msg in failures)
+    assert {r.selector for r in points[0].report.records} >= {"accept_all", "proposed"}
+    for point in points:
+        assert point.report.failures == failures
+    _assert_points_run_alone(points)
+
+
+def test_programming_errors_in_a_fit_abort_the_run(monkeypatch):
+    def broken_fit(dataset, indices):
+        raise TypeError("synthetic fit error")
+
+    monkeypatch.setattr(selectors, "fit", broken_fit)
+    with pytest.raises(TypeError, match="synthetic fit error"):
+        run_experiment(_config(selectors=("proposed",), repetitions=1))
+
+
 def test_single_value_sweep_equals_run_experiment():
     config = _config(selectors=("proposed",), n=400, repetitions=3)
     points = sweep(config, "candidate_count", [len(SPECS)])
