@@ -4,9 +4,11 @@ Every repetition derives its own seeds from ``(experiment seed, repetition
 index)``, generates one dataset plus candidate set, and hands the identical
 data to every configured selector. The points of a candidate-count sweep
 share that draw: each repetition is drawn once, at the largest count. They
-share each built-in selector's nuisance cross-fit too, which depends only on
-the data and the split: it is made once per repetition and handed to every
-point as the selector's ``nuisance_override``.
+share each built-in selector's whole preparation too: one split per layout,
+that selector's nuisance cross-fit and its loss matrix at the largest count,
+all made once per repetition. Row r of the loss matrix depends only on
+candidate r and the nuisances, so the point with p candidates tests the
+first p rows, bitwise the matrix it would build alone.
 Reports carry the familywise error rate (winner excluded) and the average
 number of wrong selections (non-winners retained), each with percentile
 bootstrap confidence intervals, plus flat per-repetition records that make
@@ -39,8 +41,10 @@ from .datagen import (
 from .nuisance import OracleNuisance, min_arm_units
 from .selectors import (
     TAILS,
+    Prepared,
     SelectorConfig,
     SelectionResult,
+    SplitPlan,
     bonferroni_select,
     cross_fit,
     exp_weighted_statistics,
@@ -103,11 +107,13 @@ SELECTOR_FUNCS: dict[str, SelectorFunc] = {
 def register_selector(name: str, fn: SelectorFunc) -> None:
     """Add a selector to the registry (mainly for tests and extensions).
 
-    The harness calls ``fn(dataset, candidates, config,
-    nuisance_override=...)``, with a ``SelectorConfig`` and, for a name in
-    ``selectors.TAILS``, the nuisances cross-fitted on that selector's split
-    (``None`` for any other name), and records the returned
-    ``SelectionResult``."""
+    The harness calls ``fn(dataset, candidates, config, ...)`` with a
+    ``SelectorConfig`` and records the returned ``SelectionResult``. A name
+    in ``selectors.TAILS`` gets ``prepared=``, its problem prepared once per
+    repetition and cut to these candidates (``Prepared.restrict``); if that
+    problem's loss matrix could not be built, it gets ``nuisance_override=``,
+    the nuisances cross-fitted on its split, instead. Any other name gets
+    ``nuisance_override=None``."""
     SELECTOR_FUNCS[name] = fn
 
 
@@ -295,19 +301,22 @@ def _single_rep(
     sel_seed: int,
     dataset: Dataset,
     candidates: CandidateSet,
-    fits: dict[str, OracleNuisance | Exception],
+    problems: dict[str, Prepared | OracleNuisance | Exception],
 ) -> tuple[list[RepRecord], list[str]]:
+    """Every selector of one point, each taking its problem out of ``problems``."""
     records: list[RepRecord] = []
     failures: list[str] = []
     selector_config = config.selector_config(sel_seed)
     for name in config.selectors:
-        nuisances = fits.get(name)
+        problem = problems.pop(name, None)
         try:
-            if isinstance(nuisances, Exception):
-                raise nuisances
-            result = SELECTOR_FUNCS[name](
-                dataset, candidates, selector_config, nuisance_override=nuisances
-            )
+            if isinstance(problem, Exception):
+                raise problem
+            if isinstance(problem, Prepared):
+                kwargs = {"prepared": problem.restrict(candidates.p)}
+            else:
+                kwargs = {"nuisance_override": problem}
+            result = SELECTOR_FUNCS[name](dataset, candidates, selector_config, **kwargs)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -318,15 +327,31 @@ def _single_rep(
     return records, failures
 
 
+def _prepare_once(
+    dataset: Dataset, candidates: CandidateSet, plan: SplitPlan
+) -> Prepared | OracleNuisance:
+    """One selector's problem on the plan, or, if its loss matrix cannot be
+    built, the nuisances cross-fitted on the plan: a loss that overflows in a
+    row beyond a smaller point's p must fail only the points holding that row,
+    so each point then builds its own matrix from these nuisances."""
+    nuisances = cross_fit(dataset, plan)
+    try:
+        return prepare(dataset, candidates, plan, nuisances)
+    except (ValueError, RuntimeError, ArithmeticError):
+        return nuisances
+
+
 def _rep_worker(
     job: tuple[list[ExperimentConfig], int, tuple[int, int, int]]
 ) -> tuple[int, list[tuple[list[RepRecord], list[str]]]]:
     """Repetition ``k`` of every config in one group (see ``_groups``): one
     dataset and one candidate draw at the largest candidate count, whose first
-    p rows are bitwise the candidates of the point with p specs, and one
-    nuisance cross-fit per built-in selector, which depends only on the data
-    and the split and so serves every point. A fit that fails numerically is
-    kept, and recorded against its selector at every point."""
+    p rows are bitwise the candidates of the point with p specs; one split per
+    layout; and one nuisance cross-fit and loss matrix per built-in selector,
+    built at the largest count, of which each point tests the first p rows. A
+    split or fit that fails numerically is kept, and recorded against its
+    selector at every point; a matrix that fails to build is rebuilt by each
+    point from the kept fits, so it fails only the points it fails alone."""
     group, k, (data_seed, cand_seed, sel_seed) = job
     largest = group[-1]
     try:
@@ -336,20 +361,26 @@ def _rep_worker(
         # numerical failures are recorded, not fatal; programming errors such
         # as TypeError propagate instead of shrinking the metric denominators
         return k, [([], [f"{type(exc).__name__}: {exc}"]) for _ in group]
+    del truth  # read only by the candidate draw; freed before the loss matrices are built
     selector_config = largest.selector_config(sel_seed)
-    fits: dict[str, OracleNuisance | Exception] = {}
+    plans: dict[int, SplitPlan] = {}
+    problems: dict[str, Prepared | OracleNuisance | Exception] = {}
     for name in largest.selectors:
         if name in TAILS:
+            layout = TAILS[name][0]
             try:
-                plan = _draw_plan(TAILS[name][0], largest.n, selector_config)
-                fits[name] = cross_fit(dataset, plan)
+                if layout not in plans:
+                    plans[layout] = _draw_plan(layout, largest.n, selector_config)
+                problems[name] = _prepare_once(dataset, drawn, plans[layout])
             except (ValueError, RuntimeError, ArithmeticError) as exc:
-                fits[name] = exc
+                problems[name] = exc
     outcomes = []
     for config in group:
         p = len(config.noise_specs)
         candidates = drawn if p == drawn.p else CandidateSet(drawn.predictions[:p])
-        outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates, fits))
+        # the largest point tests the problems themselves, each freed once tested
+        own = problems if config is largest else dict(problems)
+        outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates, own))
     return k, outcomes
 
 

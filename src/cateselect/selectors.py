@@ -10,7 +10,9 @@ supplied), then the p x n per-unit loss matrix from
 ``scores.build_score_tensor``.
 Each selector is a tail over the resulting ``Prepared`` (``TAILS``), and
 ``run_selectors`` prepares each split layout it is asked for once and runs
-every named selector on that layout before preparing the next.
+every named selector on that layout before preparing the next, or runs them
+on a problem the caller prepared. ``Prepared.restrict`` cuts a problem to its
+first p candidates, bitwise the problem those candidates alone would get.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -105,6 +107,23 @@ class SplitPlan:
     def n(self) -> int:
         return self.major.shape[0]
 
+    @cached_property
+    def cell_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The units sorted by cell (major fold, then inner fold, ascending unit
+        index within a cell) and the cell boundaries in that order, sorted on
+        first use.
+
+        One stable sort on the cell label, a byte, which gets numpy's radix sort.
+        """
+        count = self.groups * _INNER_FOLDS
+        label = (self.major * _INNER_FOLDS + self.inner).astype(np.uint8)
+        order = np.argsort(label, kind="stable")
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(label, minlength=count), out=bounds[1:])
+        order.setflags(write=False)
+        bounds.setflags(write=False)
+        return order, bounds
+
 
 def _split(n: int, groups: int, rng: np.random.Generator) -> SplitPlan:
     """Uniformly random balanced split: major fold g holds permuted units
@@ -160,20 +179,6 @@ def exp_weights(delta: np.ndarray, lam: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _cell_order(plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The units sorted by cell (major fold, then inner fold, ascending unit
-    index within a cell) and the cell boundaries in that order.
-
-    One stable sort on the cell label, a byte, which gets numpy's radix sort.
-    """
-    count = plan.groups * _INNER_FOLDS
-    label = (plan.major * _INNER_FOLDS + plan.inner).astype(np.uint8)
-    order = np.argsort(label, kind="stable")
-    bounds = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(label, minlength=count), out=bounds[1:])
-    return order, bounds
-
-
 @dataclass(frozen=True)
 class ProposedStatistics:
     """Everything the exponentially weighted test computes.
@@ -203,7 +208,7 @@ def exp_weighted_statistics(tensor: ScoreTensor, plan: SplitPlan, lam: float) ->
     p, n = tensor.p, tensor.n
     if plan.n != n:
         raise ValueError("the split must cover every unit")
-    order, bounds = _cell_order(plan)
+    order, bounds = plan.cell_order
     by_cell = tensor.losses[:, order]
     shape = (plan.groups, _INNER_FOLDS)
     sums = np.add.reduceat(by_cell, bounds[:-1], axis=1).reshape(p, *shape)
@@ -292,6 +297,17 @@ class Prepared:
         # the centred copy of the losses that cov_hat builds on first use
         deltas = [delta_hat(self.tensor, m) for m in range(self.tensor.p)]
         return [(delta_m, cov_hat(self.tensor, m)) for m, delta_m in enumerate(deltas)]
+
+    def restrict(self, p: int) -> Prepared:
+        """The problem of the first ``p`` candidates, this one when p is all of
+        them: row r of the loss matrix depends only on candidate r and the
+        nuisances, so these rows are bitwise the loss matrix those candidates
+        alone would get."""
+        if not 0 < p <= self.tensor.p:
+            raise ValueError(f"cannot restrict {self.tensor.p} candidates to {p}")
+        if p == self.tensor.p:
+            return self
+        return Prepared(self.plan, ScoreTensor(self.tensor.losses[:p]))
 
 
 def cross_fit(dataset: Dataset, plan: SplitPlan) -> OracleNuisance:
@@ -442,29 +458,65 @@ def _draw_plan(groups: int, n: int, config: SelectorConfig) -> SplitPlan:
     return single_layer_split(n, config.seed)
 
 
+def _check_prepared(
+    prepared: Prepared,
+    dataset: Dataset,
+    candidates: CandidateSet,
+    names: Sequence[str],
+    nuisance_override: OracleNuisance | None,
+) -> None:
+    """Raise ``ValueError`` unless ``prepared`` can stand for the problem the
+    named selectors would prepare on this dataset and these candidates."""
+    if nuisance_override is not None:
+        raise ValueError("give nuisance_override or prepared, not both")
+    tensor, plan = prepared.tensor, prepared.plan
+    if (tensor.p, tensor.n, plan.n) != (candidates.p, dataset.n, dataset.n):
+        raise ValueError(
+            f"the prepared problem scores {tensor.p} candidates on {tensor.n} units with a "
+            f"split of {plan.n}; the data has {candidates.p} candidates and {dataset.n} units"
+        )
+    for name in names:
+        if TAILS[name][0] != plan.groups:
+            raise ValueError(
+                f"{name} tests a {TAILS[name][0]}-fold split, not the prepared "
+                f"problem's {plan.groups}-fold one"
+            )
+
+
 def run_selectors(
     dataset: Dataset,
     candidates: CandidateSet,
     config: SelectorConfig,
     names: Sequence[str],
     nuisance_override: OracleNuisance | None = None,
+    prepared: Prepared | None = None,
 ) -> list[SelectionResult]:
     """Run the named built-in selectors on one dataset; results in ``names``
     order.
 
     Each split layout named is prepared once (one split, its nuisance fits
     and one loss matrix), every selector on that layout runs its test on it,
-    and it is dropped before the next layout is prepared.
+    and it is dropped before the next layout is prepared. A caller that
+    already holds the problem passes it as ``prepared`` instead: every named
+    selector then runs its test on it and nothing is prepared. It must score
+    exactly these candidates on these units, on the layout of every named
+    selector, and is taken to be on the split ``config.seed`` draws; a
+    mismatch in size or layout, or a ``nuisance_override`` given with it,
+    raises ``ValueError``.
     """
+    if prepared is not None:
+        _check_prepared(prepared, dataset, candidates, names, nuisance_override)
     results: dict[str, SelectionResult] = {}
     for groups in dict.fromkeys(TAILS[name][0] for name in names):
-        plan = _draw_plan(groups, dataset.n, config)
-        prepared = prepare(dataset, candidates, plan, nuisance_override)
+        problem = prepared
+        if problem is None:
+            plan = _draw_plan(groups, dataset.n, config)
+            problem = prepare(dataset, candidates, plan, nuisance_override)
         for name in names:
             layout, tail = TAILS[name]
             if layout == groups and name not in results:
-                results[name] = tail(prepared, config)
-        del prepared  # one layout's loss matrix at a time
+                results[name] = tail(problem, config)
+        del problem  # one layout's loss matrix at a time
     return [results[name] for name in names]
 
 
@@ -473,13 +525,19 @@ def proposed_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
+    prepared: Prepared | None = None,
 ) -> SelectionResult:
     """Two-layer cross-fitted exponentially weighted selection.
 
     Accepts candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha.
+
+    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
+    preparation, as in ``run_selectors``.
     """
-    return run_selectors(dataset, candidates, config, ["proposed"], nuisance_override)[0]
+    return run_selectors(
+        dataset, candidates, config, ["proposed"], nuisance_override, prepared
+    )[0]
 
 
 def single_layer_ablation_select(
@@ -487,14 +545,20 @@ def single_layer_ablation_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
+    prepared: Prepared | None = None,
 ) -> SelectionResult:
     """One-layer variant kept to demonstrate inflated error rates.
 
     The proposed test on a one-fold plan: nuisances are fitted on the full
     sample (every unit is scored in-sample) and the weight-learning folds
     are drawn over all units with no major-fold separation.
+
+    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
+    preparation, as in ``run_selectors``.
     """
-    return run_selectors(dataset, candidates, config, ["ablation"], nuisance_override)[0]
+    return run_selectors(
+        dataset, candidates, config, ["ablation"], nuisance_override, prepared
+    )[0]
 
 
 def naive_select(
@@ -502,14 +566,20 @@ def naive_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
+    prepared: Prepared | None = None,
 ) -> SelectionResult:
     """Max-statistic selection with parametric bootstrap critical values.
 
     Candidate m is accepted when the largest of its standardized pairwise
     statistics does not exceed the bootstrap quantile drawn from N(0,
     sigma_m).
+
+    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
+    preparation, as in ``run_selectors``.
     """
-    return run_selectors(dataset, candidates, config, ["naive"], nuisance_override)[0]
+    return run_selectors(
+        dataset, candidates, config, ["naive"], nuisance_override, prepared
+    )[0]
 
 
 def bonferroni_select(
@@ -517,6 +587,13 @@ def bonferroni_select(
     candidates: CandidateSet,
     config: SelectorConfig,
     nuisance_override: OracleNuisance | None = None,
+    prepared: Prepared | None = None,
 ) -> SelectionResult:
-    """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1)."""
-    return run_selectors(dataset, candidates, config, ["bonferroni"], nuisance_override)[0]
+    """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1).
+
+    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
+    preparation, as in ``run_selectors``.
+    """
+    return run_selectors(
+        dataset, candidates, config, ["bonferroni"], nuisance_override, prepared
+    )[0]

@@ -266,30 +266,58 @@ def test_failed_draw_is_recorded_at_every_point(monkeypatch):
     _assert_points_run_alone(points)
 
 
-def _count_fits(monkeypatch):
-    """Record every nuisance fit made through ``selectors.fit``."""
-    fits = []
-    original = selectors.fit
+def _count_work(monkeypatch):
+    """Count the nuisance fits, split draws and loss-matrix builds made
+    through ``selectors``."""
+    counts = {"fit": 0, "split": 0, "build": 0}
+    for key, attr in (("fit", "fit"), ("split", "_split"), ("build", "build_score_tensor")):
 
-    def counting_fit(dataset, indices):
-        fits.append(len(indices))
-        return original(dataset, indices)
+        def counting(*args, _key=key, _original=getattr(selectors, attr)):
+            counts[_key] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(selectors, "fit", counting_fit)
-    return fits
+        monkeypatch.setattr(selectors, attr, counting)
+    return counts
 
 
-def test_sweep_points_share_each_selectors_nuisance_fits(monkeypatch):
-    # the fits depend only on the data and the split, both shared by the points
-    fits = _count_fits(monkeypatch)
-    config = _config(
-        n=400, noise_specs=SWEEP_SPECS, selectors=("naive", "proposed"), repetitions=2
-    )
-    sweep(config, "candidate_count", [2, 3, 4, 5])
-    assert len(fits) == 2 * 2 * 2  # per repetition, two major folds per selector
-    fits.clear()
-    run_experiment(config)
-    assert len(fits) == 4 * config.repetitions
+@pytest.mark.parametrize(
+    "names, counts_per_rep",
+    [
+        # the naive and proposed tests share the two-way split
+        (("naive", "proposed"), {"fit": 4, "split": 1, "build": 2}),
+        (("proposed", "naive", "bonferroni", "ablation"), {"fit": 7, "split": 2, "build": 4}),
+    ],
+    ids=["naive_proposed", "all_four"],
+)
+@pytest.mark.parametrize(
+    "study",
+    [run_experiment, lambda config: sweep(config, "candidate_count", [2, 3, 4, 5])],
+    ids=["run_experiment", "four_point_sweep"],
+)
+def test_each_selector_prepares_once_per_repetition(monkeypatch, names, counts_per_rep, study):
+    # one split per layout, and one fit and build per selector at the largest
+    # count, whose first p rows every point tests
+    counts = _count_work(monkeypatch)
+    config = _config(n=400, noise_specs=SWEEP_SPECS, selectors=names, repetitions=2)
+    study(config)
+    assert counts == {key: count * config.repetitions for key, count in counts_per_rep.items()}
+
+
+def test_an_overflowing_worst_candidate_fails_only_the_points_that_hold_it():
+    # the third candidate's losses overflow: the matrix at p = 3 cannot be
+    # built, but its first two rows are finite, so the p = 2 point runs
+    specs = (NoiseSpec(0, 0.1), NoiseSpec(0, 0.2), NoiseSpec(1.34e154, 1e152))
+    config = _config(n=400, noise_specs=specs, selectors=("naive", "proposed"), repetitions=2)
+    two, three = sweep(config, "candidate_count", [2, 3])
+    assert two.report.failures == []
+    assert len(two.report.records) == 2 * 2 * config.repetitions
+    assert three.report.failures == [
+        (k, f"{name}: ValueError: candidate losses must be finite")
+        for k in range(config.repetitions)
+        for name in config.selectors
+    ]
+    assert three.report.records == []
+    _assert_points_run_alone([two])  # three's empty summaries are NaN, never equal
 
 
 def test_failed_fits_are_recorded_at_every_point():

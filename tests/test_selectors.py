@@ -17,7 +17,6 @@ from cateselect.selectors import (
     SelectorConfig,
     Prepared,
     _INNER_FOLDS,
-    _cell_order,
     _weighted_test,
     bonferroni_select,
     exp_weighted_statistics,
@@ -224,7 +223,7 @@ def test_weighted_statistics_match_reference_property(p, n, two_way, lam, seed):
     plan = (two_way_split if two_way else single_layer_split)(n, seed)
     layout = _mask_cells(plan)
     # the statistic's cell order: cell c's units in ascending order
-    order, bounds = _cell_order(plan)
+    order, bounds = plan.cell_order
     assert len(bounds) == len(layout) + 1
     for c, (eval_idx, _) in enumerate(layout):
         npt.assert_array_equal(order[bounds[c] : bounds[c + 1]], eval_idx)
@@ -569,6 +568,44 @@ def test_run_selectors_matches_each_selector_alone():
     }
     shared = selectors.run_selectors(ds, cands, config, names)
     assert shared == [alone[name](ds, cands, config) for name in names]
+
+
+@pytest.mark.parametrize("names, groups", [(("naive", "proposed", "bonferroni"), 2), (("ablation",), 1)])
+def test_run_selectors_on_a_prepared_problem_matches_a_plain_call(names, groups):
+    ds, truth, cands, sel_seed = _toy_problem(specs=NEAR_TIED_SPECS)
+    config = SelectorConfig(seed=sel_seed)
+    prepared = prepare(ds, cands, selectors._draw_plan(groups, ds.n, config))
+    plain = selectors.run_selectors(ds, cands, config, names)
+    assert selectors.run_selectors(ds, cands, config, names, prepared=prepared) == plain
+    # the first three rows are the problem of the first three candidates alone
+    first = CandidateSet(cands.predictions[:3])
+    assert selectors.run_selectors(
+        ds, first, config, names, prepared=prepared.restrict(3)
+    ) == selectors.run_selectors(ds, first, config, names)
+
+
+def test_run_selectors_rejects_a_prepared_problem_that_does_not_fit():
+    ds, truth, cands, sel_seed = _toy_problem(specs=NEAR_TIED_SPECS)
+    config = SelectorConfig(seed=sel_seed)
+    two_way = prepare(ds, cands, selectors._draw_plan(2, ds.n, config))
+    one_fold = prepare(ds, cands, selectors._draw_plan(1, ds.n, config))
+    with pytest.raises(ValueError, match="scores 5 candidates"):
+        naive_select(ds, CandidateSet(cands.predictions[:3]), config, prepared=two_way)
+    with pytest.raises(ValueError, match="scores 3 candidates"):
+        proposed_select(ds, cands, config, prepared=two_way.restrict(3))
+    smaller, _ = generate_toy(ds.n - 1, (2, 2, 2, 2), 0)
+    with pytest.raises(ValueError, match="on 600 units"):
+        proposed_select(smaller, CandidateSet(cands.predictions[:, 1:]), config, prepared=two_way)
+    with pytest.raises(ValueError, match="ablation tests a 1-fold split"):
+        single_layer_ablation_select(ds, cands, config, prepared=two_way)
+    with pytest.raises(ValueError, match="proposed tests a 2-fold split"):
+        selectors.run_selectors(ds, cands, config, ["ablation", "proposed"], prepared=one_fold)
+    with pytest.raises(ValueError, match="not both"):
+        bonferroni_select(
+            ds, cands, config, nuisance_override=OracleNuisance.from_truth(truth), prepared=two_way
+        )
+    with pytest.raises(ValueError, match="cannot restrict 5 candidates to 6"):
+        two_way.restrict(6)
 
 
 def test_harness_repetition_still_prepares_per_selector(monkeypatch):
