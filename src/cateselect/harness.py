@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 from pathlib import Path
 from typing import Any, Callable, Collection, NamedTuple, Sequence
@@ -38,7 +39,7 @@ from .datagen import (
     make_candidates,
     write_csv,
 )
-from .nuisance import OracleNuisance, min_arm_units
+from .nuisance import min_arm_units
 from .selectors import (
     TAILS,
     Prepared,
@@ -107,13 +108,11 @@ SELECTOR_FUNCS: dict[str, SelectorFunc] = {
 def register_selector(name: str, fn: SelectorFunc) -> None:
     """Add a selector to the registry (mainly for tests and extensions).
 
-    The harness calls ``fn(dataset, candidates, config, ...)`` with a
+    The harness calls ``fn(dataset, candidates, config)`` with a
     ``SelectorConfig`` and records the returned ``SelectionResult``. A name
-    in ``selectors.TAILS`` gets ``prepared=``, its problem prepared once per
-    repetition and cut to these candidates (``Prepared.restrict``); if that
-    problem's loss matrix could not be built, it gets ``nuisance_override=``,
-    the nuisances cross-fitted on its split, instead. Any other name gets
-    ``nuisance_override=None``."""
+    in ``selectors.TAILS`` also gets ``prepared=``, its problem on these
+    candidates, cut from the one prepared once per repetition
+    (``Prepared.restrict``); any other name gets no keyword."""
     SELECTOR_FUNCS[name] = fn
 
 
@@ -301,21 +300,18 @@ def _single_rep(
     sel_seed: int,
     dataset: Dataset,
     candidates: CandidateSet,
-    problems: dict[str, Prepared | OracleNuisance | Exception],
+    problems: dict[str, Callable[[CandidateSet], Prepared]],
 ) -> tuple[list[RepRecord], list[str]]:
-    """Every selector of one point, each taking its problem out of ``problems``."""
+    """Every selector of one point. A built-in selector gets ``prepared=``,
+    its problem on these candidates from the function it takes out of
+    ``problems``; any other selector gets the data alone."""
     records: list[RepRecord] = []
     failures: list[str] = []
     selector_config = config.selector_config(sel_seed)
     for name in config.selectors:
         problem = problems.pop(name, None)
         try:
-            if isinstance(problem, Exception):
-                raise problem
-            if isinstance(problem, Prepared):
-                kwargs = {"prepared": problem.restrict(candidates.p)}
-            else:
-                kwargs = {"nuisance_override": problem}
+            kwargs = {} if problem is None else {"prepared": problem(candidates)}
             result = SELECTOR_FUNCS[name](dataset, candidates, selector_config, **kwargs)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
@@ -327,31 +323,37 @@ def _single_rep(
     return records, failures
 
 
-def _prepare_once(
-    dataset: Dataset, candidates: CandidateSet, plan: SplitPlan
-) -> Prepared | OracleNuisance:
-    """One selector's problem on the plan, or, if its loss matrix cannot be
-    built, the nuisances cross-fitted on the plan: a loss that overflows in a
-    row beyond a smaller point's p must fail only the points holding that row,
-    so each point then builds its own matrix from these nuisances."""
+def _shared_problem(
+    dataset: Dataset, drawn: CandidateSet, plan: SplitPlan
+) -> Callable[[CandidateSet], Prepared]:
+    """One selector's problem on the plan, as a function of a point's
+    candidates: prepared once on ``drawn``, of which each point takes its
+    first p rows. If that loss matrix cannot be built, each point builds its
+    own from the same fits instead: a loss that overflows in a row beyond a
+    smaller point's p must fail only the points that hold that row."""
     nuisances = cross_fit(dataset, plan)
     try:
-        return prepare(dataset, candidates, plan, nuisances)
+        shared = prepare(dataset, drawn, plan, nuisances)
     except (ValueError, RuntimeError, ArithmeticError):
-        return nuisances
+        return partial(prepare, dataset, plan=plan, override=nuisances)
+    return lambda candidates: shared.restrict(candidates.p)
+
+
+def _reraise(exc: Exception, candidates: CandidateSet) -> Prepared:
+    """The problem of a selector whose split or fit failed: that failure."""
+    raise exc
 
 
 def _rep_worker(
     job: tuple[list[ExperimentConfig], int, tuple[int, int, int]]
 ) -> tuple[int, list[tuple[list[RepRecord], list[str]]]]:
-    """Repetition ``k`` of every config in one group (see ``_groups``): one
+    """Repetition ``k`` of every config in one group (see ``_run``): one
     dataset and one candidate draw at the largest candidate count, whose first
     p rows are bitwise the candidates of the point with p specs; one split per
     layout; and one nuisance cross-fit and loss matrix per built-in selector,
-    built at the largest count, of which each point tests the first p rows. A
-    split or fit that fails numerically is kept, and recorded against its
-    selector at every point; a matrix that fails to build is rebuilt by each
-    point from the kept fits, so it fails only the points it fails alone."""
+    built at the largest count, of which each point tests the first p rows
+    (``_shared_problem``). A split or fit that fails numerically is kept, and
+    recorded against its selector at every point."""
     group, k, (data_seed, cand_seed, sel_seed) = job
     largest = group[-1]
     try:
@@ -364,21 +366,21 @@ def _rep_worker(
     del truth  # read only by the candidate draw; freed before the loss matrices are built
     selector_config = largest.selector_config(sel_seed)
     plans: dict[int, SplitPlan] = {}
-    problems: dict[str, Prepared | OracleNuisance | Exception] = {}
+    problems: dict[str, Callable[[CandidateSet], Prepared]] = {}
     for name in largest.selectors:
         if name in TAILS:
             layout = TAILS[name][0]
             try:
                 if layout not in plans:
                     plans[layout] = _draw_plan(layout, largest.n, selector_config)
-                problems[name] = _prepare_once(dataset, drawn, plans[layout])
+                problems[name] = _shared_problem(dataset, drawn, plans[layout])
             except (ValueError, RuntimeError, ArithmeticError) as exc:
-                problems[name] = exc
+                problems[name] = partial(_reraise, exc)
     outcomes = []
     for config in group:
         p = len(config.noise_specs)
         candidates = drawn if p == drawn.p else CandidateSet(drawn.predictions[:p])
-        # the largest point tests the problems themselves, each freed once tested
+        # the largest point takes the problems themselves, each freed once tested
         own = problems if config is largest else dict(problems)
         outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates, own))
     return k, outcomes
@@ -432,28 +434,12 @@ def summarize_records(
     return summaries
 
 
-def _groups(configs: list[ExperimentConfig]) -> list[list[ExperimentConfig]]:
-    """Runs of consecutive configs that differ only in ``noise_specs``, each
-    one's specs starting with the previous one's: they draw the same data."""
-    groups: list[list[ExperimentConfig]] = []
-    for config in configs:
-        last = groups[-1][-1] if groups else None
-        if (
-            last is not None
-            and config.noise_specs[: len(last.noise_specs)] == last.noise_specs
-            and config == dataclasses.replace(last, noise_specs=config.noise_specs)
-        ):
-            groups[-1].append(config)
-        else:
-            groups.append([config])
-    return groups
-
-
-def _run(configs: list[ExperimentConfig], workers: int) -> list[ExperimentReport]:
+def _run(groups: list[list[ExperimentConfig]], workers: int) -> list[ExperimentReport]:
     """Run every repetition of every config, on one pool of up to ``workers``
-    processes; one report per config, in order. Repetition k of a group of
-    configs is one job, drawing its data once for all of them."""
-    groups = _groups(configs)
+    processes; one report per config, in order. The configs of a group differ
+    only in ``noise_specs``, each one's specs starting with the previous
+    one's, so they draw the same data: repetition k of a group is one job,
+    drawing its data once for all of them."""
     # Deriving the seeds here loads numpy.random, which numpy imports lazily,
     # before the fork: every worker inherits it instead of importing it.
     jobs = [
@@ -498,7 +484,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     A selector that fails numerically loses only its own records of that
     repetition (the message starts with its name); a failed data draw loses
     the repetition for every selector."""
-    return _run([config], config.workers)[0]
+    return _run([[config]], config.workers)[0]
 
 
 class SweepPoint(NamedTuple):
@@ -549,7 +535,9 @@ def sweep(
                 subs.append(dataclasses.replace(config, n=int(round(config.n * frac))))
             except ValueError as exc:
                 raise ConfigError(f"sample_fraction value {frac}: {exc}") from exc
-    return [SweepPoint(value, report) for value, report in zip(values, _run(subs, config.workers))]
+    # the candidate-count points are one group: each repetition is drawn once
+    groups = [subs] if axis == "candidate_count" else [[sub] for sub in subs]
+    return [SweepPoint(*point) for point in zip(values, _run(groups, config.workers))]
 
 
 def bootstrap_standardized_means(

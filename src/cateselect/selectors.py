@@ -5,14 +5,17 @@ tests the same thing, the cross-fitted doubly robust scores of one
 ``SplitPlan`` (two major folds, or one for the ablation, each cut into
 inner folds); only the statistic on top of them differs. ``prepare`` builds
 that problem once per plan: ``cross_fit``'s one nuisance fit per major fold,
-whose predictions fill the other fold's units (unless nuisances are
-supplied), then the p x n per-unit loss matrix from
-``scores.build_score_tensor``.
+whose predictions fill the other fold's units, then the p x n per-unit loss
+matrix from ``scores.build_score_tensor``.
 Each selector is a tail over the resulting ``Prepared`` (``TAILS``), and
 ``run_selectors`` prepares each split layout it is asked for once and runs
 every named selector on that layout before preparing the next, or runs them
-on a problem the caller prepared. ``Prepared.restrict`` cuts a problem to its
-first p candidates, bitwise the problem those candidates alone would get.
+on a problem the caller prepared. That is the one way in for anything but
+the default cross-fit: a caller holding true nuisances passes
+``prepared=prepare(dataset, candidates, two_way_split(dataset.n, config.seed),
+OracleNuisance.from_truth(truth))``, with ``single_layer_split`` for the
+ablation. ``Prepared.restrict`` cuts a problem to its first p candidates,
+bitwise the problem those candidates alone would get.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -459,16 +462,10 @@ def _draw_plan(groups: int, n: int, config: SelectorConfig) -> SplitPlan:
 
 
 def _check_prepared(
-    prepared: Prepared,
-    dataset: Dataset,
-    candidates: CandidateSet,
-    names: Sequence[str],
-    nuisance_override: OracleNuisance | None,
+    prepared: Prepared, dataset: Dataset, candidates: CandidateSet, names: Sequence[str]
 ) -> None:
     """Raise ``ValueError`` unless ``prepared`` can stand for the problem the
     named selectors would prepare on this dataset and these candidates."""
-    if nuisance_override is not None:
-        raise ValueError("give nuisance_override or prepared, not both")
     tensor, plan = prepared.tensor, prepared.plan
     if (tensor.p, tensor.n, plan.n) != (candidates.p, dataset.n, dataset.n):
         raise ValueError(
@@ -488,7 +485,7 @@ def run_selectors(
     candidates: CandidateSet,
     config: SelectorConfig,
     names: Sequence[str],
-    nuisance_override: OracleNuisance | None = None,
+    *,
     prepared: Prepared | None = None,
 ) -> list[SelectionResult]:
     """Run the named built-in selectors on one dataset; results in ``names``
@@ -497,21 +494,20 @@ def run_selectors(
     Each split layout named is prepared once (one split, its nuisance fits
     and one loss matrix), every selector on that layout runs its test on it,
     and it is dropped before the next layout is prepared. A caller that
-    already holds the problem passes it as ``prepared`` instead: every named
-    selector then runs its test on it and nothing is prepared. It must score
-    exactly these candidates on these units, on the layout of every named
-    selector, and is taken to be on the split ``config.seed`` draws; a
-    mismatch in size or layout, or a ``nuisance_override`` given with it,
-    raises ``ValueError``.
+    already holds the problem, or wants other nuisances than the cross-fit
+    (``prepare``'s ``override``), passes it as ``prepared`` instead: every
+    named selector then runs its test on it and nothing is prepared. It must
+    score exactly these candidates on these units, on the layout of every
+    named selector, and is taken to be on the split ``config.seed`` draws; a
+    mismatch in size or layout raises ``ValueError``.
     """
     if prepared is not None:
-        _check_prepared(prepared, dataset, candidates, names, nuisance_override)
+        _check_prepared(prepared, dataset, candidates, names)
     results: dict[str, SelectionResult] = {}
     for groups in dict.fromkeys(TAILS[name][0] for name in names):
         problem = prepared
         if problem is None:
-            plan = _draw_plan(groups, dataset.n, config)
-            problem = prepare(dataset, candidates, plan, nuisance_override)
+            problem = prepare(dataset, candidates, _draw_plan(groups, dataset.n, config))
         for name in names:
             layout, tail = TAILS[name]
             if layout == groups and name not in results:
@@ -524,7 +520,7 @@ def proposed_select(
     dataset: Dataset,
     candidates: CandidateSet,
     config: SelectorConfig,
-    nuisance_override: OracleNuisance | None = None,
+    *,
     prepared: Prepared | None = None,
 ) -> SelectionResult:
     """Two-layer cross-fitted exponentially weighted selection.
@@ -532,19 +528,16 @@ def proposed_select(
     Accepts candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha.
 
-    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
-    preparation, as in ``run_selectors``.
+    ``prepared`` replaces the preparation, as in ``run_selectors``.
     """
-    return run_selectors(
-        dataset, candidates, config, ["proposed"], nuisance_override, prepared
-    )[0]
+    return run_selectors(dataset, candidates, config, ["proposed"], prepared=prepared)[0]
 
 
 def single_layer_ablation_select(
     dataset: Dataset,
     candidates: CandidateSet,
     config: SelectorConfig,
-    nuisance_override: OracleNuisance | None = None,
+    *,
     prepared: Prepared | None = None,
 ) -> SelectionResult:
     """One-layer variant kept to demonstrate inflated error rates.
@@ -553,19 +546,17 @@ def single_layer_ablation_select(
     sample (every unit is scored in-sample) and the weight-learning folds
     are drawn over all units with no major-fold separation.
 
-    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
-    preparation, as in ``run_selectors``.
+    ``prepared`` replaces the preparation, as in ``run_selectors``; it is
+    prepared on a ``single_layer_split``.
     """
-    return run_selectors(
-        dataset, candidates, config, ["ablation"], nuisance_override, prepared
-    )[0]
+    return run_selectors(dataset, candidates, config, ["ablation"], prepared=prepared)[0]
 
 
 def naive_select(
     dataset: Dataset,
     candidates: CandidateSet,
     config: SelectorConfig,
-    nuisance_override: OracleNuisance | None = None,
+    *,
     prepared: Prepared | None = None,
 ) -> SelectionResult:
     """Max-statistic selection with parametric bootstrap critical values.
@@ -574,26 +565,20 @@ def naive_select(
     statistics does not exceed the bootstrap quantile drawn from N(0,
     sigma_m).
 
-    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
-    preparation, as in ``run_selectors``.
+    ``prepared`` replaces the preparation, as in ``run_selectors``.
     """
-    return run_selectors(
-        dataset, candidates, config, ["naive"], nuisance_override, prepared
-    )[0]
+    return run_selectors(dataset, candidates, config, ["naive"], prepared=prepared)[0]
 
 
 def bonferroni_select(
     dataset: Dataset,
     candidates: CandidateSet,
     config: SelectorConfig,
-    nuisance_override: OracleNuisance | None = None,
+    *,
     prepared: Prepared | None = None,
 ) -> SelectionResult:
     """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1).
 
-    ``nuisance_override`` replaces the cross-fit, and ``prepared`` the whole
-    preparation, as in ``run_selectors``.
+    ``prepared`` replaces the preparation, as in ``run_selectors``.
     """
-    return run_selectors(
-        dataset, candidates, config, ["bonferroni"], nuisance_override, prepared
-    )[0]
+    return run_selectors(dataset, candidates, config, ["bonferroni"], prepared=prepared)[0]

@@ -33,7 +33,7 @@ from cateselect.selectors import CandidateDecision, SelectionResult, two_way_spl
 
 
 def _fixed_selector(name, accept_fn):
-    def select(dataset, candidates, config, nuisance_override=None):
+    def select(dataset, candidates, config):
         stats = tuple(
             CandidateDecision(candidate=r, statistic=0.0, critical=1.0, accepted=accept_fn(r))
             for r in range(candidates.p)
@@ -50,11 +50,11 @@ def _fixed_selector(name, accept_fn):
     return select
 
 
-def _raising_selector(dataset, candidates, config, nuisance_override=None):
+def _raising_selector(dataset, candidates, config):
     raise RuntimeError("synthetic failure")
 
 
-def _broken_selector(dataset, candidates, config, nuisance_override=None):
+def _broken_selector(dataset, candidates, config):
     raise TypeError("synthetic programming error")
 
 
@@ -496,7 +496,7 @@ def test_sweep_rejects_points_that_cannot_run(axis, values, message):
 def test_sweep_validates_every_value_before_running(monkeypatch):
     calls = []
 
-    def counting(dataset, candidates, config, nuisance_override=None):
+    def counting(dataset, candidates, config):
         calls.append(config.seed)
         return _fixed_selector("counting", lambda r: True)(dataset, candidates, config)
 

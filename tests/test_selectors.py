@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from cateselect import selectors
 from cateselect.datagen import NEAR_TIED_SPECS, CandidateSet, NoiseSpec, generate_toy, make_candidates
-from cateselect.harness import ExperimentConfig, _derived_seeds, run_experiment
+from cateselect.harness import _derived_seeds
 from cateselect.nuisance import OracleNuisance
 from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
@@ -148,6 +148,13 @@ def _toy_problem(n=600, specs=None, seed=100):
     return ds, truth, cands, sel_seed
 
 
+def _true_problem(ds, truth, cands, config, groups=2):
+    """The problem a selector on ``groups`` major folds tests, scored with the
+    true nuisances instead of cross-fitted ones."""
+    plan = selectors._draw_plan(groups, ds.n, config)
+    return prepare(ds, cands, plan, OracleNuisance.from_truth(truth))
+
+
 def _proposed_statistics(ds, cands, config):
     """The weighted-test statistics behind ``proposed_select``, checked against
     the statistics it reports."""
@@ -282,9 +289,9 @@ def test_degenerate_candidates_raise():
     ds, truth, cands, sel_seed = _toy_problem()
     row = truth.tau + 0.05
     dup = CandidateSet(np.vstack([row, row]))
+    config = SelectorConfig(alpha=0.1, seed=sel_seed)
     with pytest.raises(RuntimeError, match="degenerate"):
-        proposed_select(ds, dup, SelectorConfig(alpha=0.1, seed=sel_seed),
-                        nuisance_override=OracleNuisance.from_truth(truth))
+        proposed_select(ds, dup, config, prepared=_true_problem(ds, truth, dup, config))
 
 
 # --- naive and bonferroni ---------------------------------------------------
@@ -305,9 +312,9 @@ def test_naive_degenerate_covariance_errors():
     ds, truth, cands, sel_seed = _toy_problem()
     row = truth.tau  # two identical candidates: all pair scores vanish
     dup = CandidateSet(np.vstack([row, row]))
+    config = SelectorConfig(alpha=0.1, seed=sel_seed)
     with pytest.raises(RuntimeError, match="degenerate"):
-        naive_select(ds, dup, SelectorConfig(alpha=0.1, seed=sel_seed),
-                     nuisance_override=OracleNuisance.from_truth(truth))
+        naive_select(ds, dup, config, prepared=_true_problem(ds, truth, dup, config))
 
 
 def test_naive_rejection_monotone_in_alpha():
@@ -388,16 +395,17 @@ def test_normal_critical_values_match_scipy_ndtri():
 
     ds, truth = generate_toy(200, (1, 1, 1, 1), seed=4)
     cands = make_candidates(truth, [NoiseSpec(0.01 * j, 0.1) for j in range(41)], seed=5)
-    oracle = OracleNuisance.from_truth(truth)
     for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
         config = SelectorConfig(alpha=alpha, seed=6)
         expected = ndtri(1.0 - alpha)
-        for s in proposed_select(ds, cands, config, nuisance_override=oracle).stats:
+        problem = _true_problem(ds, truth, cands, config)
+        for s in proposed_select(ds, cands, config, prepared=problem).stats:
             assert abs(s.critical - expected) <= 1e-15 * abs(expected)
         for p in range(2, 42):
             subset = CandidateSet(cands.predictions[:p])
             expected = ndtri(1.0 - alpha / (p - 1))
-            for s in bonferroni_select(ds, subset, config, nuisance_override=oracle).stats:
+            problem = _true_problem(ds, truth, subset, config)
+            for s in bonferroni_select(ds, subset, config, prepared=problem).stats:
                 assert abs(s.critical - expected) <= 1e-15 * abs(expected)
 
 
@@ -405,8 +413,8 @@ def test_normal_critical_values_match_scipy_ndtri():
 def test_alpha_below_rounding_accepts_every_candidate(select):
     # 1 - 1e-17 rounds to 1.0, whose normal quantile is +inf
     ds, truth, cands, sel_seed = _toy_problem()
-    res = select(ds, cands, SelectorConfig(alpha=1e-17, seed=sel_seed),
-                 nuisance_override=OracleNuisance.from_truth(truth))
+    config = SelectorConfig(alpha=1e-17, seed=sel_seed)
+    res = select(ds, cands, config, prepared=_true_problem(ds, truth, cands, config))
     assert all(s.critical == np.inf for s in res.stats)
     assert res.accepted == tuple(range(cands.p))
 
@@ -429,13 +437,13 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     # weighted test compute identical statistics
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
-    oracle = OracleNuisance.from_truth(truth)
     plan = two_way_split(ds.n, cfg.seed)
-    tensor = prepare(ds, cands, plan, oracle).tensor
-    ra_own = single_layer_ablation_select(ds, cands, cfg, nuisance_override=oracle)
+    tensor = prepare(ds, cands, plan, OracleNuisance.from_truth(truth)).tensor
+    own = _true_problem(ds, truth, cands, cfg, groups=1)
+    ra_own = single_layer_ablation_select(ds, cands, cfg, prepared=own)
     own_plan = single_layer_split(ds.n, cfg.seed)
     assert ra_own.stats == _weighted_test("ablation", Prepared(own_plan, tensor), cfg).stats
-    rp = proposed_select(ds, cands, cfg, nuisance_override=oracle)
+    rp = proposed_select(ds, cands, cfg, prepared=_true_problem(ds, truth, cands, cfg))
     ra = _weighted_test("ablation", Prepared(plan, tensor), cfg)
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
@@ -450,8 +458,6 @@ def test_ablation_draws_no_two_layer_split(monkeypatch):
 
     monkeypatch.setattr(selectors, "two_way_split", no_split)
     single_layer_ablation_select(ds, cands, SelectorConfig(seed=sel_seed))
-    oracle = OracleNuisance.from_truth(truth)
-    single_layer_ablation_select(ds, cands, SelectorConfig(seed=sel_seed), nuisance_override=oracle)
 
 
 def test_ablation_differs_from_proposed_with_fitted_nuisances():
@@ -600,26 +606,8 @@ def test_run_selectors_rejects_a_prepared_problem_that_does_not_fit():
         single_layer_ablation_select(ds, cands, config, prepared=two_way)
     with pytest.raises(ValueError, match="proposed tests a 2-fold split"):
         selectors.run_selectors(ds, cands, config, ["ablation", "proposed"], prepared=one_fold)
-    with pytest.raises(ValueError, match="not both"):
-        bonferroni_select(
-            ds, cands, config, nuisance_override=OracleNuisance.from_truth(truth), prepared=two_way
-        )
     with pytest.raises(ValueError, match="cannot restrict 5 candidates to 6"):
         two_way.restrict(6)
-
-
-def test_harness_repetition_still_prepares_per_selector(monkeypatch):
-    # the Monte Carlo harness calls each selector on its own: two two-layer
-    # selectors fit four nuisance models and build two loss matrices
-    config = ExperimentConfig(
-        n=400,
-        noise_specs=(NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)),
-        selectors=("naive", "proposed"),
-        repetitions=2,
-    )
-    counts = _count_work(monkeypatch)
-    run_experiment(config)
-    assert counts == {"fit": 4 * 2, "build": 2 * 2}
 
 
 @given(
