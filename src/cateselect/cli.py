@@ -46,7 +46,7 @@ from .harness import (
     write_json,
     write_per_rep_csv,
 )
-from .selectors import TAILS, SelectorConfig, run_selectors
+from .selectors import SelectorConfig, run_selectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -173,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     try:
-        check_selector_names(args.selectors, TAILS)
+        check_selector_names(args.selectors)
         config = SelectorConfig(alpha=args.alpha, lam=args.lam, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,14 +1,15 @@
 """Monte Carlo experiment driver: repeated simulations, sweeps, diagnostics.
 
 Every repetition derives its own seeds from ``(experiment seed, repetition
-index)``, generates one dataset plus candidate set, and hands the identical
-data to every configured selector. The points of a candidate-count sweep
-share that draw: each repetition is drawn once, at the largest count. They
-share each built-in selector's whole preparation too: one split per layout,
-that selector's nuisance cross-fit and its loss matrix at the largest count,
-all made once per repetition. Row r of the loss matrix depends only on
-candidate r and the nuisances, so the point with p candidates tests the
-first p rows, bitwise the matrix it would build alone.
+index)``, generates one dataset plus candidate set, and prepares from that
+identical data each configured selector's problem: the split of its layout
+(``selectors.TAILS``), its nuisance cross-fit and its loss matrix. The harness
+then runs the selector's test (``SELECTOR_FUNCS``) on that problem. The
+points of a candidate-count sweep share all of it: each repetition is drawn
+once, at the largest count, and split and prepared once per layout and
+selector there. Row r of the loss matrix depends only on candidate r and the
+nuisances, so the point with p candidates tests the first p rows, bitwise
+the matrix it would build alone.
 Reports carry the familywise error rate (winner excluded) and the average
 number of wrong selections (non-winners retained), each with percentile
 bootstrap confidence intervals, plus flat per-repetition records that make
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
 from pathlib import Path
-from typing import Any, Callable, Collection, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,13 +47,9 @@ from .selectors import (
     SelectorConfig,
     SelectionResult,
     SplitPlan,
-    bonferroni_select,
     cross_fit,
     exp_weighted_statistics,
-    naive_select,
     prepare,
-    proposed_select,
-    single_layer_ablation_select,
     _draw_plan,
 )
 
@@ -95,36 +92,35 @@ def write_json(path: str | Path, payload: Any) -> None:
     path.write_text(strict_json(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-SelectorFunc = Callable[..., SelectionResult]
+SelectorFunc = Callable[[Prepared, SelectorConfig], SelectionResult]
 
-SELECTOR_FUNCS: dict[str, SelectorFunc] = {
-    "naive": naive_select,
-    "bonferroni": bonferroni_select,
-    "proposed": proposed_select,
-    "ablation": single_layer_ablation_select,
-}
+# the test the harness runs for each selector of ``selectors.TAILS``, on that
+# selector's problem at one point; ``register_selector`` replaces one
+SELECTOR_FUNCS: dict[str, SelectorFunc] = {name: test for name, (_, test) in TAILS.items()}
 
 
 def register_selector(name: str, fn: SelectorFunc) -> None:
-    """Add a selector to the registry (mainly for tests and extensions).
-
-    The harness calls ``fn(dataset, candidates, config)`` with a
-    ``SelectorConfig`` and records the returned ``SelectionResult``. A name
-    in ``selectors.TAILS`` also gets ``prepared=``, its problem on these
-    candidates, cut from the one prepared once per repetition
-    (``Prepared.restrict``); any other name gets no keyword."""
+    """Replace the test the harness runs for ``name``, a selector of
+    ``selectors.TAILS`` (how a tracer wraps one). The harness calls
+    ``fn(prepared, config)`` with the selector's problem on a point's
+    candidates and a ``SelectorConfig``, and records the returned
+    ``SelectionResult``. Any other name raises ``ValueError``."""
+    check_selector_names([name])
     SELECTOR_FUNCS[name] = fn
 
 
-def check_selector_names(names: Sequence[str], known: Collection[str]) -> None:
-    """Raise unless ``names`` is a nonempty list of distinct names in ``known``."""
+def check_selector_names(names: Sequence[str]) -> None:
+    """Raise unless ``names`` is a nonempty list of distinct names in
+    ``selectors.TAILS``."""
     if isinstance(names, str) or not all(isinstance(s, str) for s in names):
         raise ValueError(f"selectors must be a list of names, got {names!r}")
     if not names:
         raise ValueError("selector list is empty")
-    unknown = [s for s in names if s not in known]
+    unknown = [s for s in names if s not in TAILS]
     if unknown:
-        raise ValueError(f"unknown selectors: {', '.join(unknown)}")
+        raise ValueError(
+            f"unknown selectors: {', '.join(unknown)} (known: {', '.join(sorted(TAILS))})"
+        )
     repeated = [s for s in dict.fromkeys(names) if names.count(s) > 1]
     if repeated:
         raise ValueError(f"duplicate selectors: {', '.join(repeated)}")
@@ -156,7 +152,7 @@ class ExperimentConfig:
             "noise_specs",
             tuple(s if isinstance(s, NoiseSpec) else NoiseSpec(*s) for s in self.noise_specs),
         )
-        check_selector_names(self.selectors, SELECTOR_FUNCS)
+        check_selector_names(self.selectors)
         object.__setattr__(self, "selectors", tuple(self.selectors))
         # so would a major fold in which no draw gives both treatment arms the
         # nuisance fit's minimum; as d >= 4, this also leaves every inner fold
@@ -183,7 +179,7 @@ class ExperimentConfig:
     def layout(self) -> int:
         """Major-fold count of the split the study and its diagnostics use: 2
         when any selector uses the two-way split, 1 for an ablation-only study."""
-        return max((TAILS[name][0] for name in self.selectors if name in TAILS), default=1)
+        return max(TAILS[name][0] for name in self.selectors)
 
     @property
     def winner_index(self) -> int:
@@ -298,21 +294,18 @@ def _single_rep(
     config: ExperimentConfig,
     k: int,
     sel_seed: int,
-    dataset: Dataset,
     candidates: CandidateSet,
     problems: dict[str, Callable[[CandidateSet], Prepared]],
 ) -> tuple[list[RepRecord], list[str]]:
-    """Every selector of one point. A built-in selector gets ``prepared=``,
-    its problem on these candidates from the function it takes out of
-    ``problems``; any other selector gets the data alone."""
+    """Every selector of one point: its test on its problem on these
+    candidates, from the function it takes out of ``problems``."""
     records: list[RepRecord] = []
     failures: list[str] = []
     selector_config = config.selector_config(sel_seed)
     for name in config.selectors:
-        problem = problems.pop(name, None)
+        problem = problems.pop(name)
         try:
-            kwargs = {} if problem is None else {"prepared": problem(candidates)}
-            result = SELECTOR_FUNCS[name](dataset, candidates, selector_config, **kwargs)
+            result = SELECTOR_FUNCS[name](problem(candidates), selector_config)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -328,19 +321,22 @@ def _shared_problem(
 ) -> Callable[[CandidateSet], Prepared]:
     """One selector's problem on the plan, as a function of a point's
     candidates: prepared once on ``drawn``, of which each point takes its
-    first p rows. If that loss matrix cannot be built, each point builds its
-    own from the same fits instead: a loss that overflows in a row beyond a
-    smaller point's p must fail only the points that hold that row."""
+    first p rows. If that loss matrix cannot be built, the point that holds
+    all of ``drawn`` gets that failure, and each smaller point builds its own
+    from the same fits: a loss that overflows in a row beyond a smaller
+    point's p must fail only the points that hold that row."""
     nuisances = cross_fit(dataset, plan)
     try:
         shared = prepare(dataset, drawn, plan, nuisances)
-    except (ValueError, RuntimeError, ArithmeticError):
-        return partial(prepare, dataset, plan=plan, override=nuisances)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        failed = partial(_reraise, exc)
+        rebuild = partial(prepare, dataset, plan=plan, override=nuisances)
+        return lambda candidates: (failed if candidates.p == drawn.p else rebuild)(candidates)
     return lambda candidates: shared.restrict(candidates.p)
 
 
 def _reraise(exc: Exception, candidates: CandidateSet) -> Prepared:
-    """The problem of a selector whose split or fit failed: that failure."""
+    """The problem of a selector that could not be prepared: that failure."""
     raise exc
 
 
@@ -350,7 +346,7 @@ def _rep_worker(
     """Repetition ``k`` of every config in one group (see ``_run``): one
     dataset and one candidate draw at the largest candidate count, whose first
     p rows are bitwise the candidates of the point with p specs; one split per
-    layout; and one nuisance cross-fit and loss matrix per built-in selector,
+    layout; and one nuisance cross-fit and loss matrix per selector,
     built at the largest count, of which each point tests the first p rows
     (``_shared_problem``). A split or fit that fails numerically is kept, and
     recorded against its selector at every point."""
@@ -368,21 +364,20 @@ def _rep_worker(
     plans: dict[int, SplitPlan] = {}
     problems: dict[str, Callable[[CandidateSet], Prepared]] = {}
     for name in largest.selectors:
-        if name in TAILS:
-            layout = TAILS[name][0]
-            try:
-                if layout not in plans:
-                    plans[layout] = _draw_plan(layout, largest.n, selector_config)
-                problems[name] = _shared_problem(dataset, drawn, plans[layout])
-            except (ValueError, RuntimeError, ArithmeticError) as exc:
-                problems[name] = partial(_reraise, exc)
+        layout = TAILS[name][0]
+        try:
+            if layout not in plans:
+                plans[layout] = _draw_plan(layout, largest.n, selector_config)
+            problems[name] = _shared_problem(dataset, drawn, plans[layout])
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            problems[name] = partial(_reraise, exc)
     outcomes = []
     for config in group:
         p = len(config.noise_specs)
         candidates = drawn if p == drawn.p else CandidateSet(drawn.predictions[:p])
         # the largest point takes the problems themselves, each freed once tested
         own = problems if config is largest else dict(problems)
-        outcomes.append(_single_rep(config, k, sel_seed, dataset, candidates, own))
+        outcomes.append(_single_rep(config, k, sel_seed, candidates, own))
     return k, outcomes
 
 

@@ -443,7 +443,7 @@ def _bonferroni_test(prepared: Prepared, config: SelectorConfig) -> SelectionRes
     return _max_statistic_test("bonferroni", prepared, config, lambda m, sigma_m: critical)
 
 
-# each built-in selector: the major-fold count of its split layout, and its
+# each selector: the major-fold count of its split layout, and its
 # test on a problem prepared on that layout
 TAILS: dict[str, tuple[int, Callable[[Prepared, SelectorConfig], SelectionResult]]] = {
     "proposed": (2, partial(_weighted_test, "proposed")),

@@ -89,7 +89,8 @@ def test_unknown_selector_exits_1(tmp_path, capsys):
     config = _write_config(tmp_path, selectors=["nope"])
     out = tmp_path / "out"
     assert cli(["simulate", "--config", str(config), "--out", str(out)]) == 1
-    assert "unknown selectors: nope" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown selectors: nope (known: ablation, bonferroni, naive, proposed)" in err
     assert not out.exists()
 
 
@@ -211,10 +212,12 @@ def test_select_overflowing_predictions_exits_1(tmp_path, capsys):
     [(["--selectors", ","], "selector list is empty"),
      (["--selectors", "naive,proposed,naive"], "duplicate selectors: naive"),
      (["--selectors", "proposed,nope"], "unknown selectors: nope"),
+     (["--selectors", "oracle,proposed,nope"],
+      "unknown selectors: oracle, nope (known: ablation, bonferroni, naive, proposed)"),
      # a temperature that is not finite would drop every candidate, the winner too
      (["--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
      (["--lambda", "inf"], "lam must be finite and nonnegative, got inf")],
-    ids=["empty", "duplicate", "unknown", "nan_lambda", "inf_lambda"],
+    ids=["empty", "duplicate", "unknown", "unknown_names_the_known", "nan_lambda", "inf_lambda"],
 )
 def test_select_bad_selector_list_exits_1(tmp_path, capsys, flags, message):
     code = cli(["select", *_write_select_inputs(tmp_path), *flags])

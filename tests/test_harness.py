@@ -33,10 +33,10 @@ from cateselect.selectors import CandidateDecision, SelectionResult, two_way_spl
 
 
 def _fixed_selector(name, accept_fn):
-    def select(dataset, candidates, config):
+    def select(prepared, config):
         stats = tuple(
             CandidateDecision(candidate=r, statistic=0.0, critical=1.0, accepted=accept_fn(r))
-            for r in range(candidates.p)
+            for r in range(prepared.tensor.p)
         )
         return SelectionResult(
             selector=name,
@@ -50,12 +50,18 @@ def _fixed_selector(name, accept_fn):
     return select
 
 
-def _raising_selector(dataset, candidates, config):
+def _raising_selector(prepared, config):
     raise RuntimeError("synthetic failure")
 
 
-def _broken_selector(dataset, candidates, config):
+def _broken_selector(prepared, config):
     raise TypeError("synthetic programming error")
+
+
+def _add_selector(monkeypatch, name, test):
+    """Make ``name`` a selector for one test: a test on the two-way split."""
+    monkeypatch.setitem(selectors.TAILS, name, (2, test))
+    monkeypatch.setitem(harness.SELECTOR_FUNCS, name, test)
 
 
 @pytest.fixture(autouse=True)
@@ -68,7 +74,7 @@ def _test_selectors(monkeypatch):
         "always_fails": _raising_selector,
         "broken": _broken_selector,
     }.items():
-        monkeypatch.setitem(harness.SELECTOR_FUNCS, name, fn)
+        _add_selector(monkeypatch, name, fn)
 
 
 SPECS = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.3, 0.1))
@@ -303,12 +309,17 @@ def test_each_selector_prepares_once_per_repetition(monkeypatch, names, counts_p
     assert counts == {key: count * config.repetitions for key, count in counts_per_rep.items()}
 
 
-def test_an_overflowing_worst_candidate_fails_only_the_points_that_hold_it():
+def test_an_overflowing_worst_candidate_fails_only_the_points_that_hold_it(monkeypatch):
     # the third candidate's losses overflow: the matrix at p = 3 cannot be
     # built, but its first two rows are finite, so the p = 2 point runs
     specs = (NoiseSpec(0, 0.1), NoiseSpec(0, 0.2), NoiseSpec(1.34e154, 1e152))
     config = _config(n=400, noise_specs=specs, selectors=("naive", "proposed"), repetitions=2)
+    counts = _count_work(monkeypatch)
     two, three = sweep(config, "candidate_count", [2, 3])
+    # per selector and repetition: the failed build at p = 3, kept for that
+    # point, and one build at p = 2 from the same fits
+    reps = config.repetitions
+    assert counts == {"fit": 4 * reps, "split": reps, "build": 4 * reps}
     assert two.report.failures == []
     assert len(two.report.records) == 2 * 2 * config.repetitions
     assert three.report.failures == [
@@ -318,6 +329,31 @@ def test_an_overflowing_worst_candidate_fails_only_the_points_that_hold_it():
     ]
     assert three.report.records == []
     _assert_points_run_alone([two])  # three's empty summaries are NaN, never equal
+
+
+def test_register_selector_replaces_the_test_of_a_selector(monkeypatch):
+    config = _config(n=400, noise_specs=SWEEP_SPECS, selectors=("naive", "proposed"), repetitions=2)
+    counts = [2, 3, 5]
+    unwrapped = sweep(config, "candidate_count", counts)
+    original = harness.SELECTOR_FUNCS["proposed"]
+    monkeypatch.setitem(harness.SELECTOR_FUNCS, "proposed", original)  # restored after the test
+    calls = []
+
+    def wrapped(prepared, selector_config):
+        calls.append(prepared.tensor.p)
+        return original(prepared, selector_config)
+
+    harness.register_selector("proposed", wrapped)
+    traced = sweep(config, "candidate_count", counts)
+    # once per point and repetition, each on its point's candidates
+    assert calls == counts * config.repetitions
+    harness.register_selector("proposed", original)
+    restored = sweep(config, "candidate_count", counts)
+    for a, b, c in zip(unwrapped, traced, restored, strict=True):
+        assert a.report.records == b.report.records == c.report.records
+    with pytest.raises(ValueError, match="unknown selectors: oracle"):
+        harness.register_selector("oracle", wrapped)
+    assert "oracle" not in harness.SELECTOR_FUNCS
 
 
 def test_failed_fits_are_recorded_at_every_point():
@@ -496,11 +532,11 @@ def test_sweep_rejects_points_that_cannot_run(axis, values, message):
 def test_sweep_validates_every_value_before_running(monkeypatch):
     calls = []
 
-    def counting(dataset, candidates, config):
+    def counting(prepared, config):
         calls.append(config.seed)
-        return _fixed_selector("counting", lambda r: True)(dataset, candidates, config)
+        return _fixed_selector("counting", lambda r: True)(prepared, config)
 
-    monkeypatch.setitem(harness.SELECTOR_FUNCS, "counting", counting)
+    _add_selector(monkeypatch, "counting", counting)
     with pytest.raises(ConfigError, match="candidate_count value 9"):
         sweep(_config(selectors=("counting",)), "candidate_count", [2, 9])
     assert calls == []
