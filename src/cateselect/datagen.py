@@ -37,14 +37,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+    """A read-only, row-major copy of ``a``: a transposed input (the
+    predictions CSV's columns) is stored as rows, so every reduction along
+    a row runs over contiguous memory whatever the source."""
+    a = np.array(a, copy=True, order="C")
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Column-major container for ``n`` observations with shared dimension ``d``.
+    """Container for ``n`` observations, one row of ``x`` each, with shared dimension ``d``.
 
     Invariants enforced at construction: at least one unit, finite values,
     binary treatment with both arms present.

@@ -9,7 +9,9 @@ points of a candidate-count sweep share all of it: each repetition is drawn
 once, at the largest count, and split and prepared once per layout and
 selector there. Row r of the loss matrix depends only on candidate r and the
 nuisances, so the point with p candidates tests the first p rows, bitwise
-the matrix it would build alone.
+the matrix it would build alone, through a read-only view rather than a
+copy. Once every problem is prepared, the repetition lets go of the dataset
+and the candidate draw: the points' tests hold the loss matrices only.
 Reports carry the familywise error rate (winner excluded) and the average
 number of wrong selections (non-winners retained), each with percentile
 bootstrap confidence intervals, plus flat per-repetition records that make
@@ -294,18 +296,18 @@ def _single_rep(
     config: ExperimentConfig,
     k: int,
     sel_seed: int,
-    candidates: CandidateSet,
-    problems: dict[str, Callable[[CandidateSet], Prepared]],
+    problems: dict[str, Callable[[int], Prepared]],
 ) -> tuple[list[RepRecord], list[str]]:
-    """Every selector of one point: its test on its problem on these
-    candidates, from the function it takes out of ``problems``."""
+    """Every selector of one point: its test on its problem at the point's
+    candidate count, from the function it takes out of ``problems``."""
     records: list[RepRecord] = []
     failures: list[str] = []
     selector_config = config.selector_config(sel_seed)
+    p = len(config.noise_specs)
     for name in config.selectors:
         problem = problems.pop(name)
         try:
-            result = SELECTOR_FUNCS[name](problem(candidates), selector_config)
+            result = SELECTOR_FUNCS[name](problem(p), selector_config)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -318,24 +320,29 @@ def _single_rep(
 
 def _shared_problem(
     dataset: Dataset, drawn: CandidateSet, plan: SplitPlan
-) -> Callable[[CandidateSet], Prepared]:
+) -> Callable[[int], Prepared]:
     """One selector's problem on the plan, as a function of a point's
-    candidates: prepared once on ``drawn``, of which each point takes its
-    first p rows. If that loss matrix cannot be built, the point that holds
-    all of ``drawn`` gets that failure, and each smaller point builds its own
-    from the same fits: a loss that overflows in a row beyond a smaller
+    candidate count p: prepared once on ``drawn``, of which each point tests
+    the first p rows, a view (``Prepared.restrict``). The function holds that
+    problem only, not the dataset or the candidates. If that loss matrix
+    cannot be built, the point that holds all of ``drawn`` gets that failure,
+    and each smaller point builds its own from the same fits and the first p
+    rows of ``drawn``: a loss that overflows in a row beyond a smaller
     point's p must fail only the points that hold that row."""
     nuisances = cross_fit(dataset, plan)
     try:
         shared = prepare(dataset, drawn, plan, nuisances)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         failed = partial(_reraise, exc)
-        rebuild = partial(prepare, dataset, plan=plan, override=nuisances)
-        return lambda candidates: (failed if candidates.p == drawn.p else rebuild)(candidates)
-    return lambda candidates: shared.restrict(candidates.p)
+
+        def rebuild(p: int) -> Prepared:
+            return prepare(dataset, CandidateSet(drawn.predictions[:p]), plan, nuisances)
+
+        return lambda p: (failed if p == drawn.p else rebuild)(p)
+    return shared.restrict
 
 
-def _reraise(exc: Exception, candidates: CandidateSet) -> Prepared:
+def _reraise(exc: Exception, p: int) -> Prepared:
     """The problem of a selector that could not be prepared: that failure."""
     raise exc
 
@@ -348,8 +355,10 @@ def _rep_worker(
     p rows are bitwise the candidates of the point with p specs; one split per
     layout; and one nuisance cross-fit and loss matrix per selector,
     built at the largest count, of which each point tests the first p rows
-    (``_shared_problem``). A split or fit that fails numerically is kept, and
-    recorded against its selector at every point."""
+    (``_shared_problem``). The dataset and the draw are released once every
+    problem is prepared, so the points' tests hold only the loss matrices. A
+    split or fit that fails numerically is kept, and recorded against its
+    selector at every point."""
     group, k, (data_seed, cand_seed, sel_seed) = job
     largest = group[-1]
     try:
@@ -362,7 +371,7 @@ def _rep_worker(
     del truth  # read only by the candidate draw; freed before the loss matrices are built
     selector_config = largest.selector_config(sel_seed)
     plans: dict[int, SplitPlan] = {}
-    problems: dict[str, Callable[[CandidateSet], Prepared]] = {}
+    problems: dict[str, Callable[[int], Prepared]] = {}
     for name in largest.selectors:
         layout = TAILS[name][0]
         try:
@@ -371,13 +380,12 @@ def _rep_worker(
             problems[name] = _shared_problem(dataset, drawn, plans[layout])
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             problems[name] = partial(_reraise, exc)
+    del dataset, drawn  # the problems hold what the tests read
     outcomes = []
     for config in group:
-        p = len(config.noise_specs)
-        candidates = drawn if p == drawn.p else CandidateSet(drawn.predictions[:p])
         # the largest point takes the problems themselves, each freed once tested
         own = problems if config is largest else dict(problems)
-        outcomes.append(_single_rep(config, k, sel_seed, candidates, own))
+        outcomes.append(_single_rep(config, k, sel_seed, own))
     return k, outcomes
 
 

@@ -6,7 +6,11 @@ unpenalized), propensities are clipped to [0.05, 0.95], and the Newton
 solve stops once a step's largest entry falls below 1e-10, failing after
 100 iterations. Both solvers are deterministic (closed-form ridge, damped
 Newton for the logistic) so that refitting after a one-unit replacement
-measures genuine model movement rather than solver jitter.
+measures genuine model movement rather than solver jitter. A fit builds one
+intercept-first design matrix of its training units, which the solvers
+share: each ridge takes its arm's rows, the logistic solve all of them, and
+the penalty goes onto the slopes' diagonal entries and gradient terms in
+place, with no penalty matrix.
 """
 
 from __future__ import annotations
@@ -92,19 +96,18 @@ class OracleNuisance:
         return self.mu0.shape[0]
 
 
-def _design(x: np.ndarray, penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """The intercept-first design of ``x`` and its L2 penalty matrix, which
-    leaves the intercept unpenalized."""
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    reg = penalty * np.eye(design.shape[1])
-    reg[0, 0] = 0.0
-    return design, reg
+def _penalize(matrix: np.ndarray, penalty: float) -> np.ndarray:
+    """Add ``penalty`` to the slope entries of the diagonal of ``matrix``, in
+    place, and return it: the intercept stays unpenalized."""
+    slopes = np.arange(1, matrix.shape[0])
+    matrix[slopes, slopes] += penalty
+    return matrix
 
 
-def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
-    """Least squares with an L2 penalty on slopes (intercept unpenalized)."""
-    design, reg = _design(x, penalty)
-    gram = design.T @ design + reg
+def _ridge_solve(design: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
+    """Least squares on an intercept-first ``design`` with an L2 penalty on
+    slopes (intercept unpenalized)."""
+    gram = _penalize(design.T @ design, penalty)
     try:
         beta = np.linalg.solve(gram, design.T @ y)
     except np.linalg.LinAlgError as exc:
@@ -121,8 +124,25 @@ def _penalized_logloss(eta: np.ndarray, t: np.ndarray, beta: np.ndarray, penalty
     return float(ll.sum() + 0.5 * penalty * np.dot(beta[1:], beta[1:]))
 
 
-def _logistic_solve(x: np.ndarray, t: np.ndarray, penalty: float) -> np.ndarray:
-    """L2-penalized logistic regression by damped Newton iterations.
+def _newton_step(
+    design: np.ndarray, prob: np.ndarray, t: np.ndarray, beta: np.ndarray, penalty: float
+) -> np.ndarray:
+    """The Newton step of the penalized logistic loss at ``beta``, whose
+    fitted probabilities are ``prob``. The penalty's gradient and Hessian
+    terms go onto the slopes only; the weighted design and the Hessian are
+    freed on return, before the next iteration builds its own."""
+    grad = design.T @ (prob - t)
+    grad[1:] += penalty * beta[1:]
+    hess = _penalize((design * (prob * (1.0 - prob))[:, None]).T @ design, penalty)
+    try:
+        return np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("logistic Hessian is singular despite regularization") from exc
+
+
+def _logistic_solve(design: np.ndarray, t: np.ndarray, penalty: float) -> np.ndarray:
+    """L2-penalized logistic regression on an intercept-first ``design`` by
+    damped Newton iterations.
 
     Deterministic: fixed starting point, fixed iteration order, halving line
     search on the penalized loss. The accepted candidate's linear predictor
@@ -131,19 +151,11 @@ def _logistic_solve(x: np.ndarray, t: np.ndarray, penalty: float) -> np.ndarray:
     anyway. Raises if the step norm stays above ``_TOL`` for ``_MAX_ITER``
     iterations.
     """
-    design, reg = _design(x, penalty)
     beta = np.zeros(design.shape[1])
     eta = design @ beta
     loss = _penalized_logloss(eta, t, beta, penalty)
     for _ in range(_MAX_ITER):
-        prob = _sigmoid(eta)
-        grad = design.T @ (prob - t) + reg @ beta
-        wdiag = prob * (1.0 - prob)
-        hess = (design * wdiag[:, None]).T @ design + reg
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("logistic Hessian is singular despite regularization") from exc
+        step = _newton_step(design, _sigmoid(eta), t, beta, penalty)
         scale = 1.0
         for _ in range(30):
             candidate = beta - scale * step
@@ -168,23 +180,25 @@ def fit(dataset: Dataset, indices: np.ndarray) -> NuisanceModel:
     """Fit outcome ridges per arm and a logistic propensity on ``indices``.
 
     Requires ``min_arm_units(d)`` units in each treatment arm of the
-    training subset so both ridge systems are overdetermined.
+    training subset so both ridge systems are overdetermined. The three
+    solvers share one intercept-first design matrix of the training units:
+    each ridge takes its arm's rows, the logistic fit all of them.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("indices must be a nonempty 1-d index set")
-    x = dataset.x[idx]
     t = dataset.t[idx]
     y = dataset.y[idx]
     need = min_arm_units(dataset.d)
-
-    arm_betas = []
-    for arm in (0, 1):
-        mask = t == arm
+    arms = [t == arm for arm in (0, 1)]
+    for arm, mask in enumerate(arms):
         n_arm = int(mask.sum())
         if n_arm < need:
             raise ValueError(f"treatment arm {arm} has {n_arm} training units; need at least {need}")
-        arm_betas.append(_ridge_solve(x[mask], y[mask], _PENALTY_RATE * n_arm))
 
-    prop_beta = _logistic_solve(x, t.astype(float), _PENALTY_RATE * idx.size)
+    design = np.empty((idx.size, dataset.d + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = dataset.x[idx]
+    arm_betas = [_ridge_solve(design[mask], y[mask], _PENALTY_RATE * mask.sum()) for mask in arms]
+    prop_beta = _logistic_solve(design, t.astype(float), _PENALTY_RATE * idx.size)
     return NuisanceModel(*arm_betas, prop_beta)

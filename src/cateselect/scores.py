@@ -10,19 +10,33 @@ one-step estimate of their MSE gap, is the difference of their losses.
 Where the nuisance values come from (truth, or models cross-fitted on
 other units) is the caller's business. Every selector consumes the p x n
 loss matrix and contrasts its rows; no p x p x n array of pairwise scores
-is ever stored. ``delta_hat`` and ``cov_hat`` return plain arrays, the mean
-gaps of one candidate against each rival and the covariance of those means.
+is ever stored, and no centred copy of the losses is kept: each
+``cov_hat`` call forms one candidate's (p - 1) x n pairwise differences and
+centres them in place. ``delta_hat`` and ``cov_hat`` return plain arrays, the
+mean gaps of one candidate against each rival and the covariance of those
+means. A tensor owns its read-only loss matrix: built from a caller's array
+it holds a copy, while ``build_score_tensor`` hands over the matrix it has
+just filled and ``ScoreTensor.head`` a view of the first rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .datagen import CandidateSet, Dataset, _readonly
 from .nuisance import OracleNuisance
+
+
+def _checked(losses: np.ndarray) -> np.ndarray:
+    """``losses`` as a float array, which must be a finite (p, n) matrix."""
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2:
+        raise ValueError("candidate losses must have shape (p, n)")
+    if not np.all(np.isfinite(losses)):
+        raise ValueError("candidate losses must be finite")
+    return losses
 
 
 @dataclass(frozen=True)
@@ -31,24 +45,29 @@ class ScoreTensor:
 
     The loss matrix is the only form of the scores: the score of r against s
     on unit i is ``losses[r, i] - losses[s, i]``, formed where it is used.
-    Every loss must be finite, so no statistic built from them is NaN.
+    Every loss must be finite, so no statistic built from them is NaN. A
+    tensor built from a caller's array holds a read-only copy of it.
     """
 
     losses: np.ndarray
 
     def __post_init__(self) -> None:
-        losses = np.asarray(self.losses, dtype=float)
-        if losses.ndim != 2:
-            raise ValueError("candidate losses must have shape (p, n)")
-        if not np.all(np.isfinite(losses)):
-            raise ValueError("candidate losses must be finite")
-        object.__setattr__(self, "losses", _readonly(losses))
+        object.__setattr__(self, "losses", _readonly(_checked(self.losses)))
 
-    @cached_property
-    def centred(self) -> np.ndarray:
-        """Each candidate's losses minus their mean, built once per tensor:
-        the centred score of r against s is ``centred[r] - centred[s]``."""
-        return _readonly(self.losses - self.losses.mean(axis=1, keepdims=True))
+    @classmethod
+    def _over(cls, losses: np.ndarray) -> ScoreTensor:
+        """A tensor over ``losses`` itself, set read-only in place: for a
+        checked matrix that no caller holds, such as one this module has just
+        built or a view of a tensor's rows."""
+        losses.setflags(write=False)
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "losses", losses)
+        return tensor
+
+    def head(self, p: int) -> ScoreTensor:
+        """The losses of the first ``p`` candidates, a read-only view of
+        these rows."""
+        return ScoreTensor._over(self.losses[:p])
 
     @property
     def p(self) -> int:
@@ -76,20 +95,23 @@ def build_score_tensor(
         raise ValueError("candidate predictions must cover every dataset unit")
     gamma = pseudo_outcomes(dataset, nuisances)
     preds = candidates.predictions
-    # overflowing losses are rejected by ScoreTensor's finiteness check; one
-    # row at a time, the build holds no second p x n temporary
+    # overflowing losses are rejected by the finiteness check; one row at a
+    # time, the build holds no second p x n temporary, and the tensor keeps
+    # this matrix rather than a copy
     with np.errstate(over="ignore", invalid="ignore"):
         losses = preds**2
         for loss, pred in zip(losses, preds):
             loss -= 2.0 * pred * gamma
-    return ScoreTensor(losses=losses)
+    return ScoreTensor._over(_checked(losses))
 
 
 def _rival_scores(tensor: ScoreTensor, m: int) -> np.ndarray:
-    """Per-unit scores of candidate ``m`` against each rival, shape (p - 1, n)."""
+    """Per-unit scores of candidate ``m`` against each rival, shape (p - 1, n),
+    in a new array."""
     if tensor.n < 2:
         raise ValueError("need at least two units to summarize scores")
-    return tensor.losses[m] - tensor.losses[[s for s in range(tensor.p) if s != m]]
+    scores = tensor.losses[[s for s in range(tensor.p) if s != m]]
+    return np.subtract(tensor.losses[m], scores, out=scores)
 
 
 def delta_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
@@ -102,13 +124,11 @@ def cov_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
 
     Sample covariance (ddof=1) of the per-unit score vectors divided by n,
     so its diagonal is the squared standard error of each delta entry. The
-    centred scores are differences of the centred losses, so candidates with
-    identical losses get exactly zero variance, and none is a difference of
-    covariances, which cancels for near-duplicate candidates.
+    pairwise differences are formed first and centred in place, in the one
+    (p - 1) x n array of the call: candidates with identical losses get
+    exactly zero variance, and no entry is a difference of covariances,
+    which cancels for near-duplicate candidates.
     """
-    if tensor.n < 2:
-        raise ValueError("need at least two units to summarize scores")
-    centred = tensor.centred
-    scores = centred[[s for s in range(tensor.p) if s != m]]
-    np.subtract(centred[m], scores, out=scores)
+    scores = _rival_scores(tensor, m)
+    scores -= scores.mean(axis=1, keepdims=True)
     return np.dot(scores, scores.T) / (tensor.n - 1) / tensor.n

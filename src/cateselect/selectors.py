@@ -15,7 +15,7 @@ the default cross-fit: a caller holding true nuisances passes
 ``prepared=prepare(dataset, candidates, two_way_split(dataset.n, config.seed),
 OracleNuisance.from_truth(truth))``, with ``single_layer_split`` for the
 ablation. ``Prepared.restrict`` cuts a problem to its first p candidates,
-bitwise the problem those candidates alone would get.
+bitwise the problem those candidates alone would get, as a view of its rows.
 
 * ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -296,21 +296,19 @@ class Prepared:
     def moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(delta_m, sigma_m)`` per candidate m, the mean gaps against each
         rival and their covariance, built on first use."""
-        # every mean gap first, so delta_hat's temporaries never coexist with
-        # the centred copy of the losses that cov_hat builds on first use
-        deltas = [delta_hat(self.tensor, m) for m in range(self.tensor.p)]
-        return [(delta_m, cov_hat(self.tensor, m)) for m, delta_m in enumerate(deltas)]
+        return [(delta_hat(self.tensor, m), cov_hat(self.tensor, m)) for m in range(self.tensor.p)]
 
     def restrict(self, p: int) -> Prepared:
         """The problem of the first ``p`` candidates, this one when p is all of
         them: row r of the loss matrix depends only on candidate r and the
         nuisances, so these rows are bitwise the loss matrix those candidates
-        alone would get."""
+        alone would get. Its loss matrix is a read-only view of this one's
+        rows, not a copy."""
         if not 0 < p <= self.tensor.p:
             raise ValueError(f"cannot restrict {self.tensor.p} candidates to {p}")
         if p == self.tensor.p:
             return self
-        return Prepared(self.plan, ScoreTensor(self.tensor.losses[:p]))
+        return Prepared(self.plan, self.tensor.head(p))
 
 
 def cross_fit(dataset: Dataset, plan: SplitPlan) -> OracleNuisance:

@@ -9,7 +9,13 @@ import pytest
 
 import cateselect
 from cateselect.cli import cli
-from cateselect.datagen import CandidateSet, NoiseSpec, generate_toy, make_candidates
+from cateselect.datagen import (
+    COMPETITIVE_PLUS_INFERIOR_SPECS,
+    CandidateSet,
+    NoiseSpec,
+    generate_toy,
+    make_candidates,
+)
 from cateselect.datagen import ingest_dataset, ingest_predictions, write_dataset_csv, write_predictions_csv
 from cateselect.harness import strict_json
 from cateselect.nuisance import NuisanceModel
@@ -165,6 +171,26 @@ def test_select_all_selectors_prints_each_selector_alone(tmp_path, capsys):
         for select in (proposed_select, naive_select, bonferroni_select, single_layer_ablation_select)
     ]
     assert capsys.readouterr().out == strict_json(alone, indent=2) + "\n"
+
+
+def test_select_prints_the_library_results_on_the_written_arrays(tmp_path, capsys):
+    # the predictions CSV holds one column per candidate; read back, they are
+    # stored row-major like make_candidates' own, so every reduction sums the
+    # same numbers in the same order and the printed bytes match (stored
+    # column-major, the naive statistics differed in the last bits at this size)
+    ds, truth = generate_toy(300, (2, 2, 2, 2), seed=0)
+    cands = make_candidates(truth, COMPETITIVE_PLUS_INFERIOR_SPECS, seed=1)
+    write_dataset_csv(ds, tmp_path / "d.csv")
+    write_predictions_csv(cands, tmp_path / "p.csv")
+    names = ["proposed", "naive", "bonferroni", "ablation"]
+    code = cli([
+        "select", "--data", str(tmp_path / "d.csv"), "--preds", str(tmp_path / "p.csv"),
+        "--selectors", ",".join(names),
+    ])
+    assert code == 0
+    assert ingest_predictions(tmp_path / "p.csv", ds.n).predictions.flags.c_contiguous
+    library = [r.to_dict() for r in selectors.run_selectors(ds, cands, SelectorConfig(), names)]
+    assert capsys.readouterr().out == strict_json(library, indent=2) + "\n"
 
 
 def test_select_bad_csv_exits_1(tmp_path, capsys):

@@ -19,12 +19,17 @@ def _linear_dataset(n, d, seed, noise=0.0):
     return Dataset(x=x, t=t, y=y), beta0, beta1
 
 
+def _with_intercept(x):
+    """The intercept-first design matrix the solvers take."""
+    return np.column_stack([np.ones(x.shape[0]), x])
+
+
 def test_zero_ridge_matches_ols():
     ds, beta0, beta1 = _linear_dataset(200, 3, seed=1)
     # noiseless linear outcomes: the unpenalized solve interpolates exactly
     for arm, slopes, intercept in ((0, beta0, -1.0), (1, beta1, 1.0)):
         mask = ds.t == arm
-        beta = nuisance._ridge_solve(ds.x[mask], ds.y[mask], 0.0)
+        beta = nuisance._ridge_solve(_with_intercept(ds.x[mask]), ds.y[mask], 0.0)
         npt.assert_allclose(beta[1:], slopes, atol=1e-8)
         npt.assert_allclose(beta[0], intercept, atol=1e-8)
 
@@ -36,7 +41,7 @@ def test_noiseless_slope_recovered_exactly():
     t = np.tile([0, 1], 30)
     y = 2.0 * x[:, 0]
     for arm in (0, 1):
-        beta = nuisance._ridge_solve(x[t == arm], y[t == arm], 0.0)
+        beta = nuisance._ridge_solve(_with_intercept(x[t == arm]), y[t == arm], 0.0)
         assert beta[0] + 3.0 * beta[1] == pytest.approx(6.0, abs=1e-10)
 
 
@@ -181,7 +186,7 @@ def test_logistic_fit_matches_reevaluating_loop(case, monkeypatch):
         model = fit(ds, np.arange(ds.n))
         coef = model.prop
     else:
-        coef = nuisance._logistic_solve(ds.x, ds.t.astype(float), logistic_l2)
+        coef = nuisance._logistic_solve(_with_intercept(ds.x), ds.t.astype(float), logistic_l2)
     assert np.array_equal(coef, expected)
     # one loss per candidate, plus the start and each iterate no candidate reached
     assert len(calls) == 1 + candidates + exhausted
@@ -189,3 +194,21 @@ def test_logistic_fit_matches_reevaluating_loop(case, monkeypatch):
         assert candidates > iterations
     if case == "exhausted_search":
         assert exhausted >= 1
+
+
+def _penalty_matrix_ridge_solve(x, y, penalty):
+    """The ridge solve on its own intercept-first copy of ``x``, with the
+    penalty as a (d + 1) x (d + 1) matrix that leaves the intercept out."""
+    design = np.column_stack([np.ones(x.shape[0]), x])
+    reg = penalty * np.eye(design.shape[1])
+    reg[0, 0] = 0.0
+    return np.linalg.solve(design.T @ design + reg, design.T @ y)
+
+
+def test_ridge_fit_matches_penalty_matrix_solve():
+    ds = SOLVER_CASES["toy_d406"][0]()
+    model = fit(ds, np.arange(ds.n))
+    for arm, coef in ((0, model.mu0), (1, model.mu1)):
+        mask = ds.t == arm
+        expected = _penalty_matrix_ridge_solve(ds.x[mask], ds.y[mask], 1e-3 * mask.sum())
+        assert np.array_equal(coef, expected)

@@ -131,6 +131,18 @@ def test_cov_hat_diagonal_is_variance_over_n():
     assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
 
+def test_cov_hat_matches_differences_of_centred_losses():
+    # the reference centres each candidate's losses before differencing them:
+    # the same sums in another order, so the two agree to rounding (1e-12 of
+    # the largest entry, thousands of float64 ulps)
+    tensor, *_ = _toy_tensor()
+    centred = tensor.losses - tensor.losses.mean(axis=1, keepdims=True)
+    for m in range(tensor.p):
+        scores = centred[m] - centred[[s for s in range(tensor.p) if s != m]]
+        expected = scores @ scores.T / (tensor.n - 1) / tensor.n
+        npt.assert_allclose(cov_hat(tensor, m), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
 def test_cov_hat_resolves_near_duplicate_candidates():
     # losses 1e-9 apart per unit: the variance of their difference must
     # survive, which a difference of covariances would cancel away
