@@ -1,4 +1,9 @@
-"""Ground-truth-free selection of the best CATE estimator from a candidate set."""
+"""Ground-truth-free selection of the best CATE estimator from a candidate set.
+
+The package namespace holds what the README's examples and studies use;
+everything else (the nuisance fit, the score tensor and its moments, the
+report types) lives in its module.
+"""
 
 from .datagen import (
     COMPETITIVE_PLUS_INFERIOR_SPECS,
@@ -6,45 +11,26 @@ from .datagen import (
     CandidateSet,
     Dataset,
     NoiseSpec,
-    ToyGroundTruth,
     generate_toy,
     ingest_dataset,
     ingest_predictions,
     make_candidates,
 )
 from .harness import (
-    CltReport,
     ConfigError,
     ExperimentConfig,
-    ExperimentReport,
-    StabilityReport,
     clt_diagnostic,
     load_experiment_config,
     run_experiment,
     stability_diagnostic,
     sweep,
 )
-from .nuisance import (
-    NuisanceModel,
-    OracleNuisance,
-    fit,
-)
-from .scores import (
-    ScoreTensor,
-    build_score_tensor,
-    cov_hat,
-    delta_hat,
-)
+from .nuisance import Nuisances
 from .selectors import (
-    SelectionResult,
     SelectorConfig,
-    SplitPlan,
-    bonferroni_select,
-    exp_weights,
-    naive_critical_value,
-    naive_select,
-    proposed_select,
-    single_layer_ablation_select,
+    prepare,
+    select,
+    single_layer_split,
     two_way_split,
 )
 
@@ -54,37 +40,22 @@ __all__ = [
     "COMPETITIVE_PLUS_INFERIOR_SPECS",
     "NEAR_TIED_SPECS",
     "CandidateSet",
-    "CltReport",
     "ConfigError",
     "Dataset",
     "ExperimentConfig",
-    "ExperimentReport",
     "NoiseSpec",
-    "NuisanceModel",
-    "OracleNuisance",
-    "ScoreTensor",
-    "SelectionResult",
+    "Nuisances",
     "SelectorConfig",
-    "SplitPlan",
-    "StabilityReport",
-    "ToyGroundTruth",
-    "bonferroni_select",
-    "build_score_tensor",
     "clt_diagnostic",
-    "cov_hat",
-    "delta_hat",
-    "exp_weights",
-    "fit",
     "generate_toy",
     "ingest_dataset",
     "ingest_predictions",
     "load_experiment_config",
     "make_candidates",
-    "naive_critical_value",
-    "naive_select",
-    "proposed_select",
+    "prepare",
     "run_experiment",
-    "single_layer_ablation_select",
+    "select",
+    "single_layer_split",
     "stability_diagnostic",
     "sweep",
     "two_way_split",

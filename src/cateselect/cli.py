@@ -36,7 +36,6 @@ from .datagen import ingest_dataset, ingest_predictions, write_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    check_selector_names,
     clt_diagnostic,
     load_experiment_config,
     run_experiment,
@@ -46,7 +45,7 @@ from .harness import (
     write_json,
     write_per_rep_csv,
 )
-from .selectors import SelectorConfig, run_selectors
+from .selectors import SelectorConfig, check_selector_names, select
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -183,7 +182,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        results = run_selectors(dataset, candidates, config, args.selectors)
+        results = select(dataset, candidates, config, args.selectors)
     except ValueError as exc:
         # inputs a selector cannot score, e.g. overflowing losses; RuntimeError stays exit 2
         raise ConfigError(f"cannot select on --data {args.data} and --preds {args.preds}: {exc}") from exc

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .selectors import (
     SelectorConfig,
     SelectionResult,
     SplitPlan,
+    check_selector_names,
     cross_fit,
     exp_weighted_statistics,
     prepare,
@@ -109,23 +110,6 @@ def register_selector(name: str, fn: SelectorFunc) -> None:
     ``SelectionResult``. Any other name raises ``ValueError``."""
     check_selector_names([name])
     SELECTOR_FUNCS[name] = fn
-
-
-def check_selector_names(names: Sequence[str]) -> None:
-    """Raise unless ``names`` is a nonempty list of distinct names in
-    ``selectors.TAILS``."""
-    if isinstance(names, str) or not all(isinstance(s, str) for s in names):
-        raise ValueError(f"selectors must be a list of names, got {names!r}")
-    if not names:
-        raise ValueError("selector list is empty")
-    unknown = [s for s in names if s not in TAILS]
-    if unknown:
-        raise ValueError(
-            f"unknown selectors: {', '.join(unknown)} (known: {', '.join(sorted(TAILS))})"
-        )
-    repeated = [s for s in dict.fromkeys(names) if names.count(s) > 1]
-    if repeated:
-        raise ValueError(f"duplicate selectors: {', '.join(repeated)}")
 
 
 @dataclass(frozen=True)
@@ -560,6 +544,17 @@ def bootstrap_standardized_means(
     return (means - arr.mean()) / (sds / np.sqrt(n))
 
 
+def _kstest() -> Callable:
+    """scipy's ``kstest``, imported on first call: scipy is slow to import,
+    and only ``diagnose clt`` needs it. Without scipy (the ``diagnose`` extra)
+    this raises ``ConfigError``."""
+    try:
+        from scipy.stats import kstest
+    except ImportError as exc:
+        raise ConfigError("diagnose clt needs scipy: pip install cateselect[diagnose]") from exc
+    return kstest
+
+
 def ks_pair_pvalues(
     tensor, bootstrap_draws: int, rng: np.random.Generator
 ) -> tuple[list[tuple[int, int, float]], list[tuple[int, int]]]:
@@ -568,8 +563,7 @@ def ks_pair_pvalues(
     Pairs with (numerically) constant scores cannot be standardized and are
     returned in the skip list instead.
     """
-    from scipy.stats import kstest  # deferred: slow to import, and only diagnostics need it
-
+    kstest = _kstest()
     tested: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int]] = []
     for r in range(tensor.p):
@@ -616,6 +610,7 @@ def clt_diagnostic(
         raise ConfigError(f"datasets must be at least 1, got {datasets}")
     if bootstrap_draws < 1:
         raise ConfigError(f"bootstrap draws must be at least 1, got {bootstrap_draws}")
+    _kstest()  # a missing scipy fails here, before any dataset is drawn
     per_dataset = []
     skipped: list[tuple[int, int, int]] = []
     flags = np.zeros(datasets, dtype=bool)

@@ -64,7 +64,7 @@ class NuisanceModel:
 
 
 @dataclass(frozen=True)
-class OracleNuisance:
+class Nuisances:
     """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a dataset.
 
     The values are cross-fitted, each unit's predictions from a model
@@ -83,12 +83,12 @@ class OracleNuisance:
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
         n = self.mu0.shape[0]
         if self.mu1.shape != (n,) or self.e.shape != (n,):
-            raise ValueError("oracle nuisance arrays must share one length")
+            raise ValueError("nuisance arrays must share one length")
         if self.e.min() <= 0.0 or self.e.max() >= 1.0:
-            raise ValueError("oracle propensities must lie strictly inside (0, 1)")
+            raise ValueError("propensities must lie strictly inside (0, 1)")
 
     @classmethod
-    def from_truth(cls, truth: ToyGroundTruth) -> "OracleNuisance":
+    def from_truth(cls, truth: ToyGroundTruth) -> "Nuisances":
         return cls(mu0=truth.mu0, mu1=truth.mu1, e=truth.e)
 
     @property

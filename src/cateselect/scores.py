@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import CandidateSet, Dataset, _readonly
-from .nuisance import OracleNuisance
+from .nuisance import Nuisances
 
 
 def _checked(losses: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class ScoreTensor:
         return self.losses.shape[1]
 
 
-def pseudo_outcomes(dataset: Dataset, nuisances: OracleNuisance) -> np.ndarray:
+def pseudo_outcomes(dataset: Dataset, nuisances: Nuisances) -> np.ndarray:
     """Per-unit doubly robust pseudo-outcomes from per-unit nuisance values."""
     if nuisances.n != dataset.n:
         raise ValueError("nuisance arrays must align with the dataset")
@@ -88,7 +88,7 @@ def pseudo_outcomes(dataset: Dataset, nuisances: OracleNuisance) -> np.ndarray:
 
 
 def build_score_tensor(
-    dataset: Dataset, candidates: CandidateSet, nuisances: OracleNuisance
+    dataset: Dataset, candidates: CandidateSet, nuisances: Nuisances
 ) -> ScoreTensor:
     """Score every candidate on every unit by its doubly robust loss."""
     if candidates.n != dataset.n:

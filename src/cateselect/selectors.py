@@ -7,30 +7,31 @@ inner folds); only the statistic on top of them differs. ``prepare`` builds
 that problem once per plan: ``cross_fit``'s one nuisance fit per major fold,
 whose predictions fill the other fold's units, then the p x n per-unit loss
 matrix from ``scores.build_score_tensor``.
-Each selector is a tail over the resulting ``Prepared`` (``TAILS``), and
-``run_selectors`` prepares each split layout it is asked for once and runs
-every named selector on that layout before preparing the next, or runs them
-on a problem the caller prepared. That is the one way in for anything but
-the default cross-fit: a caller holding true nuisances passes
-``prepared=prepare(dataset, candidates, two_way_split(dataset.n, config.seed),
-OracleNuisance.from_truth(truth))``, with ``single_layer_split`` for the
-ablation. ``Prepared.restrict`` cuts a problem to its first p candidates,
-bitwise the problem those candidates alone would get, as a view of its rows.
+Each selector is a test over the resulting ``Prepared``, listed in ``TAILS``
+under its name, and ``select`` is the one way to run them: it prepares each
+split layout it is asked for once and runs every named selector on that
+layout before preparing the next, or runs them on a problem the caller
+prepared. That is the way in for anything but the default cross-fit: a
+caller holding true nuisances passes ``prepared=prepare(dataset, candidates,
+two_way_split(dataset.n, config.seed), Nuisances.from_truth(truth))``, with
+``single_layer_split`` for the ablation. ``Prepared.restrict`` cuts a
+problem to its first p candidates, bitwise the problem those candidates
+alone would get, as a view of its rows.
 
-* ``proposed_select``: two-layer cross-fitted, exponentially weighted test.
+* ``"proposed"``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
   comparisons are learned on leave-inner-fold-out score means; each
   candidate's accumulated weighted score is studentized and compared to a
   one-sided normal critical value.
-* ``naive_select``: per-candidate max of standardized pairwise statistics
+* ``"naive"``: per-candidate max of standardized pairwise statistics
   against a parametric bootstrap critical value drawn from the estimated
   covariance.
-* ``bonferroni_select``: the same max statistic against a union-bound normal
-  threshold.
-* ``single_layer_ablation_select``: the proposed test on a one-fold plan,
-  so nuisances are fitted on the full sample and the weight-learning folds
-  span all units; kept to demonstrate how error control degrades without
-  the two-layer split.
+* ``"bonferroni"``: the same max statistic against a union-bound normal
+  threshold, per-pair one-sided z tests at alpha / (p - 1).
+* ``"ablation"``: the proposed test on a one-fold plan, so nuisances are
+  fitted on the full sample (every unit is scored in-sample) and the
+  weight-learning folds span all units; kept to demonstrate how error
+  control degrades without the two-layer split.
 
 The normal critical values of the proposed and Bonferroni tests come from
 the standard library's ``statistics.NormalDist``, so selection imports
@@ -49,7 +50,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .datagen import CandidateSet, Dataset, _readonly
-from .nuisance import OracleNuisance, fit
+from .nuisance import Nuisances, fit
 from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
 
 _NAIVE_STREAM = 0x5EED01
@@ -311,7 +312,7 @@ class Prepared:
         return Prepared(self.plan, self.tensor.head(p))
 
 
-def cross_fit(dataset: Dataset, plan: SplitPlan) -> OracleNuisance:
+def cross_fit(dataset: Dataset, plan: SplitPlan) -> Nuisances:
     """The nuisances cross-fitted over the plan's major folds: each major
     fold's units get the predictions of the model fitted on the other fold;
     a one-fold plan's units get those of the model fitted on themselves."""
@@ -321,14 +322,14 @@ def cross_fit(dataset: Dataset, plan: SplitPlan) -> OracleNuisance:
         model = fit(dataset, folds[train])
         rows = folds[(train + 1) % plan.groups]
         values[:, rows] = model.predict_rows(dataset.x[rows])
-    return OracleNuisance(*values)
+    return Nuisances(*values)
 
 
 def prepare(
     dataset: Dataset,
     candidates: CandidateSet,
     plan: SplitPlan,
-    override: OracleNuisance | None = None,
+    override: Nuisances | None = None,
 ) -> Prepared:
     """Score every candidate on every unit with the nuisances ``cross_fit``
     gives on the plan, or with ``override`` instead."""
@@ -451,6 +452,23 @@ TAILS: dict[str, tuple[int, Callable[[Prepared, SelectorConfig], SelectionResult
 }
 
 
+def check_selector_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless ``names`` is a nonempty list of distinct
+    names in ``TAILS``."""
+    if isinstance(names, str) or not all(isinstance(s, str) for s in names):
+        raise ValueError(f"selectors must be a list of names, got {names!r}")
+    if not names:
+        raise ValueError("selector list is empty")
+    unknown = [s for s in names if s not in TAILS]
+    if unknown:
+        raise ValueError(
+            f"unknown selectors: {', '.join(unknown)} (known: {', '.join(sorted(TAILS))})"
+        )
+    repeated = [s for s in dict.fromkeys(names) if names.count(s) > 1]
+    if repeated:
+        raise ValueError(f"duplicate selectors: {', '.join(repeated)}")
+
+
 def _draw_plan(groups: int, n: int, config: SelectorConfig) -> SplitPlan:
     """The seeded split of a layout: the two-way split for two major folds,
     the ablation's one-layer split for one."""
@@ -478,16 +496,17 @@ def _check_prepared(
             )
 
 
-def run_selectors(
+def select(
     dataset: Dataset,
     candidates: CandidateSet,
     config: SelectorConfig,
-    names: Sequence[str],
+    names: Sequence[str] = ("proposed",),
     *,
     prepared: Prepared | None = None,
 ) -> list[SelectionResult]:
-    """Run the named built-in selectors on one dataset; results in ``names``
-    order.
+    """Run the named selectors of ``TAILS`` on one dataset; one result per
+    name, in ``names`` order. The names must be distinct, and a list that is
+    empty or names an unknown selector raises ``ValueError``.
 
     Each split layout named is prepared once (one split, its nuisance fits
     and one loss matrix), every selector on that layout runs its test on it,
@@ -499,6 +518,7 @@ def run_selectors(
     named selector, and is taken to be on the split ``config.seed`` draws; a
     mismatch in size or layout raises ``ValueError``.
     """
+    check_selector_names(names)
     if prepared is not None:
         _check_prepared(prepared, dataset, candidates, names)
     results: dict[str, SelectionResult] = {}
@@ -508,75 +528,7 @@ def run_selectors(
             problem = prepare(dataset, candidates, _draw_plan(groups, dataset.n, config))
         for name in names:
             layout, tail = TAILS[name]
-            if layout == groups and name not in results:
+            if layout == groups:
                 results[name] = tail(problem, config)
         del problem  # one layout's loss matrix at a time
     return [results[name] for name in names]
-
-
-def proposed_select(
-    dataset: Dataset,
-    candidates: CandidateSet,
-    config: SelectorConfig,
-    *,
-    prepared: Prepared | None = None,
-) -> SelectionResult:
-    """Two-layer cross-fitted exponentially weighted selection.
-
-    Accepts candidate r when its studentized weighted score falls below the
-    one-sided normal critical value at level alpha.
-
-    ``prepared`` replaces the preparation, as in ``run_selectors``.
-    """
-    return run_selectors(dataset, candidates, config, ["proposed"], prepared=prepared)[0]
-
-
-def single_layer_ablation_select(
-    dataset: Dataset,
-    candidates: CandidateSet,
-    config: SelectorConfig,
-    *,
-    prepared: Prepared | None = None,
-) -> SelectionResult:
-    """One-layer variant kept to demonstrate inflated error rates.
-
-    The proposed test on a one-fold plan: nuisances are fitted on the full
-    sample (every unit is scored in-sample) and the weight-learning folds
-    are drawn over all units with no major-fold separation.
-
-    ``prepared`` replaces the preparation, as in ``run_selectors``; it is
-    prepared on a ``single_layer_split``.
-    """
-    return run_selectors(dataset, candidates, config, ["ablation"], prepared=prepared)[0]
-
-
-def naive_select(
-    dataset: Dataset,
-    candidates: CandidateSet,
-    config: SelectorConfig,
-    *,
-    prepared: Prepared | None = None,
-) -> SelectionResult:
-    """Max-statistic selection with parametric bootstrap critical values.
-
-    Candidate m is accepted when the largest of its standardized pairwise
-    statistics does not exceed the bootstrap quantile drawn from N(0,
-    sigma_m).
-
-    ``prepared`` replaces the preparation, as in ``run_selectors``.
-    """
-    return run_selectors(dataset, candidates, config, ["naive"], prepared=prepared)[0]
-
-
-def bonferroni_select(
-    dataset: Dataset,
-    candidates: CandidateSet,
-    config: SelectorConfig,
-    *,
-    prepared: Prepared | None = None,
-) -> SelectionResult:
-    """Union-bound baseline: per-pair one-sided z tests at alpha / (p - 1).
-
-    ``prepared`` replaces the preparation, as in ``run_selectors``.
-    """
-    return run_selectors(dataset, candidates, config, ["bonferroni"], prepared=prepared)[0]

@@ -25,13 +25,13 @@ from cateselect.harness import (
     stability_diagnostic,
     sweep,
 )
-from cateselect.nuisance import OracleNuisance
+from cateselect.nuisance import Nuisances
 from cateselect.scores import _rival_scores, build_score_tensor, cov_hat, delta_hat
 from cateselect.selectors import (
     SelectorConfig,
     exp_weights,
     naive_critical_value,
-    proposed_select,
+    select,
 )
 
 from conftest import record_criterion
@@ -160,7 +160,7 @@ def test_criterion_6_oracle_delta_agreement():
         data_seed, cand_seed, _ = _derived_seeds(SEED, 6, k)
         ds, truth = generate_toy(100_000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
+        tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
         delta = delta_hat(tensor, 0)[0]
         se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         hits += abs(delta - target) < 4 * se
@@ -180,7 +180,7 @@ def test_criterion_7_clt_calibration():
         data_seed, cand_seed, _ = _derived_seeds(SEED, 7, k)
         ds, truth = generate_toy(2000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
+        tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
         delta = delta_hat(tensor, 0)[0]
         se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         zs[k] = (delta - target) / se
@@ -249,7 +249,7 @@ def test_criterion_10_exactness_properties():
     data_seed, cand_seed, sel_seed = _derived_seeds(SEED, 10, 0)
     ds, truth = generate_toy(500, (2, 2, 2, 2), data_seed)
     cands = make_candidates(truth, NEAR_TIED_SPECS, cand_seed)
-    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
     rival = [_rival_scores(tensor, m) for m in range(tensor.p)]
     pairs = [(r, s) for r in range(tensor.p) for s in range(tensor.p) if r != s]
     if not all(np.array_equal(rival[r][s - (s > r)], -rival[s][r - (r > s)]) for r, s in pairs):
@@ -260,7 +260,7 @@ def test_criterion_10_exactness_properties():
     if not (np.array_equal(ds.x, ds2.x) and np.array_equal(ds.y, ds2.y)):
         problems.append("data generation not seed-deterministic")
     cfg = SelectorConfig(alpha=ALPHA, seed=sel_seed)
-    if proposed_select(ds, cands, cfg).to_dict() != proposed_select(ds, cands, cfg).to_dict():
+    if select(ds, cands, cfg)[0].to_dict() != select(ds, cands, cfg)[0].to_dict():
         problems.append("selection not seed-deterministic")
 
     _check(

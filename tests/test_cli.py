@@ -17,16 +17,10 @@ from cateselect.datagen import (
     make_candidates,
 )
 from cateselect.datagen import ingest_dataset, ingest_predictions, write_dataset_csv, write_predictions_csv
+from cateselect import harness, selectors
 from cateselect.harness import strict_json
 from cateselect.nuisance import NuisanceModel
-from cateselect import selectors
-from cateselect.selectors import (
-    SelectorConfig,
-    bonferroni_select,
-    naive_select,
-    proposed_select,
-    single_layer_ablation_select,
-)
+from cateselect.selectors import SelectorConfig, select
 
 
 def _write_config(tmp_path, **overrides):
@@ -167,8 +161,8 @@ def test_select_all_selectors_prints_each_selector_alone(tmp_path, capsys):
     ingested = ingest_dataset(tmp_path / "d.csv")
     preds = ingest_predictions(tmp_path / "p.csv", ingested.n)
     alone = [
-        select(ingested, preds, config).to_dict()
-        for select in (proposed_select, naive_select, bonferroni_select, single_layer_ablation_select)
+        select(ingested, preds, config, (name,))[0].to_dict()
+        for name in ("proposed", "naive", "bonferroni", "ablation")
     ]
     assert capsys.readouterr().out == strict_json(alone, indent=2) + "\n"
 
@@ -189,7 +183,7 @@ def test_select_prints_the_library_results_on_the_written_arrays(tmp_path, capsy
     ])
     assert code == 0
     assert ingest_predictions(tmp_path / "p.csv", ds.n).predictions.flags.c_contiguous
-    library = [r.to_dict() for r in selectors.run_selectors(ds, cands, SelectorConfig(), names)]
+    library = [r.to_dict() for r in select(ds, cands, SelectorConfig(), names)]
     assert capsys.readouterr().out == strict_json(library, indent=2) + "\n"
 
 
@@ -282,6 +276,20 @@ def test_diagnose_clt_cli(tmp_path):
     # 3 candidates give 3 pairs per dataset; every table ends its lines with \n alone
     assert table.startswith(b"dataset,r,s,ks_p,adjusted_p\n")
     assert b"\r" not in table and table.count(b"\n") == 1 + 2 * 3
+
+
+def test_diagnose_clt_without_scipy_exits_1_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a dataset was drawn before scipy was imported")
+
+    monkeypatch.setattr(harness, "generate_toy", no_draw)
+    out = tmp_path / "diag"
+    code = cli(["diagnose", "clt", "--config", str(_write_config(tmp_path)), "--out", str(out)])
+    assert code == 1
+    assert "pip install cateselect[diagnose]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diagnose_stability_cli(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from cateselect import nuisance
 from cateselect.datagen import Dataset, _sigmoid, generate_toy
-from cateselect.nuisance import NuisanceModel, OracleNuisance, fit
+from cateselect.nuisance import NuisanceModel, Nuisances, fit
 
 
 def _linear_dataset(n, d, seed, noise=0.0):
@@ -99,11 +99,11 @@ def test_outcome_error_shrinks_with_n():
 
 def test_oracle_nuisance_from_truth():
     _, truth = generate_toy(50, (1, 1, 1, 1), seed=1)
-    oracle = OracleNuisance.from_truth(truth)
+    oracle = Nuisances.from_truth(truth)
     npt.assert_array_equal(oracle.mu0, truth.mu0)
     assert oracle.n == truth.n
     with pytest.raises(ValueError):
-        OracleNuisance(mu0=np.zeros(3), mu1=np.zeros(3), e=np.array([0.0, 0.5, 0.5]))
+        Nuisances(mu0=np.zeros(3), mu1=np.zeros(3), e=np.array([0.0, 0.5, 0.5]))
 
 
 # --- logistic solver against the re-evaluating loop ---------------------------

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, make_candidates
-from cateselect.nuisance import NuisanceModel, OracleNuisance
+from cateselect.nuisance import NuisanceModel, Nuisances
 from cateselect.scores import (
     ScoreTensor,
     build_score_tensor,
@@ -23,7 +23,7 @@ def _constant_model(mu0, mu1, e_logit, d=1):
 
 def _values(model, ds):
     """The per-unit nuisance values a model predicts for every unit of ``ds``."""
-    return OracleNuisance(*model.predict_rows(ds.x))
+    return Nuisances(*model.predict_rows(ds.x))
 
 
 def _two_units(y_treated, y_control):
@@ -59,7 +59,7 @@ def test_pseudo_outcome_conditionally_unbiased_at_fixed_x():
     t = (rng.random(n) < e).astype(int)
     y = np.where(t == 1, mu1_x + rng.normal(0, 0.5, n), mu0_x + rng.normal(0, 0.5, n))
     ds = Dataset(x=np.zeros((n, 1)), t=t, y=y)
-    oracle = OracleNuisance(mu0=np.full(n, mu0_x), mu1=np.full(n, mu1_x), e=e)
+    oracle = Nuisances(mu0=np.full(n, mu0_x), mu1=np.full(n, mu1_x), e=e)
     gamma = pseudo_outcomes(ds, oracle)
     se = gamma.std(ddof=1) / np.sqrt(n)
     assert abs(gamma.mean() - (mu1_x - mu0_x)) < 4 * se
@@ -103,7 +103,7 @@ def test_identical_candidates_zero_tensor():
     ds, truth = generate_toy(100, (1, 1, 1, 1), seed=4)
     row = truth.tau + 0.1
     cands = CandidateSet(np.vstack([row, row]))
-    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
     npt.assert_array_equal(tensor.losses[0] - tensor.losses[1], np.zeros(tensor.n))
 
 
@@ -173,7 +173,7 @@ def test_delta_matches_population_value_with_oracle():
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=31)
     specs = [NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)]
     cands = make_candidates(truth, specs, seed=32)
-    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
     delta = delta_hat(tensor, 0)
     cov = cov_hat(tensor, 0)
     target = specs[0].population_mse - specs[1].population_mse

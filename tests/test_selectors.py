@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +19,7 @@ from cateselect.datagen import (
     make_candidates,
 )
 from cateselect.harness import _derived_seeds
-from cateselect.nuisance import OracleNuisance
+from cateselect.nuisance import Nuisances
 from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
     SelectorConfig,
@@ -26,14 +27,11 @@ from cateselect.selectors import (
     SplitPlan,
     _INNER_FOLDS,
     _weighted_test,
-    bonferroni_select,
     exp_weighted_statistics,
     exp_weights,
     naive_critical_value,
-    naive_select,
     prepare,
-    proposed_select,
-    single_layer_ablation_select,
+    select,
     single_layer_split,
     two_way_split,
 )
@@ -160,13 +158,13 @@ def _true_problem(ds, truth, cands, config, groups=2):
     """The problem a selector on ``groups`` major folds tests, scored with the
     true nuisances instead of cross-fitted ones."""
     plan = selectors._draw_plan(groups, ds.n, config)
-    return prepare(ds, cands, plan, OracleNuisance.from_truth(truth))
+    return prepare(ds, cands, plan, Nuisances.from_truth(truth))
 
 
 def _proposed_statistics(ds, cands, config):
-    """The weighted-test statistics behind ``proposed_select``, checked against
+    """The weighted-test statistics behind the proposed selector, checked against
     the statistics it reports."""
-    res = proposed_select(ds, cands, config)
+    res = select(ds, cands, config)[0]
     plan = two_way_split(ds.n, config.seed)
     tensor = prepare(ds, cands, plan).tensor
     stats = exp_weighted_statistics(tensor, plan, config.resolve_lam(ds.n))
@@ -262,7 +260,7 @@ def test_proposed_power_separated_candidates():
         data_seed, cand_seed, sel_seed = _derived_seeds(555, 0, k)
         ds, truth = generate_toy(4000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        res = proposed_select(ds, cands, SelectorConfig(alpha=0.10, seed=sel_seed))
+        res = select(ds, cands, SelectorConfig(alpha=0.10, seed=sel_seed))[0]
         wins += res.accepted == (0,)
     assert wins >= 95
 
@@ -277,7 +275,7 @@ def test_proposed_null_calibration():
         data_seed, cand_seed, sel_seed = _derived_seeds(777, 0, k)
         ds, truth = generate_toy(600, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, [NoiseSpec(0.0, 0.1)] * p, cand_seed)
-        res = proposed_select(ds, cands, SelectorConfig(alpha=alpha, seed=sel_seed))
+        res = select(ds, cands, SelectorConfig(alpha=alpha, seed=sel_seed))[0]
         for r in res.accepted:
             acc[r] += 1
     rates = acc / reps
@@ -288,8 +286,8 @@ def test_proposed_null_calibration():
 def test_proposed_deterministic():
     ds, truth, cands, sel_seed = _toy_problem()
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
-    r1 = proposed_select(ds, cands, cfg)
-    r2 = proposed_select(ds, cands, cfg)
+    r1 = select(ds, cands, cfg)[0]
+    r2 = select(ds, cands, cfg)[0]
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -299,7 +297,7 @@ def test_degenerate_candidates_raise():
     dup = CandidateSet(np.vstack([row, row]))
     config = SelectorConfig(alpha=0.1, seed=sel_seed)
     with pytest.raises(RuntimeError, match="degenerate"):
-        proposed_select(ds, dup, config, prepared=_true_problem(ds, truth, dup, config))
+        select(ds, dup, config, prepared=_true_problem(ds, truth, dup, config))
 
 
 # --- naive and bonferroni ---------------------------------------------------
@@ -322,14 +320,14 @@ def test_naive_degenerate_covariance_errors():
     dup = CandidateSet(np.vstack([row, row]))
     config = SelectorConfig(alpha=0.1, seed=sel_seed)
     with pytest.raises(RuntimeError, match="degenerate"):
-        naive_select(ds, dup, config, prepared=_true_problem(ds, truth, dup, config))
+        select(ds, dup, config, ("naive",), prepared=_true_problem(ds, truth, dup, config))
 
 
 def test_naive_rejection_monotone_in_alpha():
     ds, truth, cands, sel_seed = _toy_problem(n=800)
     rejected_sets = []
     for alpha in (0.05, 0.10, 0.20):
-        res = naive_select(ds, cands, SelectorConfig(alpha=alpha, seed=sel_seed))
+        res = select(ds, cands, SelectorConfig(alpha=alpha, seed=sel_seed), ("naive",))[0]
         rejected_sets.append({s.candidate for s in res.stats if not s.accepted})
         criticals = [s.critical for s in res.stats]
         assert len(set(criticals)) >= 1
@@ -338,7 +336,7 @@ def test_naive_rejection_monotone_in_alpha():
 
 def test_bonferroni_two_candidates_is_plain_z_test():
     ds, truth, cands, sel_seed = _toy_problem(specs=(NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)))
-    res = bonferroni_select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
+    res = select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed), ("bonferroni",))[0]
     for s in res.stats:
         assert s.critical == pytest.approx(norm.ppf(0.9), abs=1e-12)
         assert s.accepted == (s.statistic <= norm.ppf(0.9))
@@ -352,7 +350,7 @@ def test_bonferroni_critical_dominates_naive_under_positive_correlation():
     # and on toy-score covariances, when all correlations are nonnegative
     ds, truth, cands, sel_seed = _toy_problem(n=2000, specs=tuple([NoiseSpec(0.03 * j, 0.1) for j in range(4)]))
     from cateselect.scores import build_score_tensor, cov_hat
-    tensor = build_score_tensor(ds, cands, OracleNuisance.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
     cov = cov_hat(tensor, 0)
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert corr.min() >= 0  # chosen configuration has shared positive factors
@@ -369,7 +367,7 @@ def test_naive_critical_value_rejects_non_psd():
 def test_bonferroni_superset_of_per_pair_level_alpha():
     ds, truth, cands, sel_seed = _toy_problem(n=1500)
     alpha = 0.10
-    res = bonferroni_select(ds, cands, SelectorConfig(alpha=alpha, seed=sel_seed))
+    res = select(ds, cands, SelectorConfig(alpha=alpha, seed=sel_seed), ("bonferroni",))[0]
     loose = {s.candidate for s in res.stats if s.statistic <= norm.ppf(1 - alpha)}
     assert loose <= set(res.accepted)
 
@@ -377,22 +375,20 @@ def test_bonferroni_superset_of_per_pair_level_alpha():
 def test_naive_and_bonferroni_share_scores():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
-    rn = naive_select(ds, cands, cfg)
-    rb = bonferroni_select(ds, cands, cfg)
+    rn = select(ds, cands, cfg, ("naive",))[0]
+    rb = select(ds, cands, cfg, ("bonferroni",))[0]
     for a, b in zip(rn.stats, rb.stats):
         assert a.statistic == b.statistic
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "select", [proposed_select, naive_select, bonferroni_select, single_layer_ablation_select]
-)
-def test_overflowing_losses_are_rejected(select):
+@pytest.mark.parametrize("name", list(selectors.TAILS))
+def test_overflowing_losses_are_rejected(name):
     # finite predictions whose squares overflow would otherwise yield NaN statistics
     ds, truth, cands, sel_seed = _toy_problem()
     huge = CandidateSet(cands.predictions * 1e160)
     with pytest.raises(ValueError, match="finite"):
-        select(ds, huge, SelectorConfig(seed=sel_seed))
+        select(ds, huge, SelectorConfig(seed=sel_seed), (name,))
 
 
 # --- normal critical values --------------------------------------------------
@@ -407,22 +403,22 @@ def test_normal_critical_values_match_scipy_ndtri():
         config = SelectorConfig(alpha=alpha, seed=6)
         expected = ndtri(1.0 - alpha)
         problem = _true_problem(ds, truth, cands, config)
-        for s in proposed_select(ds, cands, config, prepared=problem).stats:
+        for s in select(ds, cands, config, prepared=problem)[0].stats:
             assert abs(s.critical - expected) <= 1e-15 * abs(expected)
         for p in range(2, 42):
             subset = CandidateSet(cands.predictions[:p])
             expected = ndtri(1.0 - alpha / (p - 1))
             problem = _true_problem(ds, truth, subset, config)
-            for s in bonferroni_select(ds, subset, config, prepared=problem).stats:
+            for s in select(ds, subset, config, ("bonferroni",), prepared=problem)[0].stats:
                 assert abs(s.critical - expected) <= 1e-15 * abs(expected)
 
 
-@pytest.mark.parametrize("select", [proposed_select, bonferroni_select])
-def test_alpha_below_rounding_accepts_every_candidate(select):
+@pytest.mark.parametrize("name", ["proposed", "bonferroni"])
+def test_alpha_below_rounding_accepts_every_candidate(name):
     # 1 - 1e-17 rounds to 1.0, whose normal quantile is +inf
     ds, truth, cands, sel_seed = _toy_problem()
     config = SelectorConfig(alpha=1e-17, seed=sel_seed)
-    res = select(ds, cands, config, prepared=_true_problem(ds, truth, cands, config))
+    (res,) = select(ds, cands, config, (name,), prepared=_true_problem(ds, truth, cands, config))
     assert all(s.critical == np.inf for s in res.stats)
     assert res.accepted == tuple(range(cands.p))
 
@@ -432,7 +428,7 @@ def test_alpha_below_rounding_accepts_every_candidate(select):
 
 def test_ablation_result_schema():
     ds, truth, cands, sel_seed = _toy_problem()
-    res = single_layer_ablation_select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
+    res = select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed), ("ablation",))[0]
     payload = res.to_dict()
     assert payload["selector"] == "ablation"
     assert set(payload) >= {"selector", "alpha", "lambda", "accepted", "stats"}
@@ -446,12 +442,12 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     plan = two_way_split(ds.n, cfg.seed)
-    tensor = prepare(ds, cands, plan, OracleNuisance.from_truth(truth)).tensor
+    tensor = prepare(ds, cands, plan, Nuisances.from_truth(truth)).tensor
     own = _true_problem(ds, truth, cands, cfg, groups=1)
-    ra_own = single_layer_ablation_select(ds, cands, cfg, prepared=own)
+    ra_own = select(ds, cands, cfg, ("ablation",), prepared=own)[0]
     own_plan = single_layer_split(ds.n, cfg.seed)
     assert ra_own.stats == _weighted_test("ablation", Prepared(own_plan, tensor), cfg).stats
-    rp = proposed_select(ds, cands, cfg, prepared=_true_problem(ds, truth, cands, cfg))
+    rp = select(ds, cands, cfg, prepared=_true_problem(ds, truth, cands, cfg))[0]
     ra = _weighted_test("ablation", Prepared(plan, tensor), cfg)
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
@@ -465,14 +461,14 @@ def test_ablation_draws_no_two_layer_split(monkeypatch):
         raise AssertionError("the ablation must not draw a two-layer split")
 
     monkeypatch.setattr(selectors, "two_way_split", no_split)
-    single_layer_ablation_select(ds, cands, SelectorConfig(seed=sel_seed))
+    select(ds, cands, SelectorConfig(seed=sel_seed), ("ablation",))
 
 
 def test_ablation_differs_from_proposed_with_fitted_nuisances():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
-    rp = proposed_select(ds, cands, cfg)
-    ra = single_layer_ablation_select(ds, cands, cfg)
+    rp = select(ds, cands, cfg)[0]
+    ra = select(ds, cands, cfg, ("ablation",))[0]
     assert any(a.statistic != b.statistic for a, b in zip(rp.stats, ra.stats))
 
 
@@ -481,7 +477,7 @@ def test_ablation_differs_from_proposed_with_fitted_nuisances():
 
 def test_selection_result_json_schema():
     ds, truth, cands, sel_seed = _toy_problem()
-    res = proposed_select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))
+    res = select(ds, cands, SelectorConfig(alpha=0.1, seed=sel_seed))[0]
     payload = json.loads(json.dumps(res.to_dict()))
     assert set(payload) == {"selector", "alpha", "lambda", "seed", "accepted", "stats"}
     assert payload["selector"] == "proposed"
@@ -521,18 +517,19 @@ def test_statistics_equivariant_under_candidate_relabeling(n, perm, seed):
     relabeled = CandidateSet(cands.predictions[list(perm)])
     config = SelectorConfig(seed=sel_seed)
 
-    def statistics(select, candidates):
-        return np.array([s.statistic for s in select(ds, candidates, config).stats])
+    def statistics(name, candidates):
+        (result,) = select(ds, candidates, config, (name,))
+        return np.array([s.statistic for s in result.stats])
 
     # the weighted sums run over rivals in index order, so only rounding differs
-    for select in (proposed_select, single_layer_ablation_select):
+    for name in ("proposed", "ablation"):
         npt.assert_allclose(
-            statistics(select, relabeled), statistics(select, cands)[list(perm)], rtol=1e-9
+            statistics(name, relabeled), statistics(name, cands)[list(perm)], rtol=1e-9
         )
     # max statistics are exact; naive critical values are not compared because
     # each candidate's bootstrap stream is keyed to its index, not its predictions
-    for select in (bonferroni_select, naive_select):
-        npt.assert_array_equal(statistics(select, relabeled), statistics(select, cands)[list(perm)])
+    for name in ("bonferroni", "naive"):
+        npt.assert_array_equal(statistics(name, relabeled), statistics(name, cands)[list(perm)])
 
 
 # --- shared preparation -----------------------------------------------------
@@ -561,61 +558,70 @@ def _count_work(monkeypatch):
         (("ablation", "naive"), 3, 2),
     ],
 )
-def test_run_selectors_prepares_each_layout_once(monkeypatch, names, fits, builds):
+def test_select_prepares_each_layout_once(monkeypatch, names, fits, builds):
     ds, truth, cands, sel_seed = _toy_problem()
     config = SelectorConfig(seed=sel_seed)
     counts = _count_work(monkeypatch)
-    results = selectors.run_selectors(ds, cands, config, names)
+    results = select(ds, cands, config, names)
     assert counts == {"fit": fits, "build": builds}
     assert [r.selector for r in results] == list(names)
 
 
-def test_run_selectors_matches_each_selector_alone():
+def test_select_matches_each_selector_alone():
     ds, truth, cands, sel_seed = _toy_problem()
     config = SelectorConfig(seed=sel_seed)
     names = ("ablation", "bonferroni", "proposed", "naive")
-    alone = {
-        "proposed": proposed_select,
-        "naive": naive_select,
-        "bonferroni": bonferroni_select,
-        "ablation": single_layer_ablation_select,
-    }
-    shared = selectors.run_selectors(ds, cands, config, names)
-    assert shared == [alone[name](ds, cands, config) for name in names]
+    shared = select(ds, cands, config, names)
+    assert shared == [select(ds, cands, config, (name,))[0] for name in names]
 
 
 @pytest.mark.parametrize("names, groups", [(("naive", "proposed", "bonferroni"), 2), (("ablation",), 1)])
-def test_run_selectors_on_a_prepared_problem_matches_a_plain_call(names, groups):
+def test_select_on_a_prepared_problem_matches_a_plain_call(names, groups):
     ds, truth, cands, sel_seed = _toy_problem(specs=NEAR_TIED_SPECS)
     config = SelectorConfig(seed=sel_seed)
     prepared = prepare(ds, cands, selectors._draw_plan(groups, ds.n, config))
-    plain = selectors.run_selectors(ds, cands, config, names)
-    assert selectors.run_selectors(ds, cands, config, names, prepared=prepared) == plain
+    plain = select(ds, cands, config, names)
+    assert select(ds, cands, config, names, prepared=prepared) == plain
     # the first three rows are the problem of the first three candidates alone
     first = CandidateSet(cands.predictions[:3])
-    assert selectors.run_selectors(
-        ds, first, config, names, prepared=prepared.restrict(3)
-    ) == selectors.run_selectors(ds, first, config, names)
+    restricted = prepared.restrict(3)
+    assert select(ds, first, config, names, prepared=restricted) == select(ds, first, config, names)
 
 
-def test_run_selectors_rejects_a_prepared_problem_that_does_not_fit():
+def test_select_rejects_a_prepared_problem_that_does_not_fit():
     ds, truth, cands, sel_seed = _toy_problem(specs=NEAR_TIED_SPECS)
     config = SelectorConfig(seed=sel_seed)
     two_way = prepare(ds, cands, selectors._draw_plan(2, ds.n, config))
     one_fold = prepare(ds, cands, selectors._draw_plan(1, ds.n, config))
     with pytest.raises(ValueError, match="scores 5 candidates"):
-        naive_select(ds, CandidateSet(cands.predictions[:3]), config, prepared=two_way)
+        select(ds, CandidateSet(cands.predictions[:3]), config, ("naive",), prepared=two_way)
     with pytest.raises(ValueError, match="scores 3 candidates"):
-        proposed_select(ds, cands, config, prepared=two_way.restrict(3))
+        select(ds, cands, config, prepared=two_way.restrict(3))
     smaller, _ = generate_toy(ds.n - 1, (2, 2, 2, 2), 0)
     with pytest.raises(ValueError, match="on 600 units"):
-        proposed_select(smaller, CandidateSet(cands.predictions[:, 1:]), config, prepared=two_way)
+        select(smaller, CandidateSet(cands.predictions[:, 1:]), config, prepared=two_way)
     with pytest.raises(ValueError, match="ablation tests a 1-fold split"):
-        single_layer_ablation_select(ds, cands, config, prepared=two_way)
+        select(ds, cands, config, ("ablation",), prepared=two_way)
     with pytest.raises(ValueError, match="proposed tests a 2-fold split"):
-        selectors.run_selectors(ds, cands, config, ["ablation", "proposed"], prepared=one_fold)
+        select(ds, cands, config, ["ablation", "proposed"], prepared=one_fold)
     with pytest.raises(ValueError, match="cannot restrict 5 candidates to 6"):
         two_way.restrict(6)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["nope"], "unknown selectors: nope (known: ablation, bonferroni, naive, proposed)"),
+        ([], "selector list is empty"),
+        (["proposed", "proposed"], "duplicate selectors: proposed"),
+        ("proposed", "selectors must be a list of names, got 'proposed'"),
+    ],
+    ids=["unknown", "empty", "duplicate", "bare_string"],
+)
+def test_select_rejects_bad_name_lists(names, message):
+    ds, truth, cands, sel_seed = _toy_problem()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select(ds, cands, SelectorConfig(seed=sel_seed), names)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -634,8 +640,8 @@ def test_selections_do_not_depend_on_the_order_of_the_units(seed):
         plan = selectors._draw_plan(groups, ds.n, config)
         moved_plan = SplitPlan(plan.major[perm], plan.inner[perm], plan.groups)
         prepared = prepare(moved, moved_cands, moved_plan)
-        (before,) = selectors.run_selectors(ds, cands, config, [name])
-        (after,) = selectors.run_selectors(moved, moved_cands, config, [name], prepared=prepared)
+        (before,) = select(ds, cands, config, [name])
+        (after,) = select(moved, moved_cands, config, [name], prepared=prepared)
         for a, b in zip(before.stats, after.stats, strict=True):
             assert b.statistic == pytest.approx(a.statistic, rel=1e-7, abs=1e-7), name
             assert b.critical == pytest.approx(a.critical, rel=1e-7, abs=1e-7), name
