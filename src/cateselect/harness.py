@@ -10,8 +10,11 @@ once, at the largest count, and split and prepared once per layout and
 selector there. Row r of the loss matrix depends only on candidate r and the
 nuisances, so the point with p candidates tests the first p rows, bitwise
 the matrix it would build alone, through a read-only view rather than a
-copy. Once every problem is prepared, the repetition lets go of the dataset
-and the candidate draw: the points' tests hold the loss matrices only.
+copy. Its tests read the summaries of the largest point's problem, each
+computed once per repetition: the naive moments are leading blocks of the
+largest point's, and the proposed test copies the first p rows of its losses
+sorted by cell. Once every problem is prepared, the repetition lets go of the
+dataset and the candidate draw: the points' tests hold the loss matrices only.
 Reports carry the familywise error rate (winner excluded) and the average
 number of wrong selections (non-winners retained), each with percentile
 bootstrap confidence intervals, plus flat per-repetition records that make
@@ -307,12 +310,13 @@ def _shared_problem(
 ) -> Callable[[int], Prepared]:
     """One selector's problem on the plan, as a function of a point's
     candidate count p: prepared once on ``drawn``, of which each point tests
-    the first p rows, a view (``Prepared.restrict``). The function holds that
-    problem only, not the dataset or the candidates. If that loss matrix
-    cannot be built, the point that holds all of ``drawn`` gets that failure,
-    and each smaller point builds its own from the same fits and the first p
-    rows of ``drawn``: a loss that overflows in a row beyond a smaller
-    point's p must fail only the points that hold that row."""
+    the first p rows, a view that reads the shared problem's summaries
+    (``Prepared.restrict``). The function holds that problem only, not the
+    dataset or the candidates. If that loss matrix cannot be built, the point
+    that holds all of ``drawn`` gets that failure, and each smaller point
+    builds its own from the same fits and the first p rows of ``drawn``: a
+    loss that overflows in a row beyond a smaller point's p must fail only
+    the points that hold that row."""
     nuisances = cross_fit(dataset, plan)
     try:
         shared = prepare(dataset, drawn, plan, nuisances)

@@ -14,9 +14,12 @@ is ever stored, and no centred copy of the losses is kept: each
 ``cov_hat`` call forms one candidate's (p - 1) x n pairwise differences and
 centres them in place. ``delta_hat`` and ``cov_hat`` return plain arrays, the
 mean gaps of one candidate against each rival and the covariance of those
-means. A tensor owns its read-only loss matrix: built from a caller's array
-it holds a copy, while ``build_score_tensor`` hands over the matrix it has
-just filled and ``ScoreTensor.head`` a view of the first rows.
+means. Both reduce each entry over the units on its own, without BLAS, so
+the entries of the first k rivals are bitwise those of a problem with only
+them, at any BLAS thread count. A tensor owns its read-only loss matrix:
+built from a caller's array it holds a copy, while ``build_score_tensor``
+hands over the matrix it has just filled and ``ScoreTensor.head`` a view of
+the first rows.
 """
 
 from __future__ import annotations
@@ -128,7 +131,15 @@ def cov_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
     (p - 1) x n array of the call: candidates with identical losses get
     exactly zero variance, and no entry is a difference of covariances,
     which cancels for near-duplicate candidates.
+
+    Each entry is its own reduction over the units, numpy's ``einsum``
+    rather than BLAS, so entry (s, t) depends only on rivals s and t: the
+    leading block of the first k rivals is bitwise the covariance those
+    rivals alone get, and no BLAS thread count changes a bit.
     """
     scores = _rival_scores(tensor, m)
     scores -= scores.mean(axis=1, keepdims=True)
-    return np.dot(scores, scores.T) / (tensor.n - 1) / tensor.n
+    gram = np.empty((len(scores), len(scores)))
+    for s, row in enumerate(scores):
+        gram[s, : s + 1] = gram[: s + 1, s] = np.einsum("j,ij->i", row, scores[: s + 1])
+    return gram / (tensor.n - 1) / tensor.n

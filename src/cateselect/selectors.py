@@ -16,7 +16,8 @@ caller holding true nuisances passes ``prepared=prepare(dataset, candidates,
 two_way_split(dataset.n, config.seed), Nuisances.from_truth(truth))``, with
 ``single_layer_split`` for the ablation. ``Prepared.restrict`` cuts a
 problem to its first p candidates, bitwise the problem those candidates
-alone would get, as a view of its rows.
+alone would get, as a view of its rows that reads the larger problem's
+naive moments and cell-sorted losses, so those are computed once.
 
 * ``"proposed"``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -41,7 +42,7 @@ numpy only; scipy stays out of this path because it is slow to import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from numbers import Real
 from statistics import NormalDist
@@ -200,20 +201,29 @@ class ProposedStatistics:
     weights: np.ndarray
 
 
-def exp_weighted_statistics(tensor: ScoreTensor, plan: SplitPlan, lam: float) -> ProposedStatistics:
+def exp_weighted_statistics(
+    tensor: ScoreTensor, plan: SplitPlan, lam: float, sorted_rows: np.ndarray | None = None
+) -> ProposedStatistics:
     """Aggregate pairwise scores into one studentized statistic per candidate.
 
     The cells are the inner folds, ordered by major fold, then inner fold;
     each scores its units with the softmax weights learned on the rest of
-    its major fold. One gather sorts the losses by cell; a weight set's mean
-    is its fold's sum minus the cell's own sum, over the fold's size minus
-    the cell's.
+    its major fold. One gather sorts the losses by cell, into a column-major
+    copy (numpy's layout for ``losses[:, order]``); a weight set's mean is
+    its fold's sum minus the cell's own sum, over the fold's size minus the
+    cell's. ``sorted_rows``, when given, are a larger problem's losses
+    already sorted by cell, whose first p rows are this tensor's: the call
+    copies them in their own layout instead of gathering, and every bit is
+    the same.
     """
     p, n = tensor.p, tensor.n
     if plan.n != n:
         raise ValueError("the split must cover every unit")
     order, bounds = plan.cell_order
-    by_cell = tensor.losses[:, order]
+    if sorted_rows is None:
+        by_cell = tensor.losses[:, order]
+    else:
+        by_cell = np.copy(sorted_rows[:p], order="K")
     shape = (plan.groups, _INNER_FOLDS)
     sums = np.add.reduceat(by_cell, bounds[:-1], axis=1).reshape(p, *shape)
     sizes = np.diff(bounds).reshape(shape)
@@ -288,28 +298,54 @@ class SelectionResult:
 class Prepared:
     """One split layout's scored problem: the plan and the p x n loss matrix
     of its cross-fitted doubly robust scores, which every selector on that
-    layout tests."""
+    layout tests. ``source`` is the problem ``restrict`` cut this one from,
+    whose summaries it reads, or None."""
 
     plan: SplitPlan
     tensor: ScoreTensor
+    source: Prepared | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(delta_m, sigma_m)`` per candidate m, the mean gaps against each
-        rival and their covariance, built on first use."""
-        return [(delta_hat(self.tensor, m), cov_hat(self.tensor, m)) for m in range(self.tensor.p)]
+        rival and their covariance, read-only and built on first use. A cut
+        problem takes the leading blocks of its source's: candidate m's rivals
+        are in ascending order, so its first p - 1 are this problem's."""
+        p = self.tensor.p
+        if self.source is not None:
+            leading = self.source.moments[:p]
+            return [(delta[: p - 1], sigma[: p - 1, : p - 1]) for delta, sigma in leading]
+        moments = [(delta_hat(self.tensor, m), cov_hat(self.tensor, m)) for m in range(p)]
+        for delta, sigma in moments:
+            delta.setflags(write=False)
+            sigma.setflags(write=False)
+        return moments
+
+    @cached_property
+    def _by_cell(self) -> np.ndarray:
+        """The losses sorted by cell, gathered once and read-only: kept only by
+        a problem that cut problems read them from."""
+        by_cell = self.tensor.losses[:, self.plan.cell_order[0]]
+        by_cell.setflags(write=False)
+        return by_cell
 
     def restrict(self, p: int) -> Prepared:
         """The problem of the first ``p`` candidates, this one when p is all of
         them: row r of the loss matrix depends only on candidate r and the
         nuisances, so these rows are bitwise the loss matrix those candidates
         alone would get. Its loss matrix is a read-only view of this one's
-        rows, not a copy."""
+        rows, not a copy, and it reads this problem's summaries rather than
+        computing its own: its moments are leading blocks of this one's, and
+        its proposed test copies the first p rows of this one's losses sorted
+        by cell, which are sorted once, on a cut problem's first use. Each
+        summary is bitwise the one the p candidates alone would get."""
         if not 0 < p <= self.tensor.p:
             raise ValueError(f"cannot restrict {self.tensor.p} candidates to {p}")
         if p == self.tensor.p:
             return self
-        return Prepared(self.plan, self.tensor.head(p))
+        cut = Prepared(self.plan, self.tensor.head(p))
+        object.__setattr__(cut, "source", self)
+        return cut
 
 
 def cross_fit(dataset: Dataset, plan: SplitPlan) -> Nuisances:
@@ -357,9 +393,10 @@ def _build_result(
 def _weighted_test(selector: str, prepared: Prepared, config: SelectorConfig) -> SelectionResult:
     """Accept candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha."""
-    tensor = prepared.tensor
+    tensor, source = prepared.tensor, prepared.source
     lam = config.resolve_lam(tensor.n)
-    stats = exp_weighted_statistics(tensor, prepared.plan, lam)
+    sorted_rows = None if source is None else source._by_cell
+    stats = exp_weighted_statistics(tensor, prepared.plan, lam, sorted_rows)
     critical = _normal_quantile(1.0 - config.alpha)
     decisions = [
         CandidateDecision(

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from cateselect.datagen import NEAR_TIED_SPECS, NoiseSpec, generate_toy
+from cateselect.datagen import (
+    NEAR_TIED_SPECS,
+    CandidateSet,
+    NoiseSpec,
+    generate_toy,
+    make_candidates,
+)
 from cateselect.harness import (
     _CONFIG_JSON_KEYS,
     ConfigError,
@@ -329,6 +335,30 @@ def test_an_overflowing_worst_candidate_fails_only_the_points_that_hold_it(monke
     ]
     assert three.report.records == []
     _assert_points_run_alone([two])  # three's empty summaries are NaN, never equal
+
+
+def test_a_duplicate_candidate_fails_only_the_points_that_hold_it(monkeypatch):
+    # the fourth candidate copies the third, a zero-variance pair for the
+    # max-statistic tests at p = 4; the p = 3 point reads the leading blocks of
+    # the moments built at p = 4, in which the copy takes no part
+    def duplicating_draw(truth, specs, seed):
+        predictions = make_candidates(truth, specs, seed).predictions.copy()
+        predictions[3:] = predictions[2]
+        return CandidateSet(predictions)
+
+    monkeypatch.setattr(harness, "make_candidates", duplicating_draw)
+    names = ("naive", "bonferroni", "proposed")
+    config = _config(n=400, noise_specs=SWEEP_SPECS[:4], selectors=names, repetitions=2)
+    three, four = sweep(config, "candidate_count", [3, 4])
+    assert three.report.failures == []
+    degenerate = "candidate 2: degenerate pairwise score variance; statistics undefined"
+    assert four.report.failures == [
+        (k, f"{name}: RuntimeError: {degenerate}")
+        for k in range(config.repetitions)
+        for name in ("naive", "bonferroni")
+    ]
+    assert {r.selector for r in four.report.records} == {"proposed"}
+    _assert_points_run_alone([three])
 
 
 def test_register_selector_replaces_the_test_of_a_selector(monkeypatch):

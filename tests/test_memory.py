@@ -1,5 +1,5 @@
-"""Memory guards: traced peaks of the fit and of one repetition, and which
-arrays share memory.
+"""Memory guards: traced peaks of the fit, of one repetition and of a
+one-point selection, and which arrays share memory.
 
 tracemalloc sees every numpy data buffer, so a peak here is the largest sum
 of live arrays (plus small Python objects) during the call, independent of
@@ -16,7 +16,7 @@ from cateselect.datagen import COMPETITIVE_PLUS_INFERIOR_SPECS, generate_toy, ma
 from cateselect.harness import ExperimentConfig, _derived_seeds, _rep_worker, _STREAM_REP
 from cateselect.nuisance import fit
 from cateselect.scores import ScoreTensor
-from cateselect.selectors import prepare, two_way_split
+from cateselect.selectors import SelectorConfig, prepare, select, two_way_split
 
 
 def _traced_peak(call):
@@ -62,6 +62,20 @@ def test_a_power_sweep_repetition_peaks_under_seven_loss_matrices():
     unit = 7 * n * 8
     peak = _traced_peak(lambda: _rep_worker((group, 0, _derived_seeds(0, _STREAM_REP, 0))))
     assert peak <= 7 * unit, f"the repetition peaked at {peak / unit:.2f} loss matrices"
+
+
+def test_a_one_point_select_peaks_under_three_and_a_half_loss_matrices():
+    # bound: the traced peak of this call before cut problems shared their
+    # summaries, 3.35 loss matrices (p=7, n=30 000) rounded up to a half. A
+    # problem that no point cuts keeps no cell-sorted copy of its losses;
+    # keeping one on every problem adds a loss matrix
+    n = 30_000
+    ds, truth = generate_toy(n, (2, 2, 2, 2), seed=0)
+    cands = make_candidates(truth, COMPETITIVE_PLUS_INFERIOR_SPECS, seed=1)
+    config = SelectorConfig(lam=n**0.45)
+    unit = cands.p * n * 8
+    peak = _traced_peak(lambda: select(ds, cands, config, ("proposed", "naive", "bonferroni")))
+    assert peak <= 3.5 * unit, f"select peaked at {peak / unit:.2f} loss matrices"
 
 
 def test_restrict_is_a_read_only_view_of_the_shared_rows():

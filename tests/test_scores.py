@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cateselect
 from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, make_candidates
 from cateselect.nuisance import NuisanceModel, Nuisances
 from cateselect.scores import (
@@ -156,6 +162,33 @@ def test_cov_hat_resolves_near_duplicate_candidates():
     npt.assert_allclose(variance, np.var(diff, ddof=1) / n, rtol=1e-6)
     # exact duplicates still have exactly zero variance
     assert cov_hat(ScoreTensor(losses=np.vstack([base, base])), 0)[0, 0] == 0.0
+
+
+# writes the bytes of every candidate's covariance for a fixed 7 x 30 000 loss matrix
+_COV_HAT_BYTES = """
+import sys
+import numpy as np
+from cateselect.scores import ScoreTensor, cov_hat
+rng = np.random.default_rng(7)
+tensor = ScoreTensor(rng.normal(size=(7, 30_000)) * rng.uniform(0.5, 2.0, size=(7, 1)))
+sys.stdout.buffer.write(b"".join(cov_hat(tensor, m).tobytes() for m in range(tensor.p)))
+"""
+
+
+def test_cov_hat_bits_do_not_depend_on_blas_threads():
+    # each entry is reduced without BLAS, so a record never depends on the
+    # thread count a pool worker's BLAS starts with; at this size a BLAS dot
+    # product's bits differ between one thread and two
+    src = str(Path(cateselect.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = [sys.executable, "-c", _COV_HAT_BYTES]
+        child = subprocess.run(run, env=env, capture_output=True, check=True, timeout=120)
+        outputs.append(child.stdout)
+    assert len(outputs[0]) == 7 * 6 * 6 * 8
+    assert outputs[0] == outputs[1]
 
 
 def test_constant_scores_give_constant_delta_zero_variance():

@@ -608,6 +608,39 @@ def test_select_rejects_a_prepared_problem_that_does_not_fit():
         two_way.restrict(6)
 
 
+_SEVEN_SPECS = (
+    NoiseSpec(0.0, 0.1),
+    NoiseSpec(0.03, 0.1),
+    NoiseSpec(0.05, 0.1),
+    NoiseSpec(0.3, 0.2),
+    NoiseSpec(0.03, 0.3),
+    NoiseSpec(0.3, 0.1),
+    NoiseSpec(0.1, 0.1),
+)
+
+
+@given(seed=st.integers(0, 10_000), p_max=st.integers(3, 7), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_a_cut_problem_reads_bitwise_the_summaries_its_candidates_get_alone(seed, p_max, data):
+    # the cut problem's moments are leading blocks of its source's and its
+    # proposed test copies the source's cell-sorted rows; sub-blocking a BLAS
+    # Gram of every rival instead moved naive moments by 1 ulp at this size
+    p = data.draw(st.integers(2, p_max - 1))
+    ds, truth, cands, sel_seed = _toy_problem(n=400, specs=_SEVEN_SPECS[:p_max], seed=seed)
+    config = SelectorConfig(seed=sel_seed)
+    plan = selectors._draw_plan(2, ds.n, config)
+    nuisances = selectors.cross_fit(ds, plan)
+    cut = prepare(ds, cands, plan, nuisances).restrict(p)
+    first = CandidateSet(cands.predictions[:p])
+    alone = prepare(ds, first, plan, nuisances)
+    for (delta_cut, sigma_cut), (delta, sigma) in zip(cut.moments, alone.moments, strict=True):
+        assert delta_cut.tobytes() == delta.tobytes()
+        assert sigma_cut.tobytes() == sigma.tobytes()
+    names = ("proposed", "naive", "bonferroni")
+    on_cut = select(ds, first, config, names, prepared=cut)
+    assert on_cut == select(ds, first, config, names, prepared=alone)
+
+
 @pytest.mark.parametrize(
     "names, message",
     [
