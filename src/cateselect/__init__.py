@@ -2,61 +2,52 @@
 
 The package namespace holds what the README's examples and studies use;
 everything else (the nuisance fit, the score tensor and its moments, the
-report types) lives in its module.
+report types) lives in its module. Each name is imported from its module on
+first use, so ``import cateselect`` loads no numpy: the command-line entry
+(``__main__.entry``) must choose the BLAS thread count before numpy starts.
 """
 
-from .datagen import (
-    COMPETITIVE_PLUS_INFERIOR_SPECS,
-    NEAR_TIED_SPECS,
-    CandidateSet,
-    Dataset,
-    NoiseSpec,
-    generate_toy,
-    ingest_dataset,
-    ingest_predictions,
-    make_candidates,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    clt_diagnostic,
-    load_experiment_config,
-    run_experiment,
-    stability_diagnostic,
-    sweep,
-)
-from .nuisance import Nuisances
-from .selectors import (
-    SelectorConfig,
-    prepare,
-    select,
-    single_layer_split,
-    two_way_split,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMPETITIVE_PLUS_INFERIOR_SPECS",
-    "NEAR_TIED_SPECS",
-    "CandidateSet",
-    "ConfigError",
-    "Dataset",
-    "ExperimentConfig",
-    "NoiseSpec",
-    "Nuisances",
-    "SelectorConfig",
-    "clt_diagnostic",
-    "generate_toy",
-    "ingest_dataset",
-    "ingest_predictions",
-    "load_experiment_config",
-    "make_candidates",
-    "prepare",
-    "run_experiment",
-    "select",
-    "single_layer_split",
-    "stability_diagnostic",
-    "sweep",
-    "two_way_split",
-]
+# each exported name and the module that defines it, in __all__'s order
+_MODULE_OF = {
+    "COMPETITIVE_PLUS_INFERIOR_SPECS": "datagen",
+    "NEAR_TIED_SPECS": "datagen",
+    "CandidateSet": "datagen",
+    "ConfigError": "harness",
+    "Dataset": "datagen",
+    "ExperimentConfig": "harness",
+    "NoiseSpec": "datagen",
+    "Nuisances": "nuisance",
+    "SelectorConfig": "selectors",
+    "clt_diagnostic": "harness",
+    "generate_toy": "datagen",
+    "ingest_dataset": "datagen",
+    "ingest_predictions": "datagen",
+    "load_experiment_config": "harness",
+    "make_candidates": "datagen",
+    "prepare": "selectors",
+    "run_experiment": "harness",
+    "select": "selectors",
+    "single_layer_split": "selectors",
+    "stability_diagnostic": "harness",
+    "sweep": "harness",
+    "two_way_split": "selectors",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

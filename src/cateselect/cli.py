@@ -263,10 +263,3 @@ def cli(argv: list[str] | None = None) -> int:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-
-def entry() -> None:
-    sys.exit(cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    entry()

@@ -324,7 +324,8 @@ class Prepared:
     @cached_property
     def _by_cell(self) -> np.ndarray:
         """The losses sorted by cell, gathered once and read-only: kept only by
-        a problem that cut problems read them from."""
+        a problem that cut problems read them from, whose own proposed test
+        then reads them too."""
         by_cell = self.tensor.losses[:, self.plan.cell_order[0]]
         by_cell.setflags(write=False)
         return by_cell
@@ -395,7 +396,10 @@ def _weighted_test(selector: str, prepared: Prepared, config: SelectorConfig) ->
     one-sided normal critical value at level alpha."""
     tensor, source = prepared.tensor, prepared.source
     lam = config.resolve_lam(tensor.n)
-    sorted_rows = None if source is None else source._by_cell
+    if source is not None:
+        sorted_rows = source._by_cell
+    else:  # the copy a cut problem of this one sorted, if one did; an uncut problem keeps none
+        sorted_rows = prepared.__dict__.get("_by_cell")
     stats = exp_weighted_statistics(tensor, prepared.plan, lam, sorted_rows)
     critical = _normal_quantile(1.0 - config.alpha)
     decisions = [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cateselect
+from cateselect.__main__ import BLAS_THREAD_VARIABLES
 from cateselect.cli import cli
 from cateselect.datagen import (
     COMPETITIVE_PLUS_INFERIOR_SPECS,
@@ -409,6 +410,77 @@ def test_select_into_closed_pipe_exits_2_silently(tmp_path):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+# --- the command's entry: one BLAS thread unless the user chose a count ---------
+
+_BLAS_THREADS = """
+import ctypes, re, runpy, sys
+sys.argv = ["cateselect", *sys.argv[1:]]
+try:
+    runpy.run_module("cateselect", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+try:
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        maps = f.read()
+except OSError:  # no procfs: the library cannot be found
+    maps = ""
+for lib in sorted(set(re.findall(r"\\S*openblas\\S*\\.so\\S*", maps))):
+    dll = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        fn = getattr(dll, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            print(fn(), file=sys.stderr)
+            sys.exit(0)
+print("none", file=sys.stderr)
+"""
+
+
+def _entry_env(**threads):
+    """``_src_env`` with none of OpenBLAS's thread-count variables, then ``threads``."""
+    env = {k: v for k, v in _src_env().items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, **threads}
+
+
+def test_python_m_select_prints_the_bytes_of_an_in_process_call(tmp_path, capsys):
+    inputs = [*_write_select_inputs(tmp_path), "--selectors", "proposed,naive,bonferroni,ablation"]
+    environ = dict(os.environ)
+    assert cli(["select", *inputs]) == 0
+    assert dict(os.environ) == environ  # a library call sets no BLAS thread count
+    in_process = capsys.readouterr().out.encode()
+    child = subprocess.run(
+        [sys.executable, "-m", "cateselect", "select", *inputs], env=_entry_env(), capture_output=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == in_process
+
+
+@pytest.mark.parametrize(
+    "threads, expected", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)], ids=["unset", "two"]
+)
+def test_the_command_runs_one_blas_thread_unless_the_user_sets_a_count(tmp_path, threads, expected):
+    inputs = [*_write_select_inputs(tmp_path), "--selectors", "bonferroni"]
+    child = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS, "select", *inputs],
+        env=_entry_env(**threads),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    reported = child.stderr.strip()
+    if reported == "none":
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    # OpenBLAS runs at most one thread per CPU it may use
+    assert int(reported) == min(expected, len(os.sched_getaffinity(0)))
+
+
+def test_importing_the_cli_sets_no_environment_variable():
+    code = "import os; before = dict(os.environ); import cateselect.cli; print(dict(os.environ) == before)"
+    out = subprocess.run([sys.executable, "-c", code], env=_entry_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def _command_argv(tmp_path, command, out, **config):

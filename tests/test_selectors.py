@@ -641,6 +641,32 @@ def test_a_cut_problem_reads_bitwise_the_summaries_its_candidates_get_alone(seed
     assert on_cut == select(ds, first, config, names, prepared=alone)
 
 
+def test_a_cut_problems_source_reads_the_cell_sorted_copy_and_an_uncut_one_keeps_none(monkeypatch):
+    # a sweep runs its largest point last, on the problem its smaller points
+    # were cut from: that point's proposed test copies the losses the cut
+    # points sorted by cell instead of gathering them again
+    ds, truth, cands, sel_seed = _toy_problem(n=400, specs=_SEVEN_SPECS)
+    config = SelectorConfig(seed=sel_seed)
+    plan = selectors._draw_plan(2, ds.n, config)
+    nuisances = selectors.cross_fit(ds, plan)
+    uncut = prepare(ds, cands, plan, nuisances)
+    expected = select(ds, cands, config, ("proposed", "naive"), prepared=uncut)
+    assert "_by_cell" not in uncut.__dict__
+    source = prepare(ds, cands, plan, nuisances)
+    _weighted_test("proposed", source.restrict(3), config)
+    read = []
+    real = selectors.exp_weighted_statistics
+
+    def spy(tensor, plan, lam, sorted_rows=None):
+        read.append(sorted_rows)
+        return real(tensor, plan, lam, sorted_rows)
+
+    monkeypatch.setattr(selectors, "exp_weighted_statistics", spy)
+    on_source = select(ds, cands, config, ("proposed", "naive"), prepared=source)
+    assert len(read) == 1 and read[0] is source._by_cell
+    assert json.dumps([r.to_dict() for r in on_source]) == json.dumps([r.to_dict() for r in expected])
+
+
 @pytest.mark.parametrize(
     "names, message",
     [
