@@ -1,9 +1,9 @@
 """Ground-truth-free selection of the best CATE estimator from a candidate set.
 
-The package namespace holds what the README's examples and studies use;
-everything else (the nuisance fit, the score tensor and its moments, the
-report types) lives in its module. Each name is imported from its module on
-first use, so ``import cateselect`` loads no numpy: the command-line entry
+The package namespace holds what the README's examples and studies use, among
+them the study runners of ``harness`` and the toy studies of ``diagnostics``;
+the rest lives in its module. Each name is imported from its module on first
+use, so ``import cateselect`` loads no numpy: the command-line entry
 (``__main__.entry``) must choose the BLAS thread count before numpy starts.
 """
 
@@ -22,7 +22,7 @@ _MODULE_OF = {
     "NoiseSpec": "datagen",
     "Nuisances": "nuisance",
     "SelectorConfig": "selectors",
-    "clt_diagnostic": "harness",
+    "clt_diagnostic": "diagnostics",
     "generate_toy": "datagen",
     "ingest_dataset": "datagen",
     "ingest_predictions": "datagen",
@@ -32,7 +32,7 @@ _MODULE_OF = {
     "run_experiment": "harness",
     "select": "selectors",
     "single_layer_split": "selectors",
-    "stability_diagnostic": "harness",
+    "stability_diagnostic": "diagnostics",
     "sweep": "harness",
     "two_way_split": "selectors",
 }

@@ -9,10 +9,10 @@ Subcommands:
 * ``select``: one-shot selection on an ingested dataset/prediction pair,
   printing the selection result as JSON. Selectors that share a split
   layout share its split, nuisance fits and loss matrix.
-* ``diagnose clt`` and ``diagnose stability``: normality and
-  perturbation-stability diagnostics, written as JSON plus CSV. Both score
-  on the config's split layout: the two-way split when any selector uses
-  it, the one-fold split for an ablation-only config.
+* ``diagnose clt`` and ``diagnose stability``: the normality and
+  perturbation-stability studies of the ``diagnostics`` module, written as
+  JSON plus CSV. Both score on the config's split layout: the two-way split
+  when any selector uses it, the one-fold split for an ablation-only config.
 
 A study's settings live in its config file: the study commands' flags only
 name it, place its output and size the run, and ``select``, which has no
@@ -36,10 +36,8 @@ from .datagen import ingest_dataset, ingest_predictions, write_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    clt_diagnostic,
     load_experiment_config,
     run_experiment,
-    stability_diagnostic,
     strict_json,
     sweep,
     write_json,
@@ -194,10 +192,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace) -> int:
+    # imported here, as in _cmd_stability: no other command runs a diagnostic
+    from .diagnostics import clt_diagnostic
+
     config = load_experiment_config(args.config)
     report = clt_diagnostic(config, datasets=args.datasets, bootstrap_draws=args.bootstrap)
     out = Path(args.out)
-    write_json(out / "clt.json", report.to_dict())
+    write_json(out / "clt.json", dataclasses.asdict(report))
     write_csv(
         out / "clt_pairs.csv",
         ["dataset", "r", "s", "ks_p", "adjusted_p"],
@@ -213,6 +214,8 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    from .diagnostics import stability_diagnostic
+
     config = load_experiment_config(args.config)
     try:
         grid = [int(v) for v in args.grid.split(",") if v.strip()]
@@ -220,7 +223,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot parse stability grid {args.grid!r}") from exc
     report = stability_diagnostic(grid, config, probes=args.probes)
     out = Path(args.out)
-    write_json(out / "stability.json", report.to_dict())
+    write_json(out / "stability.json", dataclasses.asdict(report))
     write_csv(
         out / "stability.csv", ["n", "delta1", "delta2"], zip(report.n_grid, report.delta1, report.delta2)
     )

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment driver: repeated simulations, sweeps, diagnostics.
+"""Monte Carlo experiment driver: repeated simulations and sweeps.
 
 Every repetition derives its own seeds from ``(experiment seed, repetition
 index)``, generates one dataset plus candidate set, and prepares from that
@@ -54,20 +54,15 @@ from .selectors import (
     SplitPlan,
     check_selector_names,
     cross_fit,
-    exp_weighted_statistics,
     prepare,
     _draw_plan,
 )
 
 _STREAM_REP = 1
-_STREAM_CLT = 2
-_STREAM_CLT_BOOT = 3
-_STREAM_STABILITY = 4
 _STREAM_CI = 5
 
 CI_RESAMPLES = 2000
 CI_LEVEL = 0.95
-KS_LEVEL = 0.05
 
 
 class ConfigError(ValueError):
@@ -529,240 +524,3 @@ def sweep(
     # the candidate-count points are one group: each repetition is drawn once
     groups = [subs] if axis == "candidate_count" else [[sub] for sub in subs]
     return [SweepPoint(*point) for point in zip(values, _run(groups, config.workers))]
-
-
-def bootstrap_standardized_means(
-    values: np.ndarray, draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Studentized bootstrap statistics of the mean of ``values``.
-
-    Each draw resamples with replacement, recenters at the original mean,
-    and studentizes by the resample's own standard error.
-    """
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    idx = rng.integers(0, n, size=(draws, n))
-    samples = arr[idx]
-    means = samples.mean(axis=1)
-    sds = samples.std(axis=1, ddof=1)
-    return (means - arr.mean()) / (sds / np.sqrt(n))
-
-
-def _kstest() -> Callable:
-    """scipy's ``kstest``, imported on first call: scipy is slow to import,
-    and only ``diagnose clt`` needs it. Without scipy (the ``diagnose`` extra)
-    this raises ``ConfigError``."""
-    try:
-        from scipy.stats import kstest
-    except ImportError as exc:
-        raise ConfigError("diagnose clt needs scipy: pip install cateselect[diagnose]") from exc
-    return kstest
-
-
-def ks_pair_pvalues(
-    tensor, bootstrap_draws: int, rng: np.random.Generator
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, int]]]:
-    """KS p-values of bootstrapped standardized means, one per candidate pair.
-
-    Pairs with (numerically) constant scores cannot be standardized and are
-    returned in the skip list instead.
-    """
-    kstest = _kstest()
-    tested: list[tuple[int, int, float]] = []
-    skipped: list[tuple[int, int]] = []
-    for r in range(tensor.p):
-        for s in range(r + 1, tensor.p):
-            scores = tensor.losses[r] - tensor.losses[s]
-            if np.var(scores) < 1e-30:
-                skipped.append((r, s))
-                continue
-            stats = bootstrap_standardized_means(scores, bootstrap_draws, rng)
-            tested.append((r, s, float(kstest(stats, "norm").pvalue)))
-    return tested, skipped
-
-
-@dataclass
-class CltReport:
-    """KS-based check that standardized pair statistics look Gaussian."""
-
-    datasets: int
-    bootstrap_draws: int
-    ks_level: float
-    rejection_share: float
-    per_dataset: list[dict[str, Any]]
-    skipped: list[tuple[int, int, int]]
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-def clt_diagnostic(
-    config: ExperimentConfig,
-    datasets: int = 100,
-    bootstrap_draws: int = 500,
-) -> CltReport:
-    """Bootstrap each candidate pair's standardized mean and KS-test it.
-
-    Per simulated dataset, scored on the study's split layout
-    (``config.layout``): resample the per-unit pairwise scores, recenter
-    and studentize, test the draws against N(0, 1), Bonferroni-adjust the
-    p-values across pairs, and flag the dataset when any adjusted p-value
-    falls below ``KS_LEVEL``. Pairs with constant scores are skipped and
-    noted.
-    """
-    if datasets < 1:
-        raise ConfigError(f"datasets must be at least 1, got {datasets}")
-    if bootstrap_draws < 1:
-        raise ConfigError(f"bootstrap draws must be at least 1, got {bootstrap_draws}")
-    _kstest()  # a missing scipy fails here, before any dataset is drawn
-    per_dataset = []
-    skipped: list[tuple[int, int, int]] = []
-    flags = np.zeros(datasets, dtype=bool)
-    for d in range(datasets):
-        data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_CLT, d)
-        dataset, truth = generate_toy(config.n, config.dims, data_seed)
-        candidates = make_candidates(truth, config.noise_specs, cand_seed)
-        plan = _draw_plan(config.layout, config.n, config.selector_config(sel_seed))
-        tensor = prepare(dataset, candidates, plan).tensor
-        boot_rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _STREAM_CLT_BOOT, d])
-        )
-        raw, skipped_pairs = ks_pair_pvalues(tensor, bootstrap_draws, boot_rng)
-        skipped.extend((d, r, s) for r, s in skipped_pairs)
-        tested = len(raw)
-        pairs = [
-            {"r": r, "s": s, "ks_p": p, "adjusted_p": min(1.0, p * tested)} for r, s, p in raw
-        ]
-        min_adjusted = min((pair["adjusted_p"] for pair in pairs), default=float("nan"))
-        flags[d] = bool(pairs) and min_adjusted < KS_LEVEL
-        per_dataset.append(
-            {
-                "dataset": d,
-                "tested_pairs": tested,
-                "min_adjusted_p": min_adjusted,
-                "rejected": bool(flags[d]),
-                "pairs": pairs,
-            }
-        )
-    return CltReport(
-        datasets=datasets,
-        bootstrap_draws=bootstrap_draws,
-        ks_level=KS_LEVEL,
-        rejection_share=float(flags.mean()),
-        per_dataset=per_dataset,
-        skipped=skipped,
-    )
-
-
-@dataclass
-class StabilityReport:
-    """Replace-one and replace-two perturbation sizes of the weighted scores.
-
-    ``delta1``/``delta2`` hold, per grid point, the square root of the
-    largest probed mean squared first/second order perturbation; the slopes
-    are fitted to the squared quantities on a log-log scale.
-    """
-
-    n_grid: tuple[int, ...]
-    delta1: tuple[float, ...]
-    delta2: tuple[float, ...]
-    slope_delta1_sq: float
-    slope_delta2_sq: float
-    probes_per_point: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-def stability_diagnostic(
-    n_grid: list[int],
-    config: ExperimentConfig,
-    probes: int = 50,
-) -> StabilityReport:
-    """Measure how much one (or two) replaced units move the weighted scores.
-
-    For each probe a unit is swapped for a fresh draw from the same design
-    and the full pipeline (nuisance fits, scores, weights) is recomputed on
-    the study's split layout (``config.layout``); the per-unit weighted
-    scores of all other units are compared before and after. Second-order
-    probes replace two units separately and jointly and take the mixed
-    difference.
-    """
-    if len(n_grid) < 3:
-        raise ConfigError("stability grid needs at least three sizes")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigError("stability grid must be strictly increasing")
-    try:
-        dataclasses.replace(config, n=n_grid[0])  # the smallest size
-    except ValueError as exc:
-        raise ConfigError(f"stability grid size {n_grid[0]}: {exc}") from exc
-    if probes < 1:
-        raise ConfigError(f"probes must be at least 1, got {probes}")
-    first_sq = []
-    second_sq = []
-    for n in n_grid:
-        data_seed, cand_seed, sel_seed = _derived_seeds(config.seed, _STREAM_STABILITY, n)
-        pool = 3 * probes
-        dataset_full, truth_full = generate_toy(n + pool, config.dims, data_seed)
-        preds_full = make_candidates(truth_full, config.noise_specs, cand_seed).predictions
-        lam = config.selector_config(sel_seed).resolve_lam(n)
-
-        # the split depends only on n, the layout and the seed: every refit shares it
-        plan = _draw_plan(config.layout, n, config.selector_config(sel_seed))
-
-        def q_with(replacements: dict[int, int]) -> np.ndarray:
-            rows = np.arange(n)
-            for j, src in replacements.items():
-                rows[j] = src
-            dataset = Dataset(
-                x=dataset_full.x[rows], t=dataset_full.t[rows], y=dataset_full.y[rows]
-            )
-            candidates = CandidateSet(preds_full[:, rows])
-            tensor = prepare(dataset, candidates, plan).tensor
-            return exp_weighted_statistics(tensor, plan, lam).q_matrix
-
-        q_base = q_with({})
-        probe_rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _STREAM_STABILITY, n, 1])
-        )
-
-        estimates1 = []
-        for k in range(probes):
-            j = int(probe_rng.integers(n))
-            diff = q_with({j: n + k}) - q_base
-            same_major = (plan.major == plan.major[j]) & (plan.inner != plan.inner[j])
-            cross = plan.major != plan.major[j]
-            cases = [diff[same_major], diff[cross]]
-            estimates1.append(max(float(np.mean(c**2)) for c in cases if c.size))
-        first_sq.append(max(estimates1))
-
-        estimates2 = []
-        for k in range(probes):
-            j, l = (int(v) for v in probe_rng.choice(n, size=2, replace=False))
-            src_j = n + probes + 2 * k
-            src_l = src_j + 1
-            mixed = (
-                q_base
-                - q_with({j: src_j})
-                - q_with({l: src_l})
-                + q_with({j: src_j, l: src_l})
-            )
-            keep = np.ones(n, dtype=bool)
-            keep[[j, l]] = False
-            estimates2.append(float(np.mean(mixed[keep] ** 2)))
-        second_sq.append(max(estimates2))
-
-    def _slope(values: list[float]) -> float:
-        arr = np.asarray(values)
-        if np.any(arr <= 0):
-            return float("nan")
-        return float(np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(arr), 1)[0])
-
-    return StabilityReport(
-        n_grid=tuple(int(v) for v in n_grid),
-        delta1=tuple(float(np.sqrt(v)) for v in first_sq),
-        delta2=tuple(float(np.sqrt(v)) for v in second_sq),
-        slope_delta1_sq=_slope(first_sq),
-        slope_delta2_sq=_slope(second_sq),
-        probes_per_point=probes,
-    )

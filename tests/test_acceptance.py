@@ -16,13 +16,12 @@ from cateselect.datagen import (
     generate_toy,
     make_candidates,
 )
+from cateselect.diagnostics import clt_diagnostic, stability_diagnostic
 from cateselect.harness import (
     ExperimentConfig,
     _derived_seeds,
-    clt_diagnostic,
     percentile_ci,
     run_experiment,
-    stability_diagnostic,
     sweep,
 )
 from cateselect.nuisance import Nuisances

@@ -18,7 +18,7 @@ from cateselect.datagen import (
     make_candidates,
 )
 from cateselect.datagen import ingest_dataset, ingest_predictions, write_dataset_csv, write_predictions_csv
-from cateselect import harness, selectors
+from cateselect import diagnostics, selectors
 from cateselect.harness import strict_json
 from cateselect.nuisance import NuisanceModel
 from cateselect.selectors import SelectorConfig, select
@@ -285,7 +285,7 @@ def test_diagnose_clt_without_scipy_exits_1_before_drawing(tmp_path, capsys, mon
     def no_draw(*args, **kwargs):
         raise AssertionError("a dataset was drawn before scipy was imported")
 
-    monkeypatch.setattr(harness, "generate_toy", no_draw)
+    monkeypatch.setattr(diagnostics, "generate_toy", no_draw)
     out = tmp_path / "diag"
     code = cli(["diagnose", "clt", "--config", str(_write_config(tmp_path)), "--out", str(out)])
     assert code == 1

@@ -8,7 +8,6 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
 
 from cateselect.datagen import (
     NEAR_TIED_SPECS,
@@ -21,19 +20,15 @@ from cateselect.harness import (
     _CONFIG_JSON_KEYS,
     ConfigError,
     ExperimentConfig,
-    bootstrap_standardized_means,
-    clt_diagnostic,
     experiment_config_from_dict,
     experiment_config_to_dict,
-    ks_pair_pvalues,
     load_experiment_config,
     run_experiment,
-    stability_diagnostic,
     sweep,
     write_per_rep_csv,
 )
+from cateselect.diagnostics import clt_diagnostic, stability_diagnostic
 from cateselect.nuisance import NuisanceModel, fit, min_arm_units
-from cateselect.scores import ScoreTensor
 from cateselect import harness, selectors
 from cateselect.selectors import CandidateDecision, SelectionResult, two_way_split
 
@@ -614,29 +609,6 @@ def test_missing_config_file_names_path(tmp_path):
 # --- CLT diagnostics ---------------------------------------------------------
 
 
-def test_bootstrap_ks_calibrated_on_gaussian_scores():
-    # injecting genuinely Gaussian scores: the KS test at level 0.05 should
-    # reject about 5% of the time
-    rng = np.random.default_rng(314159)
-    rejects = 0
-    for _ in range(100):
-        values = rng.standard_normal(500)
-        stats = bootstrap_standardized_means(values, 500, rng)
-        rejects += kstest(stats, "norm").pvalue < 0.05
-    assert 0.02 <= rejects / 100 <= 0.08
-
-
-def test_ks_pair_scan_skips_constant_scores():
-    n = 50
-    losses = np.zeros((3, n))
-    losses[0] = np.random.default_rng(1).standard_normal(n)
-    # candidates 1 and 2 share their losses, so pair (1, 2) is exactly constant
-    tensor = ScoreTensor(losses=losses)
-    tested, skipped = ks_pair_pvalues(tensor, 200, np.random.default_rng(2))
-    assert [(r, s) for r, s, _ in tested] == [(0, 1), (0, 2)]
-    assert skipped == [(1, 2)]
-
-
 def test_clt_diagnostic_smoke():
     config = ExperimentConfig(
         n=400, noise_specs=SPECS, selectors=("proposed",),
@@ -646,7 +618,7 @@ def test_clt_diagnostic_smoke():
     assert report.datasets == 3
     assert 0.0 <= report.rejection_share <= 1.0
     assert all(entry["tested_pairs"] == 3 for entry in report.per_dataset)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     assert set(payload) >= {"rejection_share", "per_dataset", "skipped"}
 
 
