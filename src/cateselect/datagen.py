@@ -340,7 +340,8 @@ def _read_table(
     ``usable``, is re-read row by row, so errors name the offending line;
     that parser skips blank rows and takes only 0 or 1 in a column ``t``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _csv_rows(fh, path)
         header = next(records, None)
         if header is None:

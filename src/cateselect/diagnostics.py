@@ -66,7 +66,7 @@ def clt_check(
     ``KS_LEVEL``, and the pairs skipped because their scores are
     (numerically) constant and cannot be standardized."""
     kstest = _kstest()
-    losses = problem.tensor.losses
+    losses = problem.losses
     raw: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int]] = []
     for r, s in itertools.combinations(range(len(losses)), 2):
@@ -153,8 +153,8 @@ def stability_check(
         for j, src in replacements.items():
             rows[j] = src
         sample = Dataset(x=dataset.x[rows], t=dataset.t[rows], y=dataset.y[rows])
-        tensor = prepare(sample, CandidateSet(candidates.predictions[:, rows]), plan).tensor
-        return exp_weighted_statistics(tensor, plan, lam).q_matrix
+        problem = prepare(sample, CandidateSet(candidates.predictions[:, rows]), plan)
+        return exp_weighted_statistics(problem, lam).q_matrix
 
     q_base = q_with({})
     estimates1 = []

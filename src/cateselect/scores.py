@@ -16,69 +16,16 @@ centres them in place. ``delta_hat`` and ``cov_hat`` return plain arrays, the
 mean gaps of one candidate against each rival and the covariance of those
 means. Both reduce each entry over the units on its own, without BLAS, so
 the entries of the first k rivals are bitwise those of a problem with only
-them, at any BLAS thread count. A tensor owns its read-only loss matrix:
-built from a caller's array it holds a copy, while ``build_score_tensor``
-hands over the matrix it has just filled and ``ScoreTensor.head`` a view of
-the first rows.
+them, at any BLAS thread count. ``build_score_tensor`` returns the
+matrix read-only; ``selectors.Prepared`` checks it and keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .datagen import CandidateSet, Dataset, _readonly
+from .datagen import CandidateSet, Dataset
 from .nuisance import Nuisances
-
-
-def _checked(losses: np.ndarray) -> np.ndarray:
-    """``losses`` as a float array, which must be a finite (p, n) matrix."""
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2:
-        raise ValueError("candidate losses must have shape (p, n)")
-    if not np.all(np.isfinite(losses)):
-        raise ValueError("candidate losses must be finite")
-    return losses
-
-
-@dataclass(frozen=True)
-class ScoreTensor:
-    """Per-unit candidate losses: ``losses[r, i] = tau_r[i]^2 - 2 tau_r[i] gamma[i]``.
-
-    The loss matrix is the only form of the scores: the score of r against s
-    on unit i is ``losses[r, i] - losses[s, i]``, formed where it is used.
-    Every loss must be finite, so no statistic built from them is NaN. A
-    tensor built from a caller's array holds a read-only copy of it.
-    """
-
-    losses: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "losses", _readonly(_checked(self.losses)))
-
-    @classmethod
-    def _over(cls, losses: np.ndarray) -> ScoreTensor:
-        """A tensor over ``losses`` itself, set read-only in place: for a
-        checked matrix that no caller holds, such as one this module has just
-        built or a view of a tensor's rows."""
-        losses.setflags(write=False)
-        tensor = object.__new__(cls)
-        object.__setattr__(tensor, "losses", losses)
-        return tensor
-
-    def head(self, p: int) -> ScoreTensor:
-        """The losses of the first ``p`` candidates, a read-only view of
-        these rows."""
-        return ScoreTensor._over(self.losses[:p])
-
-    @property
-    def p(self) -> int:
-        return self.losses.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.losses.shape[1]
 
 
 def pseudo_outcomes(dataset: Dataset, nuisances: Nuisances) -> np.ndarray:
@@ -92,37 +39,40 @@ def pseudo_outcomes(dataset: Dataset, nuisances: Nuisances) -> np.ndarray:
 
 def build_score_tensor(
     dataset: Dataset, candidates: CandidateSet, nuisances: Nuisances
-) -> ScoreTensor:
-    """Score every candidate on every unit by its doubly robust loss."""
+) -> np.ndarray:
+    """Score every candidate on every unit by its doubly robust loss:
+    ``losses[r, i] = tau_r[i]^2 - 2 tau_r[i] gamma[i]``, a read-only p x n
+    matrix."""
     if candidates.n != dataset.n:
         raise ValueError("candidate predictions must cover every dataset unit")
     gamma = pseudo_outcomes(dataset, nuisances)
     preds = candidates.predictions
-    # overflowing losses are rejected by the finiteness check; one row at a
-    # time, the build holds no second p x n temporary, and the tensor keeps
-    # this matrix rather than a copy
+    # overflowing losses are rejected by ``Prepared``'s finiteness check; one
+    # row at a time, the build holds no second p x n temporary, and a problem
+    # keeps this matrix rather than a copy
     with np.errstate(over="ignore", invalid="ignore"):
         losses = preds**2
         for loss, pred in zip(losses, preds):
             loss -= 2.0 * pred * gamma
-    return ScoreTensor._over(_checked(losses))
+    losses.setflags(write=False)
+    return losses
 
 
-def _rival_scores(tensor: ScoreTensor, m: int) -> np.ndarray:
-    """Per-unit scores of candidate ``m`` against each rival, shape (p - 1, n),
-    in a new array."""
-    if tensor.n < 2:
+def _rival_scores(losses: np.ndarray, m: int) -> np.ndarray:
+    """Per-unit scores of candidate ``m`` against each rival in the p x n
+    ``losses``, shape (p - 1, n), in a new array."""
+    if losses.shape[1] < 2:
         raise ValueError("need at least two units to summarize scores")
-    scores = tensor.losses[[s for s in range(tensor.p) if s != m]]
-    return np.subtract(tensor.losses[m], scores, out=scores)
+    scores = losses[[s for s in range(len(losses)) if s != m]]
+    return np.subtract(losses[m], scores, out=scores)
 
 
-def delta_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
+def delta_hat(losses: np.ndarray, m: int) -> np.ndarray:
     """Mean score of candidate ``m`` against each rival, in rival order."""
-    return _rival_scores(tensor, m).mean(axis=1)
+    return _rival_scores(losses, m).mean(axis=1)
 
 
-def cov_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
+def cov_hat(losses: np.ndarray, m: int) -> np.ndarray:
     """Covariance of the mean score vector for candidate ``m``.
 
     Sample covariance (ddof=1) of the per-unit score vectors divided by n,
@@ -137,9 +87,10 @@ def cov_hat(tensor: ScoreTensor, m: int) -> np.ndarray:
     leading block of the first k rivals is bitwise the covariance those
     rivals alone get, and no BLAS thread count changes a bit.
     """
-    scores = _rival_scores(tensor, m)
+    scores = _rival_scores(losses, m)
     scores -= scores.mean(axis=1, keepdims=True)
     gram = np.empty((len(scores), len(scores)))
     for s, row in enumerate(scores):
         gram[s, : s + 1] = gram[: s + 1, s] = np.einsum("j,ij->i", row, scores[: s + 1])
-    return gram / (tensor.n - 1) / tensor.n
+    n = losses.shape[1]
+    return gram / (n - 1) / n

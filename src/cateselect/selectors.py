@@ -6,8 +6,8 @@ tests the same thing, the cross-fitted doubly robust scores of one
 inner folds); only the statistic on top of them differs. ``prepare`` builds
 that problem once per plan: ``cross_fit``'s one nuisance fit per major fold,
 whose predictions fill the other fold's units, then the p x n per-unit loss
-matrix from ``scores.build_score_tensor``.
-Each selector is a test over the resulting ``Prepared``, listed in ``TAILS``
+matrix from ``scores.build_score_tensor``, kept as ``Prepared(plan, losses)``.
+Each selector is a test over that problem, listed in ``TAILS``
 under its name, and ``select`` is the one way to run them: it prepares each
 split layout it is asked for once and runs every named selector on that
 layout before preparing the next, or runs them on a problem the caller
@@ -52,7 +52,7 @@ import numpy as np
 
 from .datagen import CandidateSet, Dataset, _readonly
 from .nuisance import Nuisances, fit
-from .scores import ScoreTensor, build_score_tensor, cov_hat, delta_hat
+from .scores import build_score_tensor, cov_hat, delta_hat
 
 _NAIVE_STREAM = 0x5EED01
 _NAIVE_DRAWS = 2000  # Gaussian draws behind each naive critical value
@@ -201,29 +201,19 @@ class ProposedStatistics:
     weights: np.ndarray
 
 
-def exp_weighted_statistics(
-    tensor: ScoreTensor, plan: SplitPlan, lam: float, sorted_rows: np.ndarray | None = None
-) -> ProposedStatistics:
+def exp_weighted_statistics(problem: Prepared, lam: float) -> ProposedStatistics:
     """Aggregate pairwise scores into one studentized statistic per candidate.
 
-    The cells are the inner folds, ordered by major fold, then inner fold;
-    each scores its units with the softmax weights learned on the rest of
-    its major fold. One gather sorts the losses by cell, into a column-major
-    copy (numpy's layout for ``losses[:, order]``); a weight set's mean is
-    its fold's sum minus the cell's own sum, over the fold's size minus the
-    cell's. ``sorted_rows``, when given, are a larger problem's losses
-    already sorted by cell, whose first p rows are this tensor's: the call
-    copies them in their own layout instead of gathering, and every bit is
-    the same.
+    The cells are the inner folds of the problem's plan, ordered by major
+    fold, then inner fold; each scores its units with the softmax weights
+    learned on the rest of its major fold. The losses are taken sorted by
+    cell (``Prepared._sorted_copy``); a weight set's mean is its fold's sum
+    minus the cell's own sum, over the fold's size minus the cell's.
     """
-    p, n = tensor.p, tensor.n
-    if plan.n != n:
-        raise ValueError("the split must cover every unit")
+    plan = problem.plan
+    p, n = problem.losses.shape
     order, bounds = plan.cell_order
-    if sorted_rows is None:
-        by_cell = tensor.losses[:, order]
-    else:
-        by_cell = np.copy(sorted_rows[:p], order="K")
+    by_cell = problem._sorted_copy()
     shape = (plan.groups, _INNER_FOLDS)
     sums = np.add.reduceat(by_cell, bounds[:-1], axis=1).reshape(p, *shape)
     sizes = np.diff(bounds).reshape(shape)
@@ -294,16 +284,41 @@ class SelectionResult:
         }
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """Whether nothing can write to ``a`` as it is: C-contiguous and read-only,
+    as is every array its memory is borrowed from, down to the owner."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    return a.flags.c_contiguous and owner is None
+
+
 @dataclass(frozen=True)
 class Prepared:
-    """One split layout's scored problem: the plan and the p x n loss matrix
-    of its cross-fitted doubly robust scores, which every selector on that
-    layout tests. ``source`` is the problem ``restrict`` cut this one from,
-    whose summaries it reads, or None."""
+    """One split layout's scored problem, which every selector on that layout
+    tests: the plan and the p x n matrix of its cross-fitted doubly robust
+    losses, 2-D, finite (so no statistic built from it is NaN) and with one
+    column per unit of the plan. It is kept read-only and C-contiguous: one
+    that nothing can write to as it is, as ``prepare``'s and the rows
+    ``restrict`` cuts are, is kept itself, and any other is copied. ``source``
+    is the problem ``restrict`` cut this one from, whose summaries it reads,
+    or None."""
 
     plan: SplitPlan
-    tensor: ScoreTensor
+    losses: np.ndarray
     source: Prepared | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        losses = np.asarray(self.losses, dtype=float)
+        if losses.ndim != 2:
+            raise ValueError("candidate losses must have shape (p, n)")
+        if not np.all(np.isfinite(losses)):
+            raise ValueError("candidate losses must be finite")
+        if losses.shape[1] != self.plan.n:
+            raise ValueError("the split must cover every unit")
+        if not _frozen(losses):
+            losses = _readonly(losses)
+        object.__setattr__(self, "losses", losses)
 
     @cached_property
     def moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -311,11 +326,11 @@ class Prepared:
         rival and their covariance, read-only and built on first use. A cut
         problem takes the leading blocks of its source's: candidate m's rivals
         are in ascending order, so its first p - 1 are this problem's."""
-        p = self.tensor.p
+        p = len(self.losses)
         if self.source is not None:
             leading = self.source.moments[:p]
             return [(delta[: p - 1], sigma[: p - 1, : p - 1]) for delta, sigma in leading]
-        moments = [(delta_hat(self.tensor, m), cov_hat(self.tensor, m)) for m in range(p)]
+        moments = [(delta_hat(self.losses, m), cov_hat(self.losses, m)) for m in range(p)]
         for delta, sigma in moments:
             delta.setflags(write=False)
             sigma.setflags(write=False)
@@ -326,9 +341,20 @@ class Prepared:
         """The losses sorted by cell, gathered once and read-only: kept only by
         a problem that cut problems read them from, whose own proposed test
         then reads them too."""
-        by_cell = self.tensor.losses[:, self.plan.cell_order[0]]
+        by_cell = self.losses[:, self.plan.cell_order[0]]
         by_cell.setflags(write=False)
         return by_cell
+
+    def _sorted_copy(self) -> np.ndarray:
+        """A writable, column-major copy of the losses sorted by cell, bitwise
+        the same whichever way it is made: from the source's sorted rows for a
+        cut problem, from this problem's own if a cut one sorted them, or else
+        by one gather (``losses[:, order]``, which numpy lays out so)."""
+        if self.source is not None:
+            return np.copy(self.source._by_cell[: len(self.losses)], order="K")
+        if "_by_cell" in self.__dict__:
+            return np.copy(self._by_cell, order="K")
+        return self.losses[:, self.plan.cell_order[0]]
 
     def restrict(self, p: int) -> Prepared:
         """The problem of the first ``p`` candidates, this one when p is all of
@@ -340,11 +366,11 @@ class Prepared:
         its proposed test copies the first p rows of this one's losses sorted
         by cell, which are sorted once, on a cut problem's first use. Each
         summary is bitwise the one the p candidates alone would get."""
-        if not 0 < p <= self.tensor.p:
-            raise ValueError(f"cannot restrict {self.tensor.p} candidates to {p}")
-        if p == self.tensor.p:
+        if not 0 < p <= len(self.losses):
+            raise ValueError(f"cannot restrict {len(self.losses)} candidates to {p}")
+        if p == len(self.losses):
             return self
-        cut = Prepared(self.plan, self.tensor.head(p))
+        cut = Prepared(self.plan, self.losses[:p])
         object.__setattr__(cut, "source", self)
         return cut
 
@@ -394,13 +420,8 @@ def _build_result(
 def _weighted_test(selector: str, prepared: Prepared, config: SelectorConfig) -> SelectionResult:
     """Accept candidate r when its studentized weighted score falls below the
     one-sided normal critical value at level alpha."""
-    tensor, source = prepared.tensor, prepared.source
-    lam = config.resolve_lam(tensor.n)
-    if source is not None:
-        sorted_rows = source._by_cell
-    else:  # the copy a cut problem of this one sorted, if one did; an uncut problem keeps none
-        sorted_rows = prepared.__dict__.get("_by_cell")
-    stats = exp_weighted_statistics(tensor, prepared.plan, lam, sorted_rows)
+    lam = config.resolve_lam(prepared.plan.n)
+    stats = exp_weighted_statistics(prepared, lam)
     critical = _normal_quantile(1.0 - config.alpha)
     decisions = [
         CandidateDecision(
@@ -409,7 +430,7 @@ def _weighted_test(selector: str, prepared: Prepared, config: SelectorConfig) ->
             critical=critical,
             accepted=bool(stats.z_scores[r] < critical),
         )
-        for r in range(tensor.p)
+        for r in range(len(prepared.losses))
     ]
     return _build_result(selector, config, lam, decisions)
 
@@ -462,7 +483,7 @@ def _max_statistic_test(
                 accepted=bool(s_max <= critical),
             )
         )
-    return _build_result(selector, config, config.resolve_lam(prepared.tensor.n), decisions)
+    return _build_result(selector, config, config.resolve_lam(prepared.plan.n), decisions)
 
 
 def _naive_test(prepared: Prepared, config: SelectorConfig) -> SelectionResult:
@@ -479,7 +500,7 @@ def _naive_test(prepared: Prepared, config: SelectorConfig) -> SelectionResult:
 
 def _bonferroni_test(prepared: Prepared, config: SelectorConfig) -> SelectionResult:
     """Per-pair one-sided z tests at alpha / (p - 1)."""
-    critical = _normal_quantile(1.0 - config.alpha / (prepared.tensor.p - 1))
+    critical = _normal_quantile(1.0 - config.alpha / (len(prepared.losses) - 1))
     return _max_statistic_test("bonferroni", prepared, config, lambda m, sigma_m: critical)
 
 
@@ -523,11 +544,11 @@ def _check_prepared(
 ) -> None:
     """Raise ``ValueError`` unless ``prepared`` can stand for the problem the
     named selectors would prepare on this dataset and these candidates."""
-    tensor, plan = prepared.tensor, prepared.plan
-    if (tensor.p, tensor.n, plan.n) != (candidates.p, dataset.n, dataset.n):
+    plan, (p, n) = prepared.plan, prepared.losses.shape
+    if (p, n) != (candidates.p, dataset.n):
         raise ValueError(
-            f"the prepared problem scores {tensor.p} candidates on {tensor.n} units with a "
-            f"split of {plan.n}; the data has {candidates.p} candidates and {dataset.n} units"
+            f"the prepared problem scores {p} candidates on {n} units; "
+            f"the data has {candidates.p} candidates and {dataset.n} units"
         )
     for name in names:
         if TAILS[name][0] != plan.groups:

@@ -249,8 +249,8 @@ def test_criterion_10_exactness_properties():
     ds, truth = generate_toy(500, (2, 2, 2, 2), data_seed)
     cands = make_candidates(truth, NEAR_TIED_SPECS, cand_seed)
     tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
-    rival = [_rival_scores(tensor, m) for m in range(tensor.p)]
-    pairs = [(r, s) for r in range(tensor.p) for s in range(tensor.p) if r != s]
+    rival = [_rival_scores(tensor, m) for m in range(len(tensor))]
+    pairs = [(r, s) for r in range(len(tensor)) for s in range(len(tensor)) if r != s]
     if not all(np.array_equal(rival[r][s - (s > r)], -rival[s][r - (r > s)]) for r, s in pairs):
         problems.append("score antisymmetry violated")
 

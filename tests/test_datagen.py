@@ -1,3 +1,4 @@
+import codecs
 import re
 import tempfile
 import warnings
@@ -363,6 +364,23 @@ def test_ingestion_matches_row_parser(tmp_path, case):
     with _row_parser_only():
         want = _ingest(path, n)
     _assert_same(got, want)
+
+
+@pytest.mark.parametrize("n", [None, 40], ids=["dataset", "predictions"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, n):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+    ds, truth = generate_toy(40, (1, 1, 1, 1), seed=13)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    if n is None:
+        write_dataset_csv(ds, plain)
+    else:
+        write_predictions_csv(make_candidates(truth, [NoiseSpec(0, 0.1)] * 3, seed=6), plain)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want = _ingest(plain, n)
+    assert not isinstance(want, str), want
+    _assert_same(_ingest(marked, n), want)
+    with _row_parser_only():
+        _assert_same(_ingest(marked, n), want)
 
 
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,

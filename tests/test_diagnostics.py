@@ -27,7 +27,6 @@ from cateselect.diagnostics import (
 )
 from cateselect.harness import ExperimentConfig, _derived_seeds
 from cateselect.nuisance import Nuisances
-from cateselect.scores import ScoreTensor
 from cateselect.selectors import Prepared, prepare, two_way_split
 
 SPECS = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.3, 0.1))
@@ -56,7 +55,7 @@ def test_ks_pair_scan_skips_constant_scores():
     losses = np.zeros((3, n))
     losses[0] = np.random.default_rng(1).standard_normal(n)
     # candidates 1 and 2 share their losses, so pair (1, 2) is exactly constant
-    problem = Prepared(two_way_split(n, 0), ScoreTensor(losses=losses))
+    problem = Prepared(two_way_split(n, 0), losses)
     entry, skipped = clt_check(problem, 200, np.random.default_rng(2))
     assert [(pair["r"], pair["s"]) for pair in entry["pairs"]] == [(0, 1), (0, 2)]
     assert skipped == [(1, 2)]

@@ -37,7 +37,7 @@ def _fixed_selector(name, accept_fn):
     def select(prepared, config):
         stats = tuple(
             CandidateDecision(candidate=r, statistic=0.0, critical=1.0, accepted=accept_fn(r))
-            for r in range(prepared.tensor.p)
+            for r in range(len(prepared.losses))
         )
         return SelectionResult(
             selector=name,
@@ -365,7 +365,7 @@ def test_register_selector_replaces_the_test_of_a_selector(monkeypatch):
     calls = []
 
     def wrapped(prepared, selector_config):
-        calls.append(prepared.tensor.p)
+        calls.append(len(prepared.losses))
         return original(prepared, selector_config)
 
     harness.register_selector("proposed", wrapped)

@@ -15,8 +15,7 @@ import pytest
 from cateselect.datagen import COMPETITIVE_PLUS_INFERIOR_SPECS, generate_toy, make_candidates
 from cateselect.harness import ExperimentConfig, _derived_seeds, _rep_worker, _STREAM_REP
 from cateselect.nuisance import fit
-from cateselect.scores import ScoreTensor
-from cateselect.selectors import SelectorConfig, prepare, select, two_way_split
+from cateselect.selectors import Prepared, SelectorConfig, prepare, select, two_way_split
 
 
 def _traced_peak(call):
@@ -83,18 +82,30 @@ def test_restrict_is_a_read_only_view_of_the_shared_rows():
     cands = make_candidates(truth, COMPETITIVE_PLUS_INFERIOR_SPECS, seed=4)
     shared = prepare(ds, cands, two_way_split(ds.n, 0))
     part = shared.restrict(3)
-    assert np.shares_memory(part.tensor.losses, shared.tensor.losses)
-    assert np.array_equal(part.tensor.losses, shared.tensor.losses[:3])
-    assert not part.tensor.losses.flags.writeable
+    assert np.shares_memory(part.losses, shared.losses)
+    assert np.array_equal(part.losses, shared.losses[:3])
+    assert not part.losses.flags.writeable
     with pytest.raises(ValueError):
-        part.tensor.losses[0, 0] = 0.0
+        part.losses[0, 0] = 0.0
 
 
 def test_a_tensor_built_from_a_callers_array_copies_it():
-    losses = np.arange(12.0).reshape(3, 4)
-    tensor = ScoreTensor(losses)
-    assert not np.shares_memory(tensor.losses, losses)
-    assert not tensor.losses.flags.writeable
+    # a split needs n >= 20
+    losses = np.arange(60.0).reshape(3, 20)
+    problem = Prepared(two_way_split(20, 0), losses)
+    assert not np.shares_memory(problem.losses, losses)
+    assert not problem.losses.flags.writeable
     losses[0, 0] = 99.0  # the caller's array stays the caller's
-    assert tensor.losses[0, 0] == 0.0
+    assert problem.losses[0, 0] == 0.0
     assert losses.flags.writeable
+
+
+def test_a_read_only_view_of_a_callers_writable_array_is_copied():
+    # the view cannot be written to, but the array it shows can
+    losses = np.arange(60.0).reshape(3, 20)
+    view = losses.view()
+    view.setflags(write=False)
+    problem = Prepared(two_way_split(20, 0), view)
+    assert not np.shares_memory(problem.losses, losses)
+    losses[0, 0] = 99.0
+    assert problem.losses[0, 0] == 0.0

@@ -11,7 +11,6 @@ import cateselect
 from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, make_candidates
 from cateselect.nuisance import NuisanceModel, Nuisances
 from cateselect.scores import (
-    ScoreTensor,
     build_score_tensor,
     cov_hat,
     delta_hat,
@@ -75,7 +74,7 @@ def test_pair_score_hand_values():
     model = _constant_model(mu0=0.0, mu1=1.0, e_logit=0.0)
     ds = _two_units(2.0, 0.0)  # the treated unit's proxy is 3
     cands = CandidateSet(np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
-    losses = build_score_tensor(ds, cands, _values(model, ds)).losses
+    losses = build_score_tensor(ds, cands, _values(model, ds))
     assert losses[0, 0] - losses[1, 0] == pytest.approx(-5.0, abs=1e-12)
     assert losses[2, 0] - losses[3, 0] == 0.0
     # swapping the candidates flips the sign exactly
@@ -87,52 +86,52 @@ def _toy_tensor(n=400, p=4, seed=3):
     specs = [NoiseSpec(0.0, 0.1)] + [NoiseSpec(0.03, 0.1)] * (p - 1)
     cands = make_candidates(truth, specs, seed=seed + 1)
     plan = selectors.two_way_split(n, seed + 2)
-    tensor = prepare(ds, cands, plan).tensor
-    return tensor, ds, cands, plan
+    losses = prepare(ds, cands, plan).losses
+    return losses, ds, cands, plan
 
 
 def test_tensor_antisymmetry_and_zero_diagonal():
-    # the pair scores the selectors use: row j of _rival_scores(tensor, r) is
+    # the pair scores the selectors use: row j of _rival_scores(losses, r) is
     # r against its j-th rival, so s sits at row s - (s > r)
-    tensor, *_ = _toy_tensor()
-    rival = [_rival_scores(tensor, m) for m in range(tensor.p)]
-    for r in range(tensor.p):
-        for s in range(tensor.p):
+    losses, *_ = _toy_tensor()
+    rival = [_rival_scores(losses, m) for m in range(len(losses))]
+    for r in range(len(losses)):
+        for s in range(len(losses)):
             if s != r:
                 npt.assert_array_equal(rival[r][s - (s > r)], -rival[s][r - (r > s)])
         # a candidate against an exact copy of itself scores zero
-        doubled = ScoreTensor(losses=np.vstack([tensor.losses, tensor.losses[r]]))
-        npt.assert_array_equal(_rival_scores(doubled, r)[-1], np.zeros(tensor.n))
+        doubled = np.vstack([losses, losses[r]])
+        npt.assert_array_equal(_rival_scores(doubled, r)[-1], np.zeros(losses.shape[1]))
 
 
 def test_identical_candidates_zero_tensor():
     ds, truth = generate_toy(100, (1, 1, 1, 1), seed=4)
     row = truth.tau + 0.1
     cands = CandidateSet(np.vstack([row, row]))
-    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
-    npt.assert_array_equal(tensor.losses[0] - tensor.losses[1], np.zeros(tensor.n))
+    losses = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    npt.assert_array_equal(losses[0] - losses[1], np.zeros(losses.shape[1]))
 
 
 def test_delta_hat_is_tensor_mean():
-    tensor, *_ = _toy_tensor()
-    delta = delta_hat(tensor, 2)
-    expected = (tensor.losses[2] - tensor.losses[[0, 1, 3]]).mean(axis=1)
+    losses, *_ = _toy_tensor()
+    delta = delta_hat(losses, 2)
+    expected = (losses[2] - losses[[0, 1, 3]]).mean(axis=1)
     npt.assert_array_equal(delta, expected)
 
 
 def test_delta_antisymmetry():
-    tensor, *_ = _toy_tensor()
-    d01 = delta_hat(tensor, 0)[0]
-    d10 = delta_hat(tensor, 1)[0]
+    losses, *_ = _toy_tensor()
+    d01 = delta_hat(losses, 0)[0]
+    d10 = delta_hat(losses, 1)[0]
     assert d01 == -d10
 
 
 def test_cov_hat_diagonal_is_variance_over_n():
-    tensor, *_ = _toy_tensor()
-    cov = cov_hat(tensor, 0)
-    rows = tensor.losses[0] - tensor.losses[[1, 2, 3]]
+    losses, *_ = _toy_tensor()
+    cov = cov_hat(losses, 0)
+    rows = losses[0] - losses[[1, 2, 3]]
     for j in range(3):
-        npt.assert_allclose(cov[j, j], np.var(rows[j], ddof=1) / tensor.n, rtol=1e-12)
+        npt.assert_allclose(cov[j, j], np.var(rows[j], ddof=1) / losses.shape[1], rtol=1e-12)
     # PSD within tolerance
     assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
@@ -141,12 +140,12 @@ def test_cov_hat_matches_differences_of_centred_losses():
     # the reference centres each candidate's losses before differencing them:
     # the same sums in another order, so the two agree to rounding (1e-12 of
     # the largest entry, thousands of float64 ulps)
-    tensor, *_ = _toy_tensor()
-    centred = tensor.losses - tensor.losses.mean(axis=1, keepdims=True)
-    for m in range(tensor.p):
-        scores = centred[m] - centred[[s for s in range(tensor.p) if s != m]]
-        expected = scores @ scores.T / (tensor.n - 1) / tensor.n
-        npt.assert_allclose(cov_hat(tensor, m), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    losses, *_ = _toy_tensor()
+    centred = losses - losses.mean(axis=1, keepdims=True)
+    for m in range(len(losses)):
+        scores = centred[m] - centred[[s for s in range(len(losses)) if s != m]]
+        expected = scores @ scores.T / (losses.shape[1] - 1) / losses.shape[1]
+        npt.assert_allclose(cov_hat(losses, m), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_cov_hat_resolves_near_duplicate_candidates():
@@ -155,23 +154,23 @@ def test_cov_hat_resolves_near_duplicate_candidates():
     n = 1000
     rng = np.random.default_rng(5)
     base = rng.standard_normal(n)
-    tensor = ScoreTensor(losses=np.vstack([base + 1e-9 * rng.standard_normal(n), base]))
-    diff = tensor.losses[0] - tensor.losses[1]
-    variance = cov_hat(tensor, 0)[0, 0]
+    losses = np.vstack([base + 1e-9 * rng.standard_normal(n), base])
+    diff = losses[0] - losses[1]
+    variance = cov_hat(losses, 0)[0, 0]
     assert variance > 0.0
     npt.assert_allclose(variance, np.var(diff, ddof=1) / n, rtol=1e-6)
     # exact duplicates still have exactly zero variance
-    assert cov_hat(ScoreTensor(losses=np.vstack([base, base])), 0)[0, 0] == 0.0
+    assert cov_hat(np.vstack([base, base]), 0)[0, 0] == 0.0
 
 
 # writes the bytes of every candidate's covariance for a fixed 7 x 30 000 loss matrix
 _COV_HAT_BYTES = """
 import sys
 import numpy as np
-from cateselect.scores import ScoreTensor, cov_hat
+from cateselect.scores import cov_hat
 rng = np.random.default_rng(7)
-tensor = ScoreTensor(rng.normal(size=(7, 30_000)) * rng.uniform(0.5, 2.0, size=(7, 1)))
-sys.stdout.buffer.write(b"".join(cov_hat(tensor, m).tobytes() for m in range(tensor.p)))
+losses = rng.normal(size=(7, 30_000)) * rng.uniform(0.5, 2.0, size=(7, 1))
+sys.stdout.buffer.write(b"".join(cov_hat(losses, m).tobytes() for m in range(len(losses))))
 """
 
 
@@ -195,9 +194,8 @@ def test_constant_scores_give_constant_delta_zero_variance():
     n = 10
     losses = np.zeros((2, n))
     losses[0] = 0.7
-    tensor = ScoreTensor(losses=losses)
-    assert delta_hat(tensor, 0)[0] == pytest.approx(0.7)
-    assert cov_hat(tensor, 0)[0, 0] == 0.0
+    assert delta_hat(losses, 0)[0] == pytest.approx(0.7)
+    assert cov_hat(losses, 0)[0, 0] == 0.0
 
 
 def test_delta_matches_population_value_with_oracle():
@@ -206,9 +204,9 @@ def test_delta_matches_population_value_with_oracle():
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=31)
     specs = [NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)]
     cands = make_candidates(truth, specs, seed=32)
-    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
-    delta = delta_hat(tensor, 0)
-    cov = cov_hat(tensor, 0)
+    losses = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    delta = delta_hat(losses, 0)
+    cov = cov_hat(losses, 0)
     target = specs[0].population_mse - specs[1].population_mse
     assert abs(delta[0] - target) < 4 * np.sqrt(cov[0, 0])
 
@@ -230,10 +228,10 @@ def test_cross_fitting_uses_opposite_fold_model(monkeypatch):
         return trained_on[fold]
 
     monkeypatch.setattr(selectors, "fit", stub_fit)
-    tensor = prepare(ds, cands, plan).tensor
+    losses = prepare(ds, cands, plan).losses
     gamma_a = pseudo_outcomes(ds, _values(model_a, ds))
     gamma_b = pseudo_outcomes(ds, _values(model_b, ds))
     assert np.all(gamma_a != gamma_b)
     # score for pair (0, 1) is -1 + 2 * gamma, gamma from the other fold's model
     expected = np.where(plan.major == 0, gamma_b, gamma_a)
-    npt.assert_allclose(tensor.losses[0] - tensor.losses[1], -1.0 + 2.0 * expected, rtol=1e-12)
+    npt.assert_allclose(losses[0] - losses[1], -1.0 + 2.0 * expected, rtol=1e-12)

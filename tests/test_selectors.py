@@ -20,7 +20,6 @@ from cateselect.datagen import (
 )
 from cateselect.harness import _derived_seeds
 from cateselect.nuisance import Nuisances
-from cateselect.scores import ScoreTensor
 from cateselect.selectors import (
     SelectorConfig,
     Prepared,
@@ -166,11 +165,11 @@ def _proposed_statistics(ds, cands, config):
     the statistics it reports."""
     res = select(ds, cands, config)[0]
     plan = two_way_split(ds.n, config.seed)
-    tensor = prepare(ds, cands, plan).tensor
-    stats = exp_weighted_statistics(tensor, plan, config.resolve_lam(ds.n))
+    problem = prepare(ds, cands, plan)
+    stats = exp_weighted_statistics(problem, config.resolve_lam(ds.n))
     for r in range(cands.p):
         assert res.stats[r].statistic == stats.z_scores[r]
-    return plan, tensor, stats
+    return plan, problem.losses, stats
 
 
 def test_proposed_weights_on_simplex():
@@ -193,15 +192,15 @@ def test_proposed_statistic_definition():
     )
 
 
-def _reference_statistics(tensor, layout, lam):
+def _reference_statistics(losses, layout, lam):
     """Per cell and candidate, softmax over the mean pairwise scores on the
     weight units, applied to the pairwise scores on the eval units."""
-    p, n = tensor.p, tensor.n
+    p, n = losses.shape
     q = np.zeros((n, p))
     weights = np.zeros((len(layout), p, p - 1))
     for c, (eval_idx, weight_idx) in enumerate(layout):
         for r in range(p):
-            rows = tensor.losses[r] - tensor.losses[[s for s in range(p) if s != r]]
+            rows = losses[r] - losses[[s for s in range(p) if s != r]]
             weights[c, r] = exp_weights(rows[:, weight_idx].mean(axis=1), lam)
             q[eval_idx, r] = weights[c, r] @ rows[:, eval_idx]
     z = q.sum(axis=0) / (np.sqrt(n) * q.std(axis=0, ddof=1))
@@ -211,15 +210,15 @@ def _reference_statistics(tensor, layout, lam):
 @pytest.mark.parametrize("lam", [0.0, 600**0.4, 50.0], ids=["zero", "n_pow_0.4", "fifty"])
 def test_proposed_matches_pairwise_weighted_average(lam):
     ds, truth, cands, sel_seed = _toy_problem()
-    plan, tensor, stats = _proposed_statistics(
+    plan, losses, stats = _proposed_statistics(
         ds, cands, SelectorConfig(alpha=0.1, lam=lam, seed=sel_seed)
     )
-    q, weights, z = _reference_statistics(tensor, _mask_cells(plan), lam)
+    q, weights, z = _reference_statistics(losses, _mask_cells(plan), lam)
     if lam == 0.0:
         # uniform weights: the plain average of the pairwise scores
         npt.assert_allclose(stats.q_matrix, q, rtol=1e-12)
     else:
-        npt.assert_allclose(stats.q_matrix, q, rtol=0, atol=1e-12 * np.abs(tensor.losses).max())
+        npt.assert_allclose(stats.q_matrix, q, rtol=0, atol=1e-12 * np.abs(losses).max())
     npt.assert_allclose(stats.weights, weights, rtol=0, atol=1e-12)
     npt.assert_allclose(stats.z_scores, z, rtol=1e-9)
 
@@ -242,9 +241,8 @@ def test_weighted_statistics_match_reference_property(p, n, two_way, lam, seed):
         npt.assert_array_equal(order[bounds[c] : bounds[c + 1]], eval_idx)
     rng = np.random.default_rng(seed)
     losses = rng.normal(rng.normal(size=(p, 1)), rng.uniform(0.1, 2.0, size=(p, 1)), size=(p, n))
-    tensor = ScoreTensor(losses=losses)
-    stats = exp_weighted_statistics(tensor, plan, lam)
-    q, weights, z = _reference_statistics(tensor, layout, lam)
+    stats = exp_weighted_statistics(Prepared(plan, losses), lam)
+    q, weights, z = _reference_statistics(losses, layout, lam)
     # the tolerances of test_proposed_matches_pairwise_weighted_average at a
     # positive temperature
     npt.assert_allclose(stats.q_matrix, q, rtol=0, atol=1e-12 * np.abs(losses).max())
@@ -350,8 +348,8 @@ def test_bonferroni_critical_dominates_naive_under_positive_correlation():
     # and on toy-score covariances, when all correlations are nonnegative
     ds, truth, cands, sel_seed = _toy_problem(n=2000, specs=tuple([NoiseSpec(0.03 * j, 0.1) for j in range(4)]))
     from cateselect.scores import build_score_tensor, cov_hat
-    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
-    cov = cov_hat(tensor, 0)
+    losses = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    cov = cov_hat(losses, 0)
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert corr.min() >= 0  # chosen configuration has shared positive factors
     c_toy = naive_critical_value(cov, alpha, 100_000, np.random.default_rng(8))
@@ -442,13 +440,13 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     plan = two_way_split(ds.n, cfg.seed)
-    tensor = prepare(ds, cands, plan, Nuisances.from_truth(truth)).tensor
+    losses = prepare(ds, cands, plan, Nuisances.from_truth(truth)).losses
     own = _true_problem(ds, truth, cands, cfg, groups=1)
     ra_own = select(ds, cands, cfg, ("ablation",), prepared=own)[0]
     own_plan = single_layer_split(ds.n, cfg.seed)
-    assert ra_own.stats == _weighted_test("ablation", Prepared(own_plan, tensor), cfg).stats
+    assert ra_own.stats == _weighted_test("ablation", Prepared(own_plan, losses), cfg).stats
     rp = select(ds, cands, cfg, prepared=_true_problem(ds, truth, cands, cfg))[0]
-    ra = _weighted_test("ablation", Prepared(plan, tensor), cfg)
+    ra = _weighted_test("ablation", Prepared(plan, losses), cfg)
     assert rp.accepted == ra.accepted
     for a, b in zip(rp.stats, ra.stats):
         assert a.statistic == b.statistic
@@ -654,17 +652,38 @@ def test_a_cut_problems_source_reads_the_cell_sorted_copy_and_an_uncut_one_keeps
     assert "_by_cell" not in uncut.__dict__
     source = prepare(ds, cands, plan, nuisances)
     _weighted_test("proposed", source.restrict(3), config)
-    read = []
+    cached = source.__dict__["_by_cell"]
+    read, statistics = [], []
+    # each read of the cached copy is recorded, and each statistic with the
+    # number of reads made inside it
+    monkeypatch.setattr(Prepared, "_by_cell", property(lambda problem: read.append(problem) or cached))
     real = selectors.exp_weighted_statistics
 
-    def spy(tensor, plan, lam, sorted_rows=None):
-        read.append(sorted_rows)
-        return real(tensor, plan, lam, sorted_rows)
+    def spy(problem, lam):
+        before = len(read)
+        stats = real(problem, lam)
+        statistics.append((problem, len(read) - before))
+        return stats
 
     monkeypatch.setattr(selectors, "exp_weighted_statistics", spy)
     on_source = select(ds, cands, config, ("proposed", "naive"), prepared=source)
-    assert len(read) == 1 and read[0] is source._by_cell
+    assert len(read) == 1 and read[0] is source
+    assert len(statistics) == 1 and statistics[0][0] is source and statistics[0][1] == 1
     assert json.dumps([r.to_dict() for r in on_source]) == json.dumps([r.to_dict() for r in expected])
+
+
+@pytest.mark.parametrize(
+    "losses, message",
+    [
+        (np.zeros(20), "candidate losses must have shape (p, n)"),
+        (np.r_[np.zeros(39), np.nan].reshape(2, 20), "candidate losses must be finite"),
+        (np.zeros((2, 21)), "the split must cover every unit"),
+    ],
+    ids=["one_dim", "non_finite", "wrong_columns"],
+)
+def test_prepared_rejects_a_bad_loss_matrix(losses, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Prepared(two_way_split(20, 0), losses)
 
 
 @pytest.mark.parametrize(
