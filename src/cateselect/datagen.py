@@ -124,6 +124,9 @@ class NoiseSpec:
     sd: float
 
     def __post_init__(self) -> None:
+        # Python counts a bool as a number, which would run as a mean or sd of 0 or 1
+        if isinstance(self.mean, bool) or isinstance(self.sd, bool):
+            raise ValueError(f"noise spec ({self.mean}, {self.sd}): mean and sd must be numbers, not bools")
         if not (np.isfinite(self.mean) and 0 <= self.sd < np.inf):
             raise ValueError(f"noise spec ({self.mean}, {self.sd}) needs a finite mean and sd >= 0")
         # products of floats overflow to inf, where population_mse's powers raise

@@ -10,11 +10,11 @@ once, at the largest count, and split and prepared once per layout and
 selector there. Row r of the loss matrix depends only on candidate r and the
 nuisances, so the point with p candidates tests the first p rows, bitwise
 the matrix it would build alone, through a read-only view rather than a
-copy. Its tests read the summaries of the largest point's problem, each
-computed once per repetition: the naive moments are leading blocks of the
-largest point's, and the proposed test copies the first p rows of its losses
-sorted by cell. Once every problem is prepared, the repetition lets go of the
-dataset and the candidate draw: the points' tests hold the loss matrices only.
+copy. Its naive moments are leading blocks of the largest point's, computed
+once per repetition, and that is all it reads of the largest point's problem:
+its proposed test gathers its own rows by cell. Once every problem is
+prepared, the repetition lets go of the dataset and the candidate draw: the
+points' tests hold the loss matrices only.
 Reports carry the familywise error rate (winner excluded) and the average
 number of wrong selections (non-winners retained), each with percentile
 bootstrap confidence intervals, plus flat per-repetition records that make
@@ -28,6 +28,7 @@ import datetime
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
@@ -422,10 +423,11 @@ def summarize_records(
 
 def _run(groups: list[list[ExperimentConfig]], workers: int) -> list[ExperimentReport]:
     """Run every repetition of every config, on one pool of up to ``workers``
-    processes; one report per config, in order. The configs of a group differ
-    only in ``noise_specs``, each one's specs starting with the previous
-    one's, so they draw the same data: repetition k of a group is one job,
-    drawing its data once for all of them."""
+    processes, and no more than there are jobs or CPUs; one report per config,
+    in order. The configs of a group differ only in ``noise_specs``, each
+    one's specs starting with the previous one's, so they draw the same data:
+    repetition k of a group is one job, drawing its data once for all of
+    them."""
     # Deriving the seeds here loads numpy.random, which numpy imports lazily,
     # before the fork: every worker inherits it instead of importing it.
     jobs = [
@@ -433,7 +435,8 @@ def _run(groups: list[list[ExperimentConfig]], workers: int) -> list[ExperimentR
         for group in groups
         for k in range(group[0].repetitions)
     ]
-    processes = min(workers, len(jobs))
+    # the pool forks all its workers at once, so a large ``workers`` is capped
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         # imported here: multiprocessing is slow to load, and one worker never needs it
         from concurrent.futures import ProcessPoolExecutor
@@ -478,11 +481,6 @@ class SweepPoint(NamedTuple):
     report: ExperimentReport
 
 
-def _specs_sorted_by_quality(specs: tuple[NoiseSpec, ...]) -> list[NoiseSpec]:
-    order = np.argsort([s.population_mse for s in specs], kind="stable")
-    return [specs[int(i)] for i in order]
-
-
 def sweep(
     config: ExperimentConfig,
     axis: str,
@@ -503,7 +501,7 @@ def sweep(
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
     subs = []
-    ranked = _specs_sorted_by_quality(config.noise_specs)
+    ranked = sorted(config.noise_specs, key=lambda s: s.population_mse)
     for value in values:
         if axis == "candidate_count":
             # a float would be truncated, and a bool read as 0 or 1, under its own label

@@ -17,7 +17,8 @@ two_way_split(dataset.n, config.seed), Nuisances.from_truth(truth))``, with
 ``single_layer_split`` for the ablation. ``Prepared.restrict`` cuts a
 problem to its first p candidates, bitwise the problem those candidates
 alone would get, as a view of its rows that reads the larger problem's
-naive moments and cell-sorted losses, so those are computed once.
+naive moments, so those are computed once; the proposed test gathers its
+own rows by cell on every problem.
 
 * ``"proposed"``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -206,14 +207,16 @@ def exp_weighted_statistics(problem: Prepared, lam: float) -> ProposedStatistics
 
     The cells are the inner folds of the problem's plan, ordered by major
     fold, then inner fold; each scores its units with the softmax weights
-    learned on the rest of its major fold. The losses are taken sorted by
-    cell (``Prepared._sorted_copy``); a weight set's mean is its fold's sum
-    minus the cell's own sum, over the fold's size minus the cell's.
+    learned on the rest of its major fold. The losses are sorted by cell in
+    one gather, ``losses[:, order]``, a writable copy that numpy lays out
+    column-major, on a cut problem as on any other; a weight set's mean is
+    its fold's sum minus the cell's own sum, over the fold's size minus the
+    cell's.
     """
     plan = problem.plan
     p, n = problem.losses.shape
     order, bounds = plan.cell_order
-    by_cell = problem._sorted_copy()
+    by_cell = problem.losses[:, order]
     shape = (plan.groups, _INNER_FOLDS)
     sums = np.add.reduceat(by_cell, bounds[:-1], axis=1).reshape(p, *shape)
     sizes = np.diff(bounds).reshape(shape)
@@ -301,8 +304,8 @@ class Prepared:
     column per unit of the plan. It is kept read-only and C-contiguous: one
     that nothing can write to as it is, as ``prepare``'s and the rows
     ``restrict`` cuts are, is kept itself, and any other is copied. ``source``
-    is the problem ``restrict`` cut this one from, whose summaries it reads,
-    or None."""
+    is the problem ``restrict`` cut this one from, whose naive moments it
+    reads, or None."""
 
     plan: SplitPlan
     losses: np.ndarray
@@ -336,36 +339,15 @@ class Prepared:
             sigma.setflags(write=False)
         return moments
 
-    @cached_property
-    def _by_cell(self) -> np.ndarray:
-        """The losses sorted by cell, gathered once and read-only: kept only by
-        a problem that cut problems read them from, whose own proposed test
-        then reads them too."""
-        by_cell = self.losses[:, self.plan.cell_order[0]]
-        by_cell.setflags(write=False)
-        return by_cell
-
-    def _sorted_copy(self) -> np.ndarray:
-        """A writable, column-major copy of the losses sorted by cell, bitwise
-        the same whichever way it is made: from the source's sorted rows for a
-        cut problem, from this problem's own if a cut one sorted them, or else
-        by one gather (``losses[:, order]``, which numpy lays out so)."""
-        if self.source is not None:
-            return np.copy(self.source._by_cell[: len(self.losses)], order="K")
-        if "_by_cell" in self.__dict__:
-            return np.copy(self._by_cell, order="K")
-        return self.losses[:, self.plan.cell_order[0]]
-
     def restrict(self, p: int) -> Prepared:
         """The problem of the first ``p`` candidates, this one when p is all of
         them: row r of the loss matrix depends only on candidate r and the
         nuisances, so these rows are bitwise the loss matrix those candidates
         alone would get. Its loss matrix is a read-only view of this one's
-        rows, not a copy, and it reads this problem's summaries rather than
-        computing its own: its moments are leading blocks of this one's, and
-        its proposed test copies the first p rows of this one's losses sorted
-        by cell, which are sorted once, on a cut problem's first use. Each
-        summary is bitwise the one the p candidates alone would get."""
+        rows, not a copy, and its naive moments are leading blocks of this
+        one's rather than its own, bitwise the ones the p candidates alone
+        would get. That is all it reads of this problem: its proposed test
+        gathers its own rows by cell, as any problem's does."""
         if not 0 < p <= len(self.losses):
             raise ValueError(f"cannot restrict {len(self.losses)} candidates to {p}")
         if p == len(self.losses):

@@ -583,6 +583,8 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         ({"dims": [2.7, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
         ({"dims": [True, 2, 2, 2]}, ["simulate"], "dims must be four integer block sizes"),
         ({"lambda": True}, ["simulate"], "lam must be a number, got True"),
+        ({"noise_specs": [[False, 0.1], [True, 0.1]]}, ["simulate"],
+         "noise spec (False, 0.1): mean and sd must be numbers"),
         # JSON's NaN and Infinity tokens: a temperature or noise that is not finite
         ({"lambda": float("nan")}, ["simulate"], "lam must be finite and nonnegative, got nan"),
         ({"noise_specs": [[0.0, 0.1], [float("nan"), 0.1]]}, ["simulate"], "noise spec (nan, 0.1)"),
@@ -594,7 +596,7 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
     ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_19",
          "clt_n_19", "fraction_to_n_19", "n_39", "clt_n_39", "fraction_to_n_39", "float_n",
          "float_reps", "bool_reps", "inner_folds_key", "float_workers", "float_seed",
-         "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda", "nan_lambda",
+         "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda", "bool_noise_mean", "nan_lambda",
          "nan_noise_mean", "inf_noise_sd", "overflowing_noise_mean"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):

@@ -128,6 +128,13 @@ def test_noise_spec_validation():
         NoiseSpec(0.0, -0.1)
 
 
+@pytest.mark.parametrize("mean, sd", [(True, 0.1), (False, 0.1), (0.0, True)])
+def test_noise_spec_rejects_booleans(mean, sd):
+    # Python counts a bool as a number: a spec of (True, 0.1) would run with mean 1
+    with pytest.raises(ValueError, match=re.escape(f"noise spec ({mean}, {sd}): mean and sd must be numbers")):
+        NoiseSpec(mean, sd)
+
+
 @pytest.mark.parametrize("mean, sd", [(1e200, 0.1), (0.0, 1e155), (1e154, 1e154)])
 def test_noise_spec_rejects_an_overflowing_mse(mean, sd):
     # a winner chosen by population_mse needs every mean^2 + sd^2 finite

@@ -1,8 +1,9 @@
 """The problem-level checks of ``cateselect.diagnostics``: ``clt_check`` and
 its bootstrap, ``stability_check``, and that each reproduces its toy study's
-entry. The toy studies' own tests, which run them from a config, are in
-``test_harness.py``."""
+entry, and the toy studies that run them from a config: ``clt_diagnostic``
+and ``stability_diagnostic``."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 from scipy.stats import kstest
 
 import cateselect
-from cateselect.datagen import NoiseSpec, generate_toy, make_candidates
+from cateselect import selectors
+from cateselect.datagen import NEAR_TIED_SPECS, NoiseSpec, generate_toy, make_candidates
 from cateselect.diagnostics import (
     _STREAM_CLT,
     _STREAM_CLT_BOOT,
@@ -25,8 +27,8 @@ from cateselect.diagnostics import (
     stability_check,
     stability_diagnostic,
 )
-from cateselect.harness import ExperimentConfig, _derived_seeds
-from cateselect.nuisance import Nuisances
+from cateselect.harness import ConfigError, ExperimentConfig, _derived_seeds
+from cateselect.nuisance import NuisanceModel, Nuisances
 from cateselect.selectors import Prepared, prepare, two_way_split
 
 SPECS = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.3, 0.1))
@@ -123,3 +125,100 @@ def test_the_study_runner_and_the_cli_load_no_diagnostics():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# --- CLT diagnostics ---------------------------------------------------------
+
+
+def test_clt_diagnostic_smoke():
+    report = clt_diagnostic(_config(), datasets=3, bootstrap_draws=100)
+    assert report.datasets == 3
+    assert 0.0 <= report.rejection_share <= 1.0
+    assert all(entry["tested_pairs"] == 3 for entry in report.per_dataset)
+    payload = dataclasses.asdict(report)
+    assert set(payload) >= {"rejection_share", "per_dataset", "skipped"}
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"datasets": 0}, {"datasets": -1}, {"bootstrap_draws": 0}],
+    ids=["datasets_0", "datasets_-1", "bootstrap_0"],
+)
+def test_clt_diagnostic_rejects_empty_counts(counts):
+    with pytest.raises(ConfigError, match="must be at least 1"):
+        clt_diagnostic(_config(), **counts)
+
+
+# --- stability diagnostics ----------------------------------------------------
+
+
+def test_stability_zero_with_uniform_weights_and_constant_nuisances(monkeypatch):
+    # uniform weights, and nuisance fits that predict constants, so a unit's
+    # scores depend on that unit alone: no probe moves the other units' scores,
+    # so both perturbations are zero and the slopes undefined
+    monkeypatch.setattr(
+        selectors, "fit", lambda dataset, indices: NuisanceModel(*np.zeros((3, dataset.d + 1)))
+    )
+    config = _config(n=500, noise_specs=NEAR_TIED_SPECS, seed=7, lam=0.0)
+    report = stability_diagnostic([500, 600, 700], config, probes=3)
+    assert report.delta1 == (0.0, 0.0, 0.0) and report.delta2 == (0.0, 0.0, 0.0)
+    assert np.isnan(report.slope_delta1_sq) and np.isnan(report.slope_delta2_sq)
+
+
+def test_stability_diagnostic_validates_grid():
+    config = _config()
+    with pytest.raises(ConfigError):
+        stability_diagnostic([500, 600], config)
+    with pytest.raises(ConfigError):
+        stability_diagnostic([700, 600, 500], config)
+
+
+def test_stability_report_shapes():
+    report = stability_diagnostic([300, 400, 500], _config(seed=3), probes=3)
+    assert len(report.delta1) == 3
+    assert len(report.delta2) == 3
+    assert all(v >= 0 for v in report.delta1)
+    assert all(v >= 0 for v in report.delta2)
+    assert report.probes_per_point == 3
+
+
+# a study's selectors and the major-fold count of its split
+LAYOUTS = [(("proposed",), 2), (("ablation",), 1)]
+
+
+def _count_split_draws(monkeypatch):
+    """Record the size and major-fold count of every split drawn."""
+    draws = []
+    split = selectors._split
+
+    def counting_split(n, groups, rng):
+        draws.append((n, groups))
+        return split(n, groups, rng)
+
+    monkeypatch.setattr(selectors, "_split", counting_split)
+    return draws
+
+
+@pytest.mark.parametrize("names, groups", LAYOUTS, ids=["proposed", "ablation"])
+def test_stability_draws_one_split_per_grid_size(monkeypatch, names, groups):
+    # the diagnostic uses the study's own layout: one-fold for an ablation-only study
+    draws = _count_split_draws(monkeypatch)
+    stability_diagnostic([200, 300, 400], _config(n=200, selectors=names), probes=2)
+    assert draws == [(200, groups), (300, groups), (400, groups)]
+
+
+@pytest.mark.parametrize("names, groups", LAYOUTS, ids=["proposed", "ablation"])
+def test_clt_draws_one_split_per_dataset(monkeypatch, names, groups):
+    draws = _count_split_draws(monkeypatch)
+    clt_diagnostic(_config(n=200, selectors=names), datasets=2, bootstrap_draws=20)
+    assert draws == [(200, groups), (200, groups)]
+
+
+@pytest.mark.parametrize(
+    "grid, probes, message",
+    [([10, 20, 30], 2, "grid size 10"), ([200, 300, 400], 0, "probes must be at least 1")],
+    ids=["grid_from_10", "probes_0"],
+)
+def test_stability_diagnostic_rejects_empty_counts(grid, probes, message):
+    with pytest.raises(ConfigError, match=message):
+        stability_diagnostic(grid, _config(), probes=probes)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cateselect.datagen import (
-    NEAR_TIED_SPECS,
     CandidateSet,
     NoiseSpec,
     generate_toy,
@@ -27,8 +27,7 @@ from cateselect.harness import (
     sweep,
     write_per_rep_csv,
 )
-from cateselect.diagnostics import clt_diagnostic, stability_diagnostic
-from cateselect.nuisance import NuisanceModel, fit, min_arm_units
+from cateselect.nuisance import fit, min_arm_units
 from cateselect import harness, selectors
 from cateselect.selectors import CandidateDecision, SelectionResult, two_way_split
 
@@ -181,6 +180,8 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch, axis, values):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    # two workers make a pool only on a machine of two CPUs or more
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = _config(selectors=("proposed", "naive"), n=400, repetitions=3)
     serial = sweep(config, axis, values)
     assert pools == []
@@ -193,6 +194,8 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch, axis, values):
 
 
 def test_pool_size_is_capped_by_the_job_count(monkeypatch):
+    # the CPU count is pinned above the sizes asked for, so only the job count caps them
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     sizes = []
 
     class RecordingPool:
@@ -220,6 +223,14 @@ def test_pool_size_is_capped_by_the_job_count(monkeypatch):
     assert sizes == [3, 3, 2]
     run_experiment(dataclasses.replace(config, repetitions=1))  # one job runs in this process
     assert sizes == [3, 3, 2]
+    # the pool forks every worker at once, so the CPU count caps it too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_experiment(config)
+    assert sizes == [3, 3, 2, 2]
+    for cpus in (1, None):  # os.cpu_count() is None when the count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_experiment(config)
+        assert sizes == [3, 3, 2, 2]
 
 
 SWEEP_SPECS = SPECS[:2] + (NoiseSpec(0.05, 0.1), NoiseSpec(0.3, 0.2), SPECS[2])
@@ -604,109 +615,3 @@ def test_missing_config_file_names_path(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="nope.json"):
         load_experiment_config(str(missing))
-
-
-# --- CLT diagnostics ---------------------------------------------------------
-
-
-def test_clt_diagnostic_smoke():
-    config = ExperimentConfig(
-        n=400, noise_specs=SPECS, selectors=("proposed",),
-        repetitions=1, seed=21,
-    )
-    report = clt_diagnostic(config, datasets=3, bootstrap_draws=100)
-    assert report.datasets == 3
-    assert 0.0 <= report.rejection_share <= 1.0
-    assert all(entry["tested_pairs"] == 3 for entry in report.per_dataset)
-    payload = dataclasses.asdict(report)
-    assert set(payload) >= {"rejection_share", "per_dataset", "skipped"}
-
-
-@pytest.mark.parametrize(
-    "counts",
-    [{"datasets": 0}, {"datasets": -1}, {"bootstrap_draws": 0}],
-    ids=["datasets_0", "datasets_-1", "bootstrap_0"],
-)
-def test_clt_diagnostic_rejects_empty_counts(counts):
-    with pytest.raises(ConfigError, match="must be at least 1"):
-        clt_diagnostic(_config(selectors=("proposed",)), **counts)
-
-
-# --- stability diagnostics ----------------------------------------------------
-
-
-def test_stability_zero_with_uniform_weights_and_constant_nuisances(monkeypatch):
-    # uniform weights, and nuisance fits that predict constants, so a unit's
-    # scores depend on that unit alone: no probe moves the other units' scores,
-    # so both perturbations are zero and the slopes undefined
-    monkeypatch.setattr(
-        selectors, "fit", lambda dataset, indices: NuisanceModel(*np.zeros((3, dataset.d + 1)))
-    )
-    config = ExperimentConfig(
-        n=500, noise_specs=NEAR_TIED_SPECS, selectors=("proposed",), seed=7, lam=0.0,
-    )
-    report = stability_diagnostic([500, 600, 700], config, probes=3)
-    assert report.delta1 == (0.0, 0.0, 0.0) and report.delta2 == (0.0, 0.0, 0.0)
-    assert np.isnan(report.slope_delta1_sq) and np.isnan(report.slope_delta2_sq)
-
-
-def test_stability_diagnostic_validates_grid():
-    config = _config(selectors=("proposed",))
-    with pytest.raises(ConfigError):
-        stability_diagnostic([500, 600], config)
-    with pytest.raises(ConfigError):
-        stability_diagnostic([700, 600, 500], config)
-
-
-def test_stability_report_shapes():
-    config = ExperimentConfig(
-        n=400, noise_specs=SPECS, selectors=("proposed",), seed=3,
-    )
-    report = stability_diagnostic([300, 400, 500], config, probes=3)
-    assert len(report.delta1) == 3
-    assert len(report.delta2) == 3
-    assert all(v >= 0 for v in report.delta1)
-    assert all(v >= 0 for v in report.delta2)
-    assert report.probes_per_point == 3
-
-
-# a study's selectors and the major-fold count of its split
-LAYOUTS = [(("proposed",), 2), (("ablation",), 1)]
-
-
-def _count_split_draws(monkeypatch):
-    """Record the size and major-fold count of every split drawn."""
-    draws = []
-    split = selectors._split
-
-    def counting_split(n, groups, rng):
-        draws.append((n, groups))
-        return split(n, groups, rng)
-
-    monkeypatch.setattr(selectors, "_split", counting_split)
-    return draws
-
-
-@pytest.mark.parametrize("names, groups", LAYOUTS, ids=["proposed", "ablation"])
-def test_stability_draws_one_split_per_grid_size(monkeypatch, names, groups):
-    # the diagnostic uses the study's own layout: one-fold for an ablation-only study
-    draws = _count_split_draws(monkeypatch)
-    stability_diagnostic([200, 300, 400], _config(selectors=names), probes=2)
-    assert draws == [(200, groups), (300, groups), (400, groups)]
-
-
-@pytest.mark.parametrize("names, groups", LAYOUTS, ids=["proposed", "ablation"])
-def test_clt_draws_one_split_per_dataset(monkeypatch, names, groups):
-    draws = _count_split_draws(monkeypatch)
-    clt_diagnostic(_config(selectors=names), datasets=2, bootstrap_draws=20)
-    assert draws == [(200, groups), (200, groups)]
-
-
-@pytest.mark.parametrize(
-    "grid, probes, message",
-    [([10, 20, 30], 2, "grid size 10"), ([200, 300, 400], 0, "probes must be at least 1")],
-    ids=["grid_from_10", "probes_0"],
-)
-def test_stability_diagnostic_rejects_empty_counts(grid, probes, message):
-    with pytest.raises(ConfigError, match=message):
-        stability_diagnostic(grid, _config(selectors=("proposed",)), probes=probes)

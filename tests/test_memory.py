@@ -65,9 +65,7 @@ def test_a_power_sweep_repetition_peaks_under_seven_loss_matrices():
 
 def test_a_one_point_select_peaks_under_three_and_a_half_loss_matrices():
     # bound: the traced peak of this call before cut problems shared their
-    # summaries, 3.35 loss matrices (p=7, n=30 000) rounded up to a half. A
-    # problem that no point cuts keeps no cell-sorted copy of its losses;
-    # keeping one on every problem adds a loss matrix
+    # summaries, 3.35 loss matrices (p=7, n=30 000) rounded up to a half
     n = 30_000
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=0)
     cands = make_candidates(truth, COMPETITIVE_PLUS_INFERIOR_SPECS, seed=1)

@@ -620,9 +620,8 @@ _SEVEN_SPECS = (
 @given(seed=st.integers(0, 10_000), p_max=st.integers(3, 7), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_a_cut_problem_reads_bitwise_the_summaries_its_candidates_get_alone(seed, p_max, data):
-    # the cut problem's moments are leading blocks of its source's and its
-    # proposed test copies the source's cell-sorted rows; sub-blocking a BLAS
-    # Gram of every rival instead moved naive moments by 1 ulp at this size
+    # the cut problem's moments are leading blocks of its source's; sub-blocking
+    # a BLAS Gram of every rival instead moved naive moments by 1 ulp at this size
     p = data.draw(st.integers(2, p_max - 1))
     ds, truth, cands, sel_seed = _toy_problem(n=400, specs=_SEVEN_SPECS[:p_max], seed=seed)
     config = SelectorConfig(seed=sel_seed)
@@ -637,39 +636,6 @@ def test_a_cut_problem_reads_bitwise_the_summaries_its_candidates_get_alone(seed
     names = ("proposed", "naive", "bonferroni")
     on_cut = select(ds, first, config, names, prepared=cut)
     assert on_cut == select(ds, first, config, names, prepared=alone)
-
-
-def test_a_cut_problems_source_reads_the_cell_sorted_copy_and_an_uncut_one_keeps_none(monkeypatch):
-    # a sweep runs its largest point last, on the problem its smaller points
-    # were cut from: that point's proposed test copies the losses the cut
-    # points sorted by cell instead of gathering them again
-    ds, truth, cands, sel_seed = _toy_problem(n=400, specs=_SEVEN_SPECS)
-    config = SelectorConfig(seed=sel_seed)
-    plan = selectors._draw_plan(2, ds.n, config)
-    nuisances = selectors.cross_fit(ds, plan)
-    uncut = prepare(ds, cands, plan, nuisances)
-    expected = select(ds, cands, config, ("proposed", "naive"), prepared=uncut)
-    assert "_by_cell" not in uncut.__dict__
-    source = prepare(ds, cands, plan, nuisances)
-    _weighted_test("proposed", source.restrict(3), config)
-    cached = source.__dict__["_by_cell"]
-    read, statistics = [], []
-    # each read of the cached copy is recorded, and each statistic with the
-    # number of reads made inside it
-    monkeypatch.setattr(Prepared, "_by_cell", property(lambda problem: read.append(problem) or cached))
-    real = selectors.exp_weighted_statistics
-
-    def spy(problem, lam):
-        before = len(read)
-        stats = real(problem, lam)
-        statistics.append((problem, len(read) - before))
-        return stats
-
-    monkeypatch.setattr(selectors, "exp_weighted_statistics", spy)
-    on_source = select(ds, cands, config, ("proposed", "naive"), prepared=source)
-    assert len(read) == 1 and read[0] is source
-    assert len(statistics) == 1 and statistics[0][0] is source and statistics[0][1] == 1
-    assert json.dumps([r.to_dict() for r in on_source]) == json.dumps([r.to_dict() for r in expected])
 
 
 @pytest.mark.parametrize(
