@@ -37,12 +37,32 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only, row-major copy of ``a``: a transposed input (the
-    predictions CSV's columns) is stored as rows, so every reduction along
-    a row runs over contiguous memory whatever the source."""
+    """``a`` itself when nothing can write to it as it is, else a read-only
+    row-major copy: the rule by which every container holds its arrays.
+
+    Nothing can write to ``a`` when it is C-contiguous and read-only, as is
+    every array its memory is borrowed from, down to the owner; the
+    package's producers freeze what they hand over, so a container keeps it.
+    A caller's writable array, or a read-only view of one, is copied, so the
+    caller cannot change a container's values. Row-major, so a transposed
+    input (the predictions CSV's columns) is stored as rows, and every
+    reduction along a row runs over contiguous memory whatever the source.
+    """
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if a.flags.c_contiguous and owner is None:
+        return a
     a = np.array(a, copy=True, order="C")
     a.setflags(write=False)
     return a
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make each of ``arrays`` read-only, so a container keeps it uncopied;
+    only for arrays that the caller alone holds."""
+    for a in arrays:
+        a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
-        t = np.asarray(self.t, dtype=np.int64)
+        t = np.asarray(self.t)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 2:
             raise ValueError("covariate matrix must be 2-d (n, d)")
@@ -68,8 +88,10 @@ class Dataset:
             raise ValueError("dataset must be nonempty")
         if t.shape != (n,) or y.shape != (n,):
             raise ValueError("x, t, y must agree on the number of units")
+        # checked before the cast, which would truncate 0.7 to 0
         if not np.all((t == 0) | (t == 1)):
             raise ValueError("treatment column must be binary")
+        t = t.astype(np.int64, copy=False)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("covariates and outcomes must be finite")
         if t.min() == t.max():
@@ -261,6 +283,7 @@ def generate_toy(
     noise1 = rng.normal(0.0, 0.5, n)
     y = np.where(t == 1, mu1 + noise1, mu0 + noise0)
 
+    _freeze(x, t, y, mu0, mu1, e)
     dataset = Dataset(x=x, t=t, y=y)
     truth = ToyGroundTruth(mu0=mu0, mu1=mu1, e=e)
     return dataset, truth
@@ -281,11 +304,13 @@ def make_candidates(
         raise ValueError("need at least two noise specs to form a candidate set")
     children = np.random.SeedSequence(seed).spawn(len(specs))
     tau = truth.tau
-    rows = []
-    for spec, child in zip(specs, children):
+    # filled row by row, so the build holds the matrix, tau and one draw
+    preds = np.empty((len(specs), truth.n))
+    for row, spec, child in zip(preds, specs, children):
         rng = np.random.default_rng(child)
-        rows.append(tau + rng.normal(spec.mean, spec.sd, truth.n))
-    return CandidateSet(np.vstack(rows))
+        np.add(tau, rng.normal(spec.mean, spec.sd, truth.n), out=row)
+    _freeze(preds)
+    return CandidateSet(preds)
 
 
 def _parse_float(field: str, line_no: int, column: str) -> float:
@@ -315,8 +340,8 @@ def _numeric_body(path: str, width: int) -> np.ndarray | None:
 
     Returns the (rows, width) float array, or None when the reader rejects
     the body or warns (a header-only file), or when the width is wrong or a
-    value is not finite. Callers then re-read the file row by row, which
-    names the offending line.
+    value is not finite. ``_read_table`` then re-reads the file with
+    ``_parse_rows``, which names the offending line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -331,17 +356,28 @@ def _numeric_body(path: str, width: int) -> np.ndarray | None:
     return body
 
 
-def _read_table(
-    path: str,
-    check_header: Callable[[list[str]], None],
-    usable: Callable[[np.ndarray], bool],
-) -> np.ndarray:
+def _parse_rows(records: Iterator[list[str]], header: list[str]) -> np.ndarray:
+    """Parse the rows below the header one by one, skipping blank rows, so an
+    error names the offending line; a column ``t`` takes only 0 or 1."""
+    width = len(header)
+    rows = []
+    for line_no, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"line {line_no}: expected {width} fields, got {len(row)}")
+        rows.append([_parse_float(v, line_no, column) for v, column in zip(row, header)])
+    return np.array(rows, dtype=float).reshape(-1, width)
+
+
+def _read_table(path: str, check_header: Callable[[list[str]], None]) -> np.ndarray:
     """The (rows, columns) float body of a CSV file below a header that
     ``check_header`` accepts.
 
-    numpy parses the body. A body numpy rejects, or one that is not
-    ``usable``, is re-read row by row, so errors name the offending line;
-    that parser skips blank rows and takes only 0 or 1 in a column ``t``.
+    numpy parses the body. A body numpy rejects, or one whose column ``t``
+    holds a value other than 0 or 1, is re-read by ``_parse_rows``, which
+    names the offending line. Any other fault of a parsed body (its row
+    count, say) is the caller's to report: no line is to blame for it.
     """
     # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -351,20 +387,15 @@ def _read_table(
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
         check_header(header)
-        width = len(header)
 
-        body = _numeric_body(path, width)
-        if body is not None and usable(body):
-            return body
-
-        rows = []
-        for line_no, row in enumerate(records, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(f"line {line_no}: expected {width} fields, got {len(row)}")
-            rows.append([_parse_float(v, line_no, column) for v, column in zip(row, header)])
-    return np.array(rows, dtype=float).reshape(-1, width)
+        body = _numeric_body(path, len(header))
+        if body is not None and "t" in header:
+            t = body[:, header.index("t")]
+            if not np.all((t == 0.0) | (t == 1.0)):
+                body = None
+        if body is None:
+            body = _parse_rows(records, header)
+    return body
 
 
 def ingest_dataset(path: str) -> Dataset:
@@ -378,11 +409,7 @@ def ingest_dataset(path: str) -> Dataset:
         if header != expected:
             raise ValueError(f"{path}: header must be {','.join(expected)}")
 
-    def binary_both_arms(body: np.ndarray) -> bool:
-        t = body[:, -2]
-        return bool(np.all((t == 0.0) | (t == 1.0)) and t.min() != t.max())
-
-    body = _read_table(path, check_header, binary_both_arms)
+    body = _read_table(path, check_header)
     if body.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     t = body[:, -2].astype(np.int64)
@@ -399,7 +426,7 @@ def ingest_predictions(path: str, n: int) -> CandidateSet:
         if header != [f"tau_{r}" for r in range(len(header))]:
             raise ValueError(f"{path}: header must be tau_0,...,tau_{{p-1}}")
 
-    body = _read_table(path, check_header, lambda body: body.shape[0] == n)
+    body = _read_table(path, check_header)
     if body.shape[0] != n:
         raise ValueError(f"{path}: expected {n} prediction rows, found {body.shape[0]}")
     return CandidateSet(body.T)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset, ToyGroundTruth, _readonly, _sigmoid
+from .datagen import Dataset, ToyGroundTruth, _freeze, _readonly, _sigmoid
 
 _PENALTY_RATE = 1e-3
 _CLIP_ETA = 0.05
@@ -65,7 +65,8 @@ class NuisanceModel:
 
 @dataclass(frozen=True)
 class Nuisances:
-    """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a dataset.
+    """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a
+    dataset, finite, with every propensity strictly inside (0, 1).
 
     The values are cross-fitted, each unit's predictions from a model
     trained without it, or true (``from_truth``): studies always fit their
@@ -84,6 +85,9 @@ class Nuisances:
         n = self.mu0.shape[0]
         if self.mu1.shape != (n,) or self.e.shape != (n,):
             raise ValueError("nuisance arrays must share one length")
+        # NaN fails both range comparisons below, so finiteness comes first
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("mu0", "mu1", "e")):
+            raise ValueError("nuisance values must be finite")
         if self.e.min() <= 0.0 or self.e.max() >= 1.0:
             raise ValueError("propensities must lie strictly inside (0, 1)")
 
@@ -201,4 +205,5 @@ def fit(dataset: Dataset, indices: np.ndarray) -> NuisanceModel:
     design[:, 1:] = dataset.x[idx]
     arm_betas = [_ridge_solve(design[mask], y[mask], _PENALTY_RATE * mask.sum()) for mask in arms]
     prop_beta = _logistic_solve(design, t.astype(float), _PENALTY_RATE * idx.size)
+    _freeze(*arm_betas, prop_beta)
     return NuisanceModel(*arm_betas, prop_beta)

@@ -51,7 +51,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .datagen import CandidateSet, Dataset, _readonly
+from .datagen import CandidateSet, Dataset, _freeze, _readonly
 from .nuisance import Nuisances, fit
 from .scores import build_score_tensor, cov_hat, delta_hat
 
@@ -109,6 +109,10 @@ class SplitPlan:
     inner: np.ndarray
     groups: int
 
+    def __post_init__(self) -> None:
+        for name in ("major", "inner"):
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name))))
+
     @property
     def n(self) -> int:
         return self.major.shape[0]
@@ -148,7 +152,8 @@ def _split(n: int, groups: int, rng: np.random.Generator) -> SplitPlan:
         members = perm[fold * n // groups : (fold + 1) * n // groups]
         major[members] = fold
         inner[members] = np.arange(members.size) % _INNER_FOLDS
-    return SplitPlan(_readonly(major), _readonly(inner), groups)
+    _freeze(major, inner)
+    return SplitPlan(major, inner, groups)
 
 
 def two_way_split(n: int, seed: int) -> SplitPlan:
@@ -287,25 +292,16 @@ class SelectionResult:
         }
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """Whether nothing can write to ``a`` as it is: C-contiguous and read-only,
-    as is every array its memory is borrowed from, down to the owner."""
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    return a.flags.c_contiguous and owner is None
-
-
 @dataclass(frozen=True)
 class Prepared:
     """One split layout's scored problem, which every selector on that layout
     tests: the plan and the p x n matrix of its cross-fitted doubly robust
     losses, 2-D, finite (so no statistic built from it is NaN) and with one
-    column per unit of the plan. It is kept read-only and C-contiguous: one
-    that nothing can write to as it is, as ``prepare``'s and the rows
-    ``restrict`` cuts are, is kept itself, and any other is copied. ``source``
-    is the problem ``restrict`` cut this one from, whose naive moments it
-    reads, or None."""
+    column per unit of the plan. The matrix is held by the rule of every
+    container (``datagen._readonly``): one that nothing can write to as it
+    is, as ``prepare``'s and the rows ``restrict`` cuts are, is kept itself,
+    and any other is copied. ``source`` is the problem ``restrict`` cut this
+    one from, whose naive moments it reads, or None."""
 
     plan: SplitPlan
     losses: np.ndarray
@@ -319,9 +315,7 @@ class Prepared:
             raise ValueError("candidate losses must be finite")
         if losses.shape[1] != self.plan.n:
             raise ValueError("the split must cover every unit")
-        if not _frozen(losses):
-            losses = _readonly(losses)
-        object.__setattr__(self, "losses", losses)
+        object.__setattr__(self, "losses", _readonly(losses))
 
     @cached_property
     def moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -367,6 +361,7 @@ def cross_fit(dataset: Dataset, plan: SplitPlan) -> Nuisances:
         model = fit(dataset, folds[train])
         rows = folds[(train + 1) % plan.groups]
         values[:, rows] = model.predict_rows(dataset.x[rows])
+    _freeze(values)
     return Nuisances(*values)
 
 

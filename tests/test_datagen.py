@@ -160,6 +160,17 @@ def test_dataset_validation():
         Dataset(x=x, t=np.array([0, 1, 0, 1, 0]), y=np.array([0, 1, np.inf, 0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "t", [[0.0, 0.7, 1.0], [0.0, 1.9, 1.0], [0.0, np.nan, 1.0]], ids=["0.7", "1.9", "nan"]
+)
+def test_dataset_rejects_a_fractional_treatment_before_casting(t):
+    # the cast to int64 would read 0.7 as 0 and 1.9 as 1, and warn on NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="treatment column must be binary"):
+            Dataset(x=np.zeros((3, 1)), t=t, y=np.zeros(3))
+
+
 def test_dataset_csv_roundtrip(tmp_path):
     ds, _ = generate_toy(40, (1, 1, 1, 1), seed=13)
     path = tmp_path / "d.csv"
@@ -320,6 +331,10 @@ INGESTION_CASES = {
     "preds_too_many_rows": (PREDS_HEADER + "1.0,2.0\n3.0,4.0\n", 1, True),
 }
 
+# the bodies numpy parses that are re-read row by row all the same: a treatment
+# other than 0 or 1 needs its line number
+REREAD_FOR_THE_LINE = {"data_t_two"}
+
 
 def _ingest(path, n):
     """Ingested arrays, or the ValueError message."""
@@ -356,17 +371,25 @@ def test_ingestion_matches_row_parser(tmp_path, case):
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode("utf-8"))
     bodies = []
-    reader = datagen._numeric_body
+    reader, row_parser = datagen._numeric_body, datagen._parse_rows
+    row_parses = []
 
     def spy(path, width):
         bodies.append(reader(path, width))
         return bodies[-1]
 
-    with mock.patch.object(datagen, "_numeric_body", spy):
+    def row_spy(records, header):
+        row_parses.append(header)
+        return row_parser(records, header)
+
+    with mock.patch.object(datagen, "_numeric_body", spy), \
+            mock.patch.object(datagen, "_parse_rows", row_spy):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = _ingest(path, n)
     assert [body is not None for body in bodies] == [numpy_parses]
+    # the row parser runs only where numpy failed or a line must be named
+    assert len(row_parses) == int(not numpy_parses or case in REREAD_FOR_THE_LINE)
     assert not caught  # e.g. numpy's "input contained no data" on a header-only file
     with _row_parser_only():
         want = _ingest(path, n)

@@ -1,5 +1,5 @@
-"""Memory guards: traced peaks of the fit, of one repetition and of a
-one-point selection, and which arrays share memory.
+"""Memory guards: traced peaks of the generators, of the fit, of one
+repetition and of a one-point selection, and which arrays share memory.
 
 tracemalloc sees every numpy data buffer, so a peak here is the largest sum
 of live arrays (plus small Python objects) during the call, independent of
@@ -12,10 +12,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cateselect.datagen import COMPETITIVE_PLUS_INFERIOR_SPECS, generate_toy, make_candidates
+from cateselect.datagen import (
+    COMPETITIVE_PLUS_INFERIOR_SPECS,
+    CandidateSet,
+    Dataset,
+    ToyGroundTruth,
+    generate_toy,
+    make_candidates,
+)
 from cateselect.harness import ExperimentConfig, _derived_seeds, _rep_worker, _STREAM_REP
-from cateselect.nuisance import fit
-from cateselect.selectors import Prepared, SelectorConfig, prepare, select, two_way_split
+from cateselect.nuisance import NuisanceModel, Nuisances, fit
+from cateselect.selectors import (
+    Prepared,
+    SelectorConfig,
+    SplitPlan,
+    prepare,
+    select,
+    two_way_split,
+)
 
 
 def _traced_peak(call):
@@ -87,23 +101,98 @@ def test_restrict_is_a_read_only_view_of_the_shared_rows():
         part.losses[0, 0] = 0.0
 
 
-def test_a_tensor_built_from_a_callers_array_copies_it():
+def _matrix(rows, columns):
+    """A (rows, columns) array that owns its memory, as a caller's would."""
+    return np.arange(rows * columns, dtype=float).reshape(rows, columns).copy()
+
+
+# name -> (a caller's array, what the container built from it holds)
+CONTAINERS = {
+    "Dataset": (
+        lambda: _matrix(20, 2),
+        lambda a: Dataset(x=a, t=np.arange(20) % 2, y=np.zeros(20)).x,
+    ),
+    "ToyGroundTruth": (
+        lambda: np.arange(20.0),
+        lambda a: ToyGroundTruth(mu0=a, mu1=np.zeros(20), e=np.full(20, 0.5)).mu0,
+    ),
+    "CandidateSet": (lambda: _matrix(3, 20), lambda a: CandidateSet(a).predictions),
+    "NuisanceModel": (lambda: np.arange(3.0), lambda a: NuisanceModel(a, np.zeros(3), np.zeros(3)).mu0),
+    "Nuisances": (
+        lambda: np.arange(20.0),
+        lambda a: Nuisances(mu0=a, mu1=np.zeros(20), e=np.full(20, 0.5)).mu0,
+    ),
+    "SplitPlan": (lambda: np.arange(20) % 2, lambda a: SplitPlan(a, np.arange(20) % 5, 2).major),
     # a split needs n >= 20
-    losses = np.arange(60.0).reshape(3, 20)
-    problem = Prepared(two_way_split(20, 0), losses)
-    assert not np.shares_memory(problem.losses, losses)
-    assert not problem.losses.flags.writeable
-    losses[0, 0] = 99.0  # the caller's array stays the caller's
-    assert problem.losses[0, 0] == 0.0
-    assert losses.flags.writeable
+    "Prepared": (lambda: _matrix(3, 20), lambda a: Prepared(two_way_split(20, 0), a).losses),
+}
 
 
-def test_a_read_only_view_of_a_callers_writable_array_is_copied():
+@pytest.mark.parametrize("container", list(CONTAINERS))
+def test_a_container_built_from_a_callers_array_copies_it(container):
+    make, hold = CONTAINERS[container]
+    given = make()
+    held = hold(given)
+    assert not np.shares_memory(held, given)
+    assert not held.flags.writeable
+    first = held.flat[0]
+    given.flat[0] = 7  # the caller's array stays the caller's
+    assert held.flat[0] == first
+    assert given.flags.writeable
+
+
+@pytest.mark.parametrize("container", list(CONTAINERS))
+def test_a_read_only_view_of_a_callers_writable_array_is_copied(container):
     # the view cannot be written to, but the array it shows can
-    losses = np.arange(60.0).reshape(3, 20)
-    view = losses.view()
+    make, hold = CONTAINERS[container]
+    given = make()
+    view = given.view()
     view.setflags(write=False)
-    problem = Prepared(two_way_split(20, 0), view)
-    assert not np.shares_memory(problem.losses, losses)
-    losses[0, 0] = 99.0
-    assert problem.losses[0, 0] == 0.0
+    held = hold(view)
+    assert not np.shares_memory(held, given)
+    first = held.flat[0]
+    given.flat[0] = 7
+    assert held.flat[0] == first
+
+
+@pytest.mark.parametrize("container", list(CONTAINERS))
+def test_a_frozen_array_is_kept_uncopied(container):
+    # C-contiguous and read-only down to its owner: nothing can write to it
+    make, hold = CONTAINERS[container]
+    given = make()
+    given.setflags(write=False)
+    assert np.shares_memory(hold(given), given)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda a: a.T, lambda a: a[..., ::2]],
+    ids=["transposed", "strided"],
+)
+def test_a_frozen_array_that_is_not_row_major_is_copied(call):
+    frozen = _matrix(3, 20)
+    frozen.setflags(write=False)
+    held = CandidateSet(call(frozen)).predictions
+    assert not np.shares_memory(held, frozen)
+    assert held.flags.c_contiguous and not held.flags.writeable
+
+
+def test_generate_toy_peaks_under_one_and_a_half_covariate_matrices():
+    # bound: 1.5 covariate matrices at d = 406. The draw is x and n-vectors;
+    # a container that copies x peaked at 2.15x
+    n, dims = 2000, (2, 2, 2, 400)
+    unit = n * sum(dims) * 8
+    peak = _traced_peak(lambda: generate_toy(n, dims, seed=0))
+    assert peak <= 1.5 * unit, f"generate_toy peaked at {peak / unit:.2f} covariate matrices"
+
+
+def test_make_candidates_peaks_under_one_and_a_half_candidate_matrices():
+    # bound: 1.5 p x n matrices at p = 7, n = 30 000. Filling the matrix row by
+    # row holds it, tau and one draw (1.29x); stacking a list of rows and then
+    # copying the stack peaked at 3.15x
+    n = 30_000
+    _, truth = generate_toy(n, (2, 2, 2, 2), seed=0)
+    specs = COMPETITIVE_PLUS_INFERIOR_SPECS
+    unit = len(specs) * n * 8
+    peak = _traced_peak(lambda: make_candidates(truth, specs, seed=1))
+    assert peak <= 1.5 * unit, f"make_candidates peaked at {peak / unit:.2f} candidate matrices"

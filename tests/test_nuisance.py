@@ -106,6 +106,23 @@ def test_oracle_nuisance_from_truth():
         Nuisances(mu0=np.zeros(3), mu1=np.zeros(3), e=np.array([0.0, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"mu0": [0.0, 0.0], "mu1": [np.inf, 0.0], "e": [np.nan, 0.5]},
+        {"mu0": [np.nan, 0.0], "mu1": [0.0, 0.0], "e": [0.5, 0.5]},
+        {"mu0": [0.0, 0.0], "mu1": [0.0, -np.inf], "e": [0.5, 0.5]},
+        {"mu0": [0.0, 0.0], "mu1": [0.0, 0.0], "e": [0.5, np.nan]},
+    ],
+    ids=["inf_mu1_nan_e", "nan_mu0", "inf_mu1", "nan_e"],
+)
+def test_nuisances_reject_non_finite_values(values):
+    # NaN fails both range comparisons of e; unchecked, the fault surfaced later
+    # as non-finite candidate losses, which blames the candidates
+    with pytest.raises(ValueError, match="nuisance values must be finite"):
+        Nuisances(**values)
+
+
 # --- logistic solver against the re-evaluating loop ---------------------------
 
 
