@@ -20,7 +20,7 @@ _MODULE_OF = {
     "Dataset": "datagen",
     "ExperimentConfig": "harness",
     "NoiseSpec": "datagen",
-    "Nuisances": "nuisance",
+    "Nuisances": "datagen",
     "SelectorConfig": "selectors",
     "clt_diagnostic": "diagnostics",
     "generate_toy": "datagen",

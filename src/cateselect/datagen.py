@@ -3,10 +3,11 @@
 The toy generator draws latent Gaussian covariates split into four blocks:
 instruments (treatment assignment only), confounders (treatment and
 outcomes), adjusters (outcomes only), and distractors (neither). Outcomes
-are linear in the confounder/adjuster block. The returned ground truth
-carries the noise-free conditional means, the per-unit treatment effect
-``tau = mu1 - mu0``, and the realized propensities, so oracle analyses and
-noisy-oracle candidate estimators can be built on top.
+are linear in the confounder/adjuster block. The returned ground truth is
+the data's ``Nuisances``, the container of per-unit nuisance values that
+cross-fitting also fills: the noise-free conditional means and the realized
+propensities, whose ``tau = mu1 - mu0`` is the per-unit treatment effect, so
+oracle analyses and noisy-oracle candidate estimators can be built on top.
 """
 
 from __future__ import annotations
@@ -111,11 +112,15 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ToyGroundTruth:
-    """Per-unit truth for the toy design.
+class Nuisances:
+    """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a
+    dataset, finite, with every propensity strictly inside (0, 1).
 
-    ``mu0``/``mu1`` are the noise-free conditional means, ``tau`` their
-    difference, and ``e`` the realized propensity after clipping.
+    The values are cross-fitted, each unit's predictions from a model
+    trained without it, or true, as ``generate_toy`` returns them: studies
+    always fit their nuisances, and true values are for library callers and
+    tests that need an exact reference. Scores read only these arrays, never
+    the models behind them.
     """
 
     mu0: np.ndarray
@@ -125,12 +130,18 @@ class ToyGroundTruth:
     def __post_init__(self) -> None:
         for name in ("mu0", "mu1", "e"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        lo, hi = PROPENSITY_CLIP
-        if self.e.min() < lo or self.e.max() > hi:
-            raise ValueError(f"propensities must lie in [{lo}, {hi}]")
+        n = self.mu0.shape[0]
+        if self.mu1.shape != (n,) or self.e.shape != (n,):
+            raise ValueError("nuisance arrays must share one length")
+        # NaN fails both range comparisons below, so finiteness comes first
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("mu0", "mu1", "e")):
+            raise ValueError("nuisance values must be finite")
+        if self.e.min() <= 0.0 or self.e.max() >= 1.0:
+            raise ValueError("propensities must lie strictly inside (0, 1)")
 
     @property
     def tau(self) -> np.ndarray:
+        """The per-unit effect ``mu1 - mu0``."""
         return self.mu1 - self.mu0
 
     @property
@@ -226,7 +237,7 @@ def generate_toy(
     n: int,
     dims: tuple[int, int, int, int],
     seed: int,
-) -> tuple[Dataset, ToyGroundTruth]:
+) -> tuple[Dataset, Nuisances]:
     """Sample the linear-outcome toy design.
 
     Covariates are standard normal in ``sum(dims)`` dimensions with block
@@ -248,7 +259,8 @@ def generate_toy(
 
     Returns
     -------
-    (Dataset, ToyGroundTruth)
+    (Dataset, Nuisances)
+        The data and its true nuisances, the propensities after clipping.
     """
     m_inst, m_conf, m_adj, m_dist = _check_toy_design(n, dims)
 
@@ -285,12 +297,11 @@ def generate_toy(
 
     _freeze(x, t, y, mu0, mu1, e)
     dataset = Dataset(x=x, t=t, y=y)
-    truth = ToyGroundTruth(mu0=mu0, mu1=mu1, e=e)
-    return dataset, truth
+    return dataset, Nuisances(mu0=mu0, mu1=mu1, e=e)
 
 
 def make_candidates(
-    truth: ToyGroundTruth,
+    truth: Nuisances,
     specs: list[NoiseSpec] | tuple[NoiseSpec, ...],
     seed: int,
 ) -> CandidateSet:

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .datagen import CandidateSet, Dataset, generate_toy, make_candidates
+from .datagen import CandidateSet, Dataset, _freeze, generate_toy, make_candidates
 from .harness import ConfigError, ExperimentConfig, _derived_seeds
 from .selectors import Prepared, SplitPlan, _draw_plan, exp_weighted_statistics, prepare
 
@@ -152,8 +152,11 @@ def stability_check(
         rows = np.arange(n)
         for j, src in replacements.items():
             rows[j] = src
-        sample = Dataset(x=dataset.x[rows], t=dataset.t[rows], y=dataset.y[rows])
-        problem = prepare(sample, CandidateSet(candidates.predictions[:, rows]), plan)
+        # fresh row-major gathers, frozen so the containers keep them uncopied
+        arrays = dataset.x[rows], dataset.t[rows], dataset.y[rows]
+        preds = np.take(candidates.predictions, rows, axis=1)
+        _freeze(*arrays, preds)
+        problem = prepare(Dataset(*arrays), CandidateSet(preds), plan)
         return exp_weighted_statistics(problem, lam).q_matrix
 
     q_base = q_with({})

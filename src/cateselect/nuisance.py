@@ -10,7 +10,8 @@ measures genuine model movement rather than solver jitter. A fit builds one
 intercept-first design matrix of its training units, which the solvers
 share: each ridge takes its arm's rows, the logistic solve all of them, and
 the penalty goes onto the slopes' diagonal entries and gradient terms in
-place, with no penalty matrix.
+place, with no penalty matrix. The per-unit values a model predicts are held
+in ``datagen.Nuisances``, the type of the toy data's true values too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset, ToyGroundTruth, _freeze, _readonly, _sigmoid
+from .datagen import Dataset, _freeze, _readonly, _sigmoid
 
 _PENALTY_RATE = 1e-3
 _CLIP_ETA = 0.05
@@ -61,43 +62,6 @@ class NuisanceModel:
         raw = _sigmoid(x @ self.prop[1:] + self.prop[0])
         e = np.clip(raw, _CLIP_ETA, 1.0 - _CLIP_ETA)
         return mu0, mu1, e
-
-
-@dataclass(frozen=True)
-class Nuisances:
-    """Per-unit nuisance values ``mu0``, ``mu1``, ``e``, index-aligned with a
-    dataset, finite, with every propensity strictly inside (0, 1).
-
-    The values are cross-fitted, each unit's predictions from a model
-    trained without it, or true (``from_truth``): studies always fit their
-    nuisances, and true values are for library callers and tests that need
-    an exact reference. Scores read only these arrays, never the models
-    behind them.
-    """
-
-    mu0: np.ndarray
-    mu1: np.ndarray
-    e: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("mu0", "mu1", "e"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        n = self.mu0.shape[0]
-        if self.mu1.shape != (n,) or self.e.shape != (n,):
-            raise ValueError("nuisance arrays must share one length")
-        # NaN fails both range comparisons below, so finiteness comes first
-        if not all(np.all(np.isfinite(getattr(self, name))) for name in ("mu0", "mu1", "e")):
-            raise ValueError("nuisance values must be finite")
-        if self.e.min() <= 0.0 or self.e.max() >= 1.0:
-            raise ValueError("propensities must lie strictly inside (0, 1)")
-
-    @classmethod
-    def from_truth(cls, truth: ToyGroundTruth) -> "Nuisances":
-        return cls(mu0=truth.mu0, mu1=truth.mu1, e=truth.e)
-
-    @property
-    def n(self) -> int:
-        return self.mu0.shape[0]
 
 
 def _penalize(matrix: np.ndarray, penalty: float) -> np.ndarray:

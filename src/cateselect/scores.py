@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import CandidateSet, Dataset
-from .nuisance import Nuisances
+from .datagen import CandidateSet, Dataset, Nuisances
 
 
 def pseudo_outcomes(dataset: Dataset, nuisances: Nuisances) -> np.ndarray:

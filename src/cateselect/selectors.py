@@ -12,13 +12,13 @@ under its name, and ``select`` is the one way to run them: it prepares each
 split layout it is asked for once and runs every named selector on that
 layout before preparing the next, or runs them on a problem the caller
 prepared. That is the way in for anything but the default cross-fit: a
-caller holding true nuisances passes ``prepared=prepare(dataset, candidates,
-two_way_split(dataset.n, config.seed), Nuisances.from_truth(truth))``, with
-``single_layer_split`` for the ablation. ``Prepared.restrict`` cuts a
-problem to its first p candidates, bitwise the problem those candidates
-alone would get, as a view of its rows that reads the larger problem's
-naive moments, so those are computed once; the proposed test gathers its
-own rows by cell on every problem.
+caller holding true nuisances, as ``generate_toy`` returns them, passes
+``prepared=prepare(dataset, candidates, two_way_split(dataset.n,
+config.seed), truth)``, with ``single_layer_split`` for the ablation.
+``Prepared.restrict`` cuts a problem to its first p candidates, bitwise the
+problem those candidates alone would get, as a view of its rows that reads
+the larger problem's naive moments, so those are computed once; the
+proposed test gathers its own rows by cell on every problem.
 
 * ``"proposed"``: two-layer cross-fitted, exponentially weighted test.
   Nuisances come from the opposite major fold; softmax weights over rival
@@ -45,14 +45,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from numbers import Real
+from numbers import Integral, Real
 from statistics import NormalDist
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .datagen import CandidateSet, Dataset, _freeze, _readonly
-from .nuisance import Nuisances, fit
+from .datagen import CandidateSet, Dataset, Nuisances, _freeze, _readonly
+from .nuisance import fit
 from .scores import build_score_tensor, cov_hat, delta_hat
 
 _NAIVE_STREAM = 0x5EED01
@@ -92,6 +92,9 @@ class SelectorConfig:
                 raise ValueError(f"lam must be a number, got {self.lam!r}")
             if not 0 <= self.lam < math.inf:
                 raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        # a bool would print as true; a float would fail deep in numpy's seeding
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -388,7 +391,7 @@ def _build_result(
         selector=selector,
         alpha=config.alpha,
         lam=lam,
-        seed=config.seed,
+        seed=int(config.seed),  # a numpy integer seed is written to JSON as a number
         accepted=accepted,
         stats=tuple(stats),
     )

@@ -24,7 +24,6 @@ from cateselect.harness import (
     run_experiment,
     sweep,
 )
-from cateselect.nuisance import Nuisances
 from cateselect.scores import _rival_scores, build_score_tensor, cov_hat, delta_hat
 from cateselect.selectors import (
     SelectorConfig,
@@ -159,7 +158,7 @@ def test_criterion_6_oracle_delta_agreement():
         data_seed, cand_seed, _ = _derived_seeds(SEED, 6, k)
         ds, truth = generate_toy(100_000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+        tensor = build_score_tensor(ds, cands, truth)
         delta = delta_hat(tensor, 0)[0]
         se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         hits += abs(delta - target) < 4 * se
@@ -179,7 +178,7 @@ def test_criterion_7_clt_calibration():
         data_seed, cand_seed, _ = _derived_seeds(SEED, 7, k)
         ds, truth = generate_toy(2000, (2, 2, 2, 2), data_seed)
         cands = make_candidates(truth, specs, cand_seed)
-        tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+        tensor = build_score_tensor(ds, cands, truth)
         delta = delta_hat(tensor, 0)[0]
         se = np.sqrt(cov_hat(tensor, 0)[0, 0])
         zs[k] = (delta - target) / se
@@ -248,7 +247,7 @@ def test_criterion_10_exactness_properties():
     data_seed, cand_seed, sel_seed = _derived_seeds(SEED, 10, 0)
     ds, truth = generate_toy(500, (2, 2, 2, 2), data_seed)
     cands = make_candidates(truth, NEAR_TIED_SPECS, cand_seed)
-    tensor = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    tensor = build_score_tensor(ds, cands, truth)
     rival = [_rival_scores(tensor, m) for m in range(len(tensor))]
     pairs = [(r, s) for r in range(len(tensor)) for s in range(len(tensor)) if r != s]
     if not all(np.array_equal(rival[r][s - (s > r)], -rival[s][r - (r > s)]) for r, s in pairs):

@@ -117,6 +117,20 @@ def test_bad_config_values_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "experiment config must be a JSON object"), ('{"n": 400', "is not valid JSON")],
+    ids=["array", "not_json"],
+)
+def test_config_file_that_is_not_a_json_object_exits_1(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert cli(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_prints_accepted_set(tmp_path, capsys):
     ds, truth = generate_toy(300, (2, 2, 2, 2), seed=3)
     cands = make_candidates(truth, [NoiseSpec(0.0, 0.1), NoiseSpec(0.4, 0.1)], seed=4)
@@ -592,12 +606,18 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
         # finite, but too large to square: the winner could not be chosen
         ({"noise_specs": [[0.0, 0.1], [1e200, 0.1]]}, ["simulate"],
          "noise spec (1e+200, 0.1): mean^2 + sd^2 overflows"),
+        ({"workers": 0}, ["simulate"], "workers must be at least 1"),
+        ({"noise_specs": [[0.0, 0.1]]}, ["simulate"], "need at least two candidate noise specs"),
+        # the run's own flags
+        ({}, ["simulate", "--reps", "0"], "repetitions must be at least 1"),
+        ({}, ["sweep", "--axis", "candidate-count", "--values", "3,x"], "cannot parse sweep values '3,x'"),
     ],
     ids=["n_10", "no_selectors", "empty_block", "tiny_fraction", "repeated_value", "n_19",
          "clt_n_19", "fraction_to_n_19", "n_39", "clt_n_39", "fraction_to_n_39", "float_n",
          "float_reps", "bool_reps", "inner_folds_key", "float_workers", "float_seed",
          "oracle_nuisances_key", "float_dims", "bool_dims", "bool_lambda", "bool_noise_mean", "nan_lambda",
-         "nan_noise_mean", "inf_noise_sd", "overflowing_noise_mean"],
+         "nan_noise_mean", "inf_noise_sd", "overflowing_noise_mean", "no_workers", "one_noise_spec",
+         "no_reps", "unparsable_sweep_value"],
 )
 def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, command, message):
     config = _write_config(tmp_path, **overrides)
@@ -620,9 +640,10 @@ def test_designs_that_fail_every_repetition_exit_1(tmp_path, capsys, overrides, 
         ("stability", ["--grid", "10,20,30"], "grid size 10"),
         ("stability", ["--grid", "19,30,40"], "grid size 19: toy designs need n >= 20"),
         ("stability", ["--grid", "39,50,60"], "grid size 39: n=39 is too small for d=8"),
+        ("stability", ["--grid", "500,x"], "cannot parse stability grid '500,x'"),
     ],
     ids=["datasets_-1", "datasets_0", "bootstrap_0", "probes_0", "probes_-1", "grid_from_10",
-         "grid_from_19", "grid_from_39"],
+         "grid_from_19", "grid_from_39", "unparsable_grid"],
 )
 def test_diagnose_rejects_empty_counts(tmp_path, capsys, kind, flags, message):
     config = _write_config(tmp_path)

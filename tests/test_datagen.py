@@ -150,6 +150,20 @@ def test_candidate_set_needs_two_rows():
         make_candidates(generate_toy(50, (1, 1, 1, 1), 0)[1], [NoiseSpec(0, 0.1)], 1)
 
 
+@pytest.mark.parametrize(
+    "predictions, message",
+    [
+        (np.zeros(10), "predictions must be a (p, n) matrix"),
+        (np.array([[0.0, np.nan], [0.0, 0.0]]), "candidate predictions must be finite"),
+        (np.array([[0.0, 0.0], [np.inf, 0.0]]), "candidate predictions must be finite"),
+    ],
+    ids=["1d", "nan", "inf"],
+)
+def test_candidate_set_rejects_malformed_predictions(predictions, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CandidateSet(predictions)
+
+
 def test_dataset_validation():
     x = np.zeros((5, 2))
     with pytest.raises(ValueError):
@@ -216,6 +230,23 @@ def test_ingest_dataset_bad_header(tmp_path):
     path.write_text("a,b,t,y\n1,2,0,3\n")
     with pytest.raises(ValueError, match="header"):
         ingest_dataset(str(path))
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (ingest_dataset, "", "empty file"),
+        (lambda path: ingest_predictions(path, 1), "", "empty file"),
+        (ingest_dataset, "x_0,y\n0.1,1.0\n", "header must be x_0,...,x_{d-1},t,y"),
+        (lambda path: ingest_predictions(path, 1), "a,b\n1.0,2.0\n", "header must be tau_0,...,tau_{p-1}"),
+    ],
+    ids=["empty_dataset", "empty_predictions", "dataset_without_t", "predictions_header"],
+)
+def test_ingestion_rejects_a_file_without_its_header(tmp_path, read, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read(str(path))
 
 
 def test_predictions_csv_roundtrip(tmp_path):

@@ -14,8 +14,15 @@ import pytest
 from scipy.stats import kstest
 
 import cateselect
-from cateselect import selectors
-from cateselect.datagen import NEAR_TIED_SPECS, NoiseSpec, generate_toy, make_candidates
+from cateselect import diagnostics, selectors
+from cateselect.datagen import (
+    NEAR_TIED_SPECS,
+    CandidateSet,
+    Dataset,
+    NoiseSpec,
+    generate_toy,
+    make_candidates,
+)
 from cateselect.diagnostics import (
     _STREAM_CLT,
     _STREAM_CLT_BOOT,
@@ -28,7 +35,7 @@ from cateselect.diagnostics import (
     stability_diagnostic,
 )
 from cateselect.harness import ConfigError, ExperimentConfig, _derived_seeds
-from cateselect.nuisance import NuisanceModel, Nuisances
+from cateselect.nuisance import NuisanceModel
 from cateselect.selectors import Prepared, prepare, two_way_split
 
 SPECS = (NoiseSpec(0.0, 0.1), NoiseSpec(0.03, 0.1), NoiseSpec(0.3, 0.1))
@@ -68,7 +75,7 @@ def test_clt_check_on_true_nuisances():
     dataset, truth = generate_toy(400, (2, 2, 2, 2), seed=5)
     candidates = make_candidates(truth, SPECS, seed=6)
     plan = two_way_split(dataset.n, 7)
-    true_problem = prepare(dataset, candidates, plan, Nuisances.from_truth(truth))
+    true_problem = prepare(dataset, candidates, plan, truth)
     entry, skipped = clt_check(true_problem, 100, np.random.default_rng(8))
     assert skipped == []
     assert entry["tested_pairs"] == 3
@@ -114,6 +121,28 @@ def test_stability_check_needs_the_whole_replacement_pool():
     candidates = make_candidates(truth, SPECS, seed=2)
     with pytest.raises(ValueError, match="2 probes need 206 units, got 205"):
         stability_check(dataset, candidates, two_way_split(200, 3), 1.0, 2, np.random.default_rng(4))
+
+
+def test_stability_probes_keep_their_gathered_rows_uncopied(monkeypatch):
+    # each probe gathers its rows into fresh row-major arrays; frozen, the
+    # containers keep them rather than holding each sample twice
+    kept = []
+
+    def keeping(cls, *fields):
+        def build(*args):
+            made = cls(*args)
+            kept.extend(getattr(made, name) is given for name, given in zip(fields, args))
+            return made
+
+        return build
+
+    monkeypatch.setattr(diagnostics, "Dataset", keeping(Dataset, "x", "t", "y"))
+    monkeypatch.setattr(diagnostics, "CandidateSet", keeping(CandidateSet, "predictions"))
+    dataset, truth = generate_toy(206, (2, 2, 2, 2), seed=1)
+    candidates = make_candidates(truth, SPECS, seed=2)
+    stability_check(dataset, candidates, two_way_split(200, 3), 1.0, 2, np.random.default_rng(4))
+    # the base sample, one per first-order probe and three per second-order probe
+    assert len(kept) == 4 * (1 + 2 + 3 * 2) and all(kept)
 
 
 def test_the_study_runner_and_the_cli_load_no_diagnostics():

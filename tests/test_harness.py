@@ -264,6 +264,35 @@ def test_candidate_count_points_equal_their_standalone_runs_on_a_pool():
     _assert_points_run_alone(sweep(config, "candidate_count", [2, 4, 5]))
 
 
+def _records_of_select(config):
+    """``config``'s records rebuilt by ``select`` on each repetition's
+    regenerated data, at the repetition's selector seed."""
+    records = []
+    for k in range(config.repetitions):
+        data_seed, cand_seed, sel_seed = harness._derived_seeds(config.seed, harness._STREAM_REP, k)
+        dataset, truth = generate_toy(config.n, config.dims, data_seed)
+        candidates = make_candidates(truth, config.noise_specs, cand_seed)
+        for result in selectors.select(
+            dataset, candidates, config.selector_config(sel_seed), config.selectors
+        ):
+            records.extend(
+                harness.RepRecord(k, result.selector, s.candidate, s.statistic, s.critical, s.accepted)
+                for s in result.stats
+            )
+    return records
+
+
+def test_the_study_runner_is_select_in_a_loop():
+    # the runner shares each repetition's draw, split, fits and loss matrices
+    # across selectors and sweep points; each record is still select's own
+    names = ("proposed", "naive", "bonferroni", "ablation")
+    config = _config(n=600, noise_specs=SWEEP_SPECS, selectors=names, repetitions=4, seed=11)
+    points = sweep(config, "candidate_count", [2, 3, 5])
+    for report in [run_experiment(config), *(point.report for point in points)]:
+        assert report.failures == []
+        assert report.records == _records_of_select(report.config)
+
+
 def test_failed_draw_is_recorded_at_every_point(monkeypatch):
     config = _config(repetitions=3)
     bad_seed = harness._derived_seeds(config.seed, harness._STREAM_REP, 1)[0]
@@ -460,6 +489,8 @@ def test_sweep_validation():
     config = _config()
     with pytest.raises(ConfigError):
         sweep(config, "bad_axis", [1])
+    with pytest.raises(ConfigError, match="sweep needs at least one value"):
+        sweep(config, "candidate_count", [])
     with pytest.raises(ConfigError):
         sweep(config, "candidate_count", [3, 2])
     with pytest.raises(ConfigError):

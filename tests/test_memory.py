@@ -16,12 +16,12 @@ from cateselect.datagen import (
     COMPETITIVE_PLUS_INFERIOR_SPECS,
     CandidateSet,
     Dataset,
-    ToyGroundTruth,
+    Nuisances,
     generate_toy,
     make_candidates,
 )
 from cateselect.harness import ExperimentConfig, _derived_seeds, _rep_worker, _STREAM_REP
-from cateselect.nuisance import NuisanceModel, Nuisances, fit
+from cateselect.nuisance import NuisanceModel, fit
 from cateselect.selectors import (
     Prepared,
     SelectorConfig,
@@ -111,10 +111,6 @@ CONTAINERS = {
     "Dataset": (
         lambda: _matrix(20, 2),
         lambda a: Dataset(x=a, t=np.arange(20) % 2, y=np.zeros(20)).x,
-    ),
-    "ToyGroundTruth": (
-        lambda: np.arange(20.0),
-        lambda a: ToyGroundTruth(mu0=a, mu1=np.zeros(20), e=np.full(20, 0.5)).mu0,
     ),
     "CandidateSet": (lambda: _matrix(3, 20), lambda a: CandidateSet(a).predictions),
     "NuisanceModel": (lambda: np.arange(3.0), lambda a: NuisanceModel(a, np.zeros(3), np.zeros(3)).mu0),

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from cateselect import nuisance
-from cateselect.datagen import Dataset, _sigmoid, generate_toy
-from cateselect.nuisance import NuisanceModel, Nuisances, fit
+from cateselect.datagen import PROPENSITY_CLIP, Dataset, Nuisances, _sigmoid, generate_toy
+from cateselect.nuisance import NuisanceModel, fit
 
 
 def _linear_dataset(n, d, seed, noise=0.0):
@@ -97,13 +97,18 @@ def test_outcome_error_shrinks_with_n():
     assert 1.0 <= np.mean(ratios) <= 3.0
 
 
-def test_oracle_nuisance_from_truth():
-    _, truth = generate_toy(50, (1, 1, 1, 1), seed=1)
-    oracle = Nuisances.from_truth(truth)
-    npt.assert_array_equal(oracle.mu0, truth.mu0)
-    assert oracle.n == truth.n
-    with pytest.raises(ValueError):
+def test_generate_toy_returns_true_nuisances():
+    dataset, truth = generate_toy(50, (1, 1, 1, 1), seed=1)
+    assert type(truth) is Nuisances and truth.n == dataset.n
+    npt.assert_array_equal(truth.tau, truth.mu1 - truth.mu0)
+    assert PROPENSITY_CLIP[0] <= truth.e.min() and truth.e.max() <= PROPENSITY_CLIP[1]
+    with pytest.raises(ValueError, match="strictly inside"):
         Nuisances(mu0=np.zeros(3), mu1=np.zeros(3), e=np.array([0.0, 0.5, 0.5]))
+
+
+def test_nuisances_reject_arrays_of_unequal_length():
+    with pytest.raises(ValueError, match="share one length"):
+        Nuisances(mu0=np.zeros(3), mu1=np.zeros(2), e=np.full(1, 0.5))
 
 
 @pytest.mark.parametrize(

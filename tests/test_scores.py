@@ -8,8 +8,8 @@ import numpy.testing as npt
 import pytest
 
 import cateselect
-from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, generate_toy, make_candidates
-from cateselect.nuisance import NuisanceModel, Nuisances
+from cateselect.datagen import CandidateSet, NoiseSpec, Dataset, Nuisances, generate_toy, make_candidates
+from cateselect.nuisance import NuisanceModel
 from cateselect.scores import (
     build_score_tensor,
     cov_hat,
@@ -42,6 +42,16 @@ def test_pseudo_outcome_hand_value():
     ds = _two_units(2.0, 0.0)
     gamma = pseudo_outcomes(ds, _values(model, ds))
     assert gamma[0] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_scores_reject_arrays_that_do_not_match_the_dataset():
+    ds = _two_units(1.0, 0.0)
+    three = Nuisances(mu0=np.zeros(3), mu1=np.zeros(3), e=np.full(3, 0.5))
+    with pytest.raises(ValueError, match="nuisance arrays must align with the dataset"):
+        pseudo_outcomes(ds, three)
+    two = Nuisances(mu0=np.zeros(2), mu1=np.zeros(2), e=np.full(2, 0.5))
+    with pytest.raises(ValueError, match="candidate predictions must cover every dataset unit"):
+        build_score_tensor(ds, CandidateSet(np.zeros((2, 3))), two)
 
 
 def test_pseudo_outcome_vanishing_residuals():
@@ -108,7 +118,7 @@ def test_identical_candidates_zero_tensor():
     ds, truth = generate_toy(100, (1, 1, 1, 1), seed=4)
     row = truth.tau + 0.1
     cands = CandidateSet(np.vstack([row, row]))
-    losses = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    losses = build_score_tensor(ds, cands, truth)
     npt.assert_array_equal(losses[0] - losses[1], np.zeros(losses.shape[1]))
 
 
@@ -204,7 +214,7 @@ def test_delta_matches_population_value_with_oracle():
     ds, truth = generate_toy(n, (2, 2, 2, 2), seed=31)
     specs = [NoiseSpec(0.0, 0.1), NoiseSpec(0.3, 0.1)]
     cands = make_candidates(truth, specs, seed=32)
-    losses = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    losses = build_score_tensor(ds, cands, truth)
     delta = delta_hat(losses, 0)
     cov = cov_hat(losses, 0)
     target = specs[0].population_mse - specs[1].population_mse

@@ -19,7 +19,6 @@ from cateselect.datagen import (
     make_candidates,
 )
 from cateselect.harness import _derived_seeds
-from cateselect.nuisance import Nuisances
 from cateselect.selectors import (
     SelectorConfig,
     Prepared,
@@ -157,7 +156,7 @@ def _true_problem(ds, truth, cands, config, groups=2):
     """The problem a selector on ``groups`` major folds tests, scored with the
     true nuisances instead of cross-fitted ones."""
     plan = selectors._draw_plan(groups, ds.n, config)
-    return prepare(ds, cands, plan, Nuisances.from_truth(truth))
+    return prepare(ds, cands, plan, truth)
 
 
 def _proposed_statistics(ds, cands, config):
@@ -348,7 +347,7 @@ def test_bonferroni_critical_dominates_naive_under_positive_correlation():
     # and on toy-score covariances, when all correlations are nonnegative
     ds, truth, cands, sel_seed = _toy_problem(n=2000, specs=tuple([NoiseSpec(0.03 * j, 0.1) for j in range(4)]))
     from cateselect.scores import build_score_tensor, cov_hat
-    losses = build_score_tensor(ds, cands, Nuisances.from_truth(truth))
+    losses = build_score_tensor(ds, cands, truth)
     cov = cov_hat(losses, 0)
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert corr.min() >= 0  # chosen configuration has shared positive factors
@@ -440,7 +439,7 @@ def test_ablation_matches_proposed_with_oracle_and_aligned_cells():
     ds, truth, cands, sel_seed = _toy_problem(n=1000)
     cfg = SelectorConfig(alpha=0.1, seed=sel_seed)
     plan = two_way_split(ds.n, cfg.seed)
-    losses = prepare(ds, cands, plan, Nuisances.from_truth(truth)).losses
+    losses = prepare(ds, cands, plan, truth).losses
     own = _true_problem(ds, truth, cands, cfg, groups=1)
     ra_own = select(ds, cands, cfg, ("ablation",), prepared=own)[0]
     own_plan = single_layer_split(ds.n, cfg.seed)
@@ -498,6 +497,21 @@ def test_selector_config_validation():
     assert SelectorConfig(lam=np.float32(2.0)).resolve_lam(10_000) == 2.0
     assert SelectorConfig(lam=None).resolve_lam(10_000) == pytest.approx(10_000**0.4)
     assert SelectorConfig(lam=3.5).resolve_lam(10_000) == 3.5
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3", np.float64(2.0)], ids=["bool", "float", "str", "np_float"])
+def test_selector_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # a bool would run, and print, as a seed; a float would fail inside numpy's seeding
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SelectorConfig(seed=seed)
+
+
+def test_selector_config_takes_a_numpy_integer_seed():
+    ds, truth = generate_toy(200, (1, 1, 1, 1), seed=3)
+    cands = make_candidates(truth, NEAR_TIED_SPECS, seed=4)
+    result = select(ds, cands, SelectorConfig(seed=np.int64(5)))[0]
+    assert result == select(ds, cands, SelectorConfig(seed=5))[0]
+    assert json.loads(json.dumps(result.to_dict()))["seed"] == 5
 
 
 # --- candidate relabeling ---------------------------------------------------
